@@ -99,8 +99,8 @@ class BitEngine(Engine):
         """Eagerly build the sweep plan for the given batch widths.
 
         A registered serving graph calls this once so its first query
-        already launches against warm chunk tables, gather indices and
-        cached bit masks (:meth:`repro.kernels.plan.SweepPlan.warm`).
+        already launches against warm chunk tables and the set-bit index
+        (:meth:`repro.kernels.plan.SweepPlan.warm`).
         """
         self._At.plan().warm(tuple(widths))
 

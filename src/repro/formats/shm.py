@@ -5,17 +5,18 @@ runs kernel launches in worker processes.  Shipping a graph to a worker
 by pickling it would pay serialization per process (or worse, per
 launch); instead this module flattens the frozen arrays of a
 :class:`~repro.formats.b2sr.B2SRMatrix` — ``indptr``, ``indices``,
-``tiles`` — plus the plan's precomputed ``gather_index`` into **one**
-named POSIX shared-memory segment.  Workers ``attach()`` by name and
-reconstruct read-only views over the same physical pages: zero copies,
-bitwise-identical arrays (asserted via per-array CRCs carried in the
-manifest).
+``tiles`` — plus the plan's precomputed set-bit index
+(:class:`~repro.kernels.plan.SetBitIndex`, which every SSSP/CC pull
+reads) into **one** named POSIX shared-memory segment.  Workers
+``attach()`` by name and reconstruct read-only views over the same
+physical pages: zero copies, bitwise-identical arrays (asserted via
+per-array CRCs carried in the manifest).
 
 B2SR immutability is the safety argument: every exported array is frozen
 at construction and no API mutates it, so read-only cross-process
 sharing cannot race.  The attach path re-freezes its views and adopts
 them through :meth:`B2SRMatrix.from_shared_views` /
-:meth:`SweepPlan.adopt_gather`, which validate but never copy.
+:meth:`SweepPlan.adopt_bit_index`, which validate but never copy.
 
 Lifecycle
 ---------
@@ -45,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.formats.b2sr import B2SRMatrix
+from repro.kernels.plan import SetBitIndex
 
 try:  # pragma: no cover - exercised via shm_available()
     from multiprocessing import resource_tracker, shared_memory
@@ -59,6 +61,9 @@ SEGMENT_PREFIX = "repro-b2sr-"
 
 #: Per-array alignment inside the segment (cache-line).
 _ALIGN = 64
+
+#: Manifest key prefix of the exported set-bit index arrays.
+_BIT_INDEX = "bit_index."
 
 # Monotonic suffix source for generated segment names.  An iterator —
 # not a rebound module global — so concurrent dispatch paths cannot
@@ -172,8 +177,8 @@ class ShmGraphExport:
         Optional explicit segment suffix (``repro-b2sr-<token>``); by
         default a pid-unique name is generated.
     with_plan:
-        Also export the plan's ``gather_index`` (forces its one-time
-        construction) so worker semiring launches start warm.
+        Also export the plan's set-bit index (forces its one-time
+        construction) so worker SSSP/CC pulls start warm.
     """
 
     def __init__(
@@ -191,7 +196,11 @@ class ShmGraphExport:
             ("tiles", matrix.tiles),
         ]
         if with_plan:
-            arrays.append(("gather", matrix.plan().gather_index))
+            index = matrix.plan().bit_index
+            arrays.extend(
+                (_BIT_INDEX + name, getattr(index, name))
+                for name in SetBitIndex.FIELDS
+            )
 
         offset = 0
         placed: list[tuple[str, np.ndarray, int]] = []
@@ -283,8 +292,8 @@ class AttachedGraph:
     """Worker-side view of an exported graph.
 
     ``matrix`` is a real :class:`B2SRMatrix` whose arrays are read-only
-    views into the shared segment; its plan has the exported
-    ``gather_index`` pre-adopted.  Keep this object alive as long as the
+    views into the shared segment; its plan has the exported set-bit
+    index pre-adopted.  Keep this object alive as long as the
     matrix is in use; :meth:`close` unmaps the views.
     """
 
@@ -364,13 +373,18 @@ def attach(
             views["indices"],
             views["tiles"],
         )
-        if "gather" in views:
-            matrix.plan().adopt_gather(views["gather"])
+        index = {
+            key[len(_BIT_INDEX):]: arr
+            for key, arr in views.items()
+            if key.startswith(_BIT_INDEX)
+        }
+        if index:
+            matrix.plan().adopt_bit_index(index)
     except BaseException:
         # Drop every buffer reference this frame created (it stays
         # alive while the exception propagates) so the unmap succeeds
         # now rather than noisily at garbage collection.
-        views = {}
+        views, index, matrix = {}, {}, None
         view = None
         buf = None
         gc.collect()

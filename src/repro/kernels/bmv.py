@@ -61,24 +61,37 @@ exit, which the paper rejects because of warp divergence (§V BFS).
 
 **Sweep plans.**  Every scheme executes against the matrix's memoized
 :class:`repro.kernels.plan.SweepPlan`: the tile-row expansion, chunk
-tables (boundaries, run starts, output rows), value-gather indices,
-zero-padded operand scratch and — under a byte budget — the unpacked
-per-tile bit masks of the semiring path are computed once per matrix
-instead of once per launch.  Pass ``plan=`` to supply a custom plan
-(e.g. a different bits budget); results are bitwise independent of plan
-warmth.
+tables (boundaries, run starts, output rows), the set-bit index,
+value-gather indices, zero-padded operand scratch and — under a byte
+budget — the unpacked per-tile bit masks of the dense semiring sweep are
+computed once per matrix instead of once per launch.  Pass ``plan=`` to
+supply a custom plan (e.g. a different bits budget); results are bitwise
+independent of plan warmth.
+
+**Set-bit gather (min/max/OR semirings).**  For the idempotent
+semirings (min-plus, min-second, max-times, boolean — SSSP's, CC's,
+MIS's and coloring's pulls) the semiring schemes skip the dense tile
+expansion: ``mult(1, x)`` is applied once to the padded operand, the
+stored bits gather their column's value (``m[icol]``) and one
+``add_reduceat`` folds each output row's run —
+:class:`repro.kernels.plan.SetBitIndex`, O(nnz·k) instead of
+O(tiles·d²·k).  The fold is exact in any order when the multiplied
+operand holds no NaN and no ``-0.0``; launches that fail that check, and
+every arithmetic launch (whose float sums are order-dependent), keep the
+dense sweep that replays the seed's fold order.
 
 **Active-tile skip (``skip=True``).**  The sweep consults the input
 operand and elides stored tiles whose input word / value segment is the
 add identity — the frontier-sparsity the serving BFS/SSSP rounds have in
 abundance.  Exactness is structural, not approximate: OR folds drop
-inactive tiles outright (bitwise OR is exact and order-independent),
-while float add/min/max folds keep their fold shape and pre-fill the
-elided slots with the identity the dense sweep would have computed
-(compute elision) — see :mod:`repro.kernels.plan` for the argument.
-Every kernel returns bitwise-identical results with skip on or off;
-``counters=`` receives ``active_tiles`` / ``tile_visits`` so the cost
-model can charge only the work actually done.
+inactive tiles outright (bitwise OR is exact and order-independent), the
+set-bit gather drops the entries of tiles inactive in every plane, and
+the dense float sums keep their fold shape and pre-fill the elided slots
+with the identity the dense sweep would have computed (compute elision)
+— see :mod:`repro.kernels.plan` for the argument.  Every kernel returns
+bitwise-identical results with skip on or off; ``counters=`` receives
+``active_tiles`` / ``tile_visits`` — the same counts on every host path
+— so the cost model can charge only the work actually done.
 
 The only Python-level loops are the tile-chunk loops bounding dense-unpack
 scratch (``_CHUNK_TILES`` elements across all ``k`` columns).
@@ -535,6 +548,51 @@ def bmv_bin_bin_full_multi(
 # ---------------------------------------------------------------------------
 # Full-precision vector (semiring) schemes
 # ---------------------------------------------------------------------------
+def _order_free(m: np.ndarray) -> bool:
+    """No NaN and no ``-0.0`` in the multiplied operand: the condition
+    under which a min/max/OR fold over any subset of ``m`` has one
+    answer, bit for bit, whatever its order."""
+    return not (np.isnan(m).any() or (np.signbit(m) & (m == 0)).any())
+
+
+def _set_bit_pull(
+    A: B2SRMatrix,
+    pl: SweepPlan,
+    semiring: Semiring,
+    m: np.ndarray,
+    act_planes: list[np.ndarray] | None,
+    n_planes: int,
+    out: np.ndarray,
+    counters: dict | None,
+) -> None:
+    """Idempotent-semiring pull through the plan's set-bit index.
+
+    ``m`` is the multiplied padded operand (``(n_tile_cols·d,)`` or
+    ``(n_tile_cols·d, k)``) and ``out`` the identity-filled output
+    flattened to ``(n_tile_rows·d[, k])``.  With ``act_planes`` (the
+    per-plane column activity of skip mode) only the entries of tiles
+    active in some plane are gathered — an inactive tile contributes
+    the identity.  Counters match the dense sweep's exactly: per plane,
+    the plane's active stored tiles out of ``n_tiles`` visits.
+    """
+    ix = pl.bit_index
+    icol, starts, rows = ix.icol, ix.starts, ix.rows
+    if act_planes is None:
+        visits = n_planes * A.n_tiles
+        note_active(counters, visits, visits)
+    else:
+        tile_act = act_planes[0][A.indices]
+        note_active(counters, np.count_nonzero(tile_act), A.n_tiles)
+        for act in act_planes[1:]:
+            plane_act = act[A.indices]
+            note_active(counters, np.count_nonzero(plane_act), A.n_tiles)
+            tile_act |= plane_act
+        if not tile_act.all():
+            icol, starts, rows = ix.select(tile_act)
+    if icol.size:
+        out[rows] = semiring.add_reduceat(m[icol], starts)
+
+
 def bmv_bin_full_full(
     A: B2SRMatrix,
     x: np.ndarray,
@@ -555,13 +613,15 @@ def bmv_bin_full_full(
     integer payloads through 2⁵³ — FastSV's label pulls); every other
     dtype computes in the native ``float32``.
 
-    The sweep runs against the matrix's plan: chunk tables, gather
-    indices, operand scratch and (within budget) the unpacked bit masks
-    are reused across launches.  With ``skip=True`` tiles whose value
-    segment is bit-identical to the semiring identity are compute-elided
-    — their contribution slots are pre-filled with the identity the
-    dense sweep would produce, so the fold is bit-for-bit unchanged
-    (exact for every semiring, SSSP's +∞-heavy early rounds included).
+    Min/max/OR semirings pull through the plan's set-bit gather when
+    the multiplied operand holds no NaN and no ``-0.0`` (module
+    docstring); arithmetic, and operands failing that check, take the
+    dense sweep over the plan's chunk tables, masked-gather index and
+    operand scratch.  With ``skip=True`` tiles whose value segment is
+    bit-identical to the semiring identity are elided — dropped from
+    the gather, or compute-elided in the dense sweep (their slots
+    pre-filled with the identity it would produce) — so the result is
+    bit-for-bit unchanged (SSSP's +∞-heavy early rounds included).
     """
     dt = value_dtype(x)
     xv = np.asarray(x).astype(dt, copy=False)
@@ -584,6 +644,13 @@ def bmv_bin_full_full(
     xpad[: A.ncols] = xv
     zero = dt.type(semiring.zero)
     col_act = value_activity(xpad, d, semiring.zero) if skip else None
+    m = semiring.mult_matrix_one(xpad)
+    if semiring.idempotent and _order_free(m):
+        _set_bit_pull(
+            A, pl, semiring, m, None if col_act is None else [col_act], 1,
+            y.reshape(-1), counters,
+        )
+        return y.reshape(-1)[: A.nrows]
     # The multiplied operand plus the identity sentinel the masked
     # gather points elided cells at.  ``ext[G]`` is element-for-element
     # the array the seed builds via broadcast + np.where (same shape,
@@ -591,7 +658,7 @@ def bmv_bin_full_full(
     # mult is elementwise, hence applying it before the gather instead
     # of after changes nothing.
     ext = pl.mult_scratch(dt)
-    ext[:-1] = semiring.mult_matrix_one(xpad)
+    ext[:-1] = m
     ext[-1] = zero
 
     for ch in pl.chunks(1, row_aligned=True):
@@ -659,12 +726,14 @@ def bmv_bin_full_full_multi(
     SSSP's and FastSV's kernel.  Returns shape ``(nrows, k)`` in the
     operand's value dtype (float32, or float64 when ``x`` is float64).
 
-    ``k`` may exceed the tile word width: value planes of at most ``d``
-    columns stripe over each resident tile chunk, so scratch stays one
-    plane deep and the tile payloads stream once per sweep.  With
-    ``skip=True`` a tile is compute-elided per plane when every value of
-    its segment across the plane's columns is bit-identical to the
-    semiring identity (see :func:`bmv_bin_full_full`).
+    Min/max/OR semirings gather all ``k`` columns per stored bit in one
+    pass (see :func:`bmv_bin_full_full` for when).  The dense sweep
+    stripes value planes of at most ``d`` columns over each resident
+    tile chunk, so scratch stays one plane deep and the tile payloads
+    stream once per sweep.  With ``skip=True`` a tile is elided per
+    plane when every value of its segment across the plane's columns is
+    bit-identical to the semiring identity; the gather keeps the
+    entries of tiles active in any plane.
     """
     dt = value_dtype(x)
     xv = np.asarray(x).astype(dt, copy=False)
@@ -684,7 +753,6 @@ def bmv_bin_full_full_multi(
     pl = _resolve_plan(A, plan)
     xpad = pl.value_scratch(dt, k)
     xpad[: A.ncols] = xv
-    gather = pl.gather_index
     stripes = plane_slices(k, d)
     zero = dt.type(semiring.zero)
     act_plane = (
@@ -692,7 +760,16 @@ def bmv_bin_full_full_multi(
         if skip
         else None
     )
+    if semiring.idempotent:
+        m_all = semiring.mult_matrix_one(xpad)
+        if _order_free(m_all):
+            _set_bit_pull(
+                A, pl, semiring, m_all, act_plane, len(stripes),
+                y.reshape(-1, k), counters,
+            )
+            return y.reshape(-1, k)[: A.nrows]
 
+    gather = pl.gather_index
     for ch in pl.chunks(min(k, d), row_aligned=True):
         idx = gather[ch.lo:ch.hi]
         cols = A.indices[ch.lo:ch.hi]

@@ -15,12 +15,19 @@ overhead dominates the host wall-clock.
   chunk carrying ``(lo, hi, trows, starts, rows)`` exactly as the seed
   kernels computed them (bitwise-compatibility requires identical chunk
   boundaries and fold order);
+* **set-bit index** (:class:`SetBitIndex`) — every stored bit's
+  padded-operand position, ordered by output row, with the row-run
+  starts, the output rows and each entry's owning tile.  The idempotent
+  semirings (min-plus, min-second, max-times, boolean) pull through it:
+  ``out[rows] = add_reduceat(m[icol], starts)`` touches only the stored
+  bits, O(nnz·k) instead of the dense tile expansion's O(tiles·d²·k);
 * **gather index** — the full ``indices[:, None]·d + arange(d)`` array,
-  sliced per chunk;
-* **bit masks** — ``unpack_bits_rowmajor(tiles[lo:hi]).astype(bool)``
-  per row-aligned chunk, cached under a byte budget
-  (:data:`DEFAULT_BITS_BUDGET_BYTES`; the dominant per-launch cost of
-  the semiring schemes);
+  sliced per chunk (dense sweeps only);
+* **bit masks / masked gather** — the unpacked per-chunk tiles of the
+  dense semiring sweep, cached under a byte budget
+  (:data:`DEFAULT_BITS_BUDGET_BYTES`).  Only arithmetic launches (and
+  idempotent launches whose operand carries NaN or ``-0.0``) read them;
+  they build lazily on first use;
 * **value scratch** — zero-padded operand buffers per ``(dtype, k)``
   (the pad tail past ``ncols`` is written once and never dirtied);
 
@@ -31,17 +38,30 @@ Plans attach to the matrix (:meth:`repro.formats.b2sr.B2SRMatrix.plan`)
 and can never go stale: B2SR is immutable (the arrays are frozen at
 construction), so a warm plan is valid for the lifetime of the matrix.
 
+**Exactness of the set-bit gather.**  Min, max and OR are idempotent,
+commutative and associative, so a row's fold over its stored bits has
+one answer in any order and grouping — *provided* the multiplied operand
+holds no NaN and no ``-0.0``: ``-0.0`` ties ``+0.0`` under min/max (which
+of the two survives depends on the order), and NaN payloads propagate
+order-dependently.  The kernels check that condition per launch and fall
+back to the dense sweep, which reproduces the seed's fold order, when it
+fails.  The dense sweep's identity-filled slots add nothing to a min/max
+/OR fold, so dropping them changes no bit.  Arithmetic sums are not
+order-free and always take the dense sweep.
+
 **Active-tile skip mode.**  The plan also hosts the helpers for the
 kernels' frontier-sparsity-aware sweeps: a stored tile whose input word
 (packed schemes) or input value segment (semiring schemes) is the add
-identity contributes nothing, so the expensive per-tile work can be
-elided.  Two elision regimes keep results bitwise identical to the dense
-sweep:
+identity contributes nothing, so its work can be elided.  Three elision
+regimes keep results bitwise identical to the dense sweep:
 
 * **fold elision** (OR folds — ``bmv_bin_bin_bin*``): bitwise OR is
   associative, commutative and exact, so inactive tiles are dropped from
   the fold entirely and only the surviving run structure is reduced;
-* **compute elision** (float add / min / max folds): the fold *shape* is
+* **entry elision** (the set-bit gather): the entries of tiles inactive
+  in every word plane are dropped (:meth:`SetBitIndex.select`) — they
+  would contribute only the identity to an order-free fold;
+* **compute elision** (dense float sums): the fold *shape* is
   preserved — inactive tiles' contribution slots are pre-filled with the
   add identity, which is exactly the value the dense sweep would compute
   for them — and only the per-tile gather/unpack/combine work is elided.
@@ -52,13 +72,15 @@ sweep:
 Value-operand activity is tested with *bit-level* equality
 (:func:`value_activity`): ``-0.0`` is not bit-identical to the
 ``+0.0`` arithmetic identity and therefore stays active, which is what
-makes compute elision provably exact for float sums.
+makes compute elision provably exact for float sums.  Every mode reports
+the same ``active_tiles`` / ``tile_visits`` for the same operand, so the
+cost model never sees which host path ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -105,6 +127,117 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True)
+class SetBitIndex:
+    """Every stored bit of a matrix, ordered by output row.
+
+    Entry ``e`` is set bit ``(r, c)`` of stored tile ``tile[e]``:
+    ``icol[e] = indices[tile[e]]·d + c`` is its position in the padded
+    value operand and ``irow[e] = trow·d + r`` its output row.  Entries
+    are sorted by ``irow``; ``starts`` opens each run of one output row
+    and ``rows`` names it.  An idempotent pull over the multiplied
+    operand ``m`` is then one gather and one segment fold::
+
+        out[rows] = semiring.add_reduceat(m[icol], starts)
+
+    All arrays are ``intp`` and read-only.
+    """
+
+    icol: np.ndarray
+    irow: np.ndarray
+    tile: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+
+    #: Array fields, in export order (:mod:`repro.formats.shm`).
+    FIELDS: ClassVar[tuple[str, ...]] = (
+        "icol", "irow", "tile", "starts", "rows"
+    )
+
+    @classmethod
+    def build(
+        cls, A: "B2SRMatrix", chunks: tuple[SweepChunk, ...]
+    ) -> "SetBitIndex":
+        """Unpack ``A`` one row-aligned chunk at a time (bounded
+        scratch) and sort each chunk's bits by output row; row-aligned
+        chunks hold whole tile rows, so the concatenation is sorted."""
+        d = A.tile_dim
+        trows_all = A.tile_row_of()
+        empty = np.zeros(0, dtype=np.intp)
+        icols, irows, owners = [empty], [empty], [empty]
+        for ch in chunks:
+            t, r, c = np.nonzero(
+                unpack_bits_rowmajor(A.tiles[ch.lo:ch.hi], d)
+            )
+            t = t + ch.lo
+            irow = trows_all[t] * d + r
+            order = np.argsort(irow, kind="stable")
+            icols.append((A.indices[t] * d + c)[order])
+            irows.append(irow[order])
+            owners.append(t[order])
+        irow = np.concatenate(irows).astype(np.intp, copy=False)
+        starts = run_starts(irow).astype(np.intp)
+        return cls(
+            icol=_freeze(np.concatenate(icols).astype(np.intp, copy=False)),
+            irow=_freeze(irow),
+            tile=_freeze(np.concatenate(owners).astype(np.intp, copy=False)),
+            starts=_freeze(starts),
+            rows=_freeze(irow[starts]),
+        )
+
+    @classmethod
+    def adopt(
+        cls, A: "B2SRMatrix", arrays: dict[str, np.ndarray]
+    ) -> "SetBitIndex":
+        """Wrap precomputed arrays (e.g. read-only shared-memory views)
+        without copying, after checking they can index ``A``."""
+        for name in cls.FIELDS:
+            arr = arrays[name]
+            if arr.dtype != np.intp or arr.ndim != 1:
+                raise ValueError(
+                    f"bit index {name!r} must be 1-D {np.dtype(np.intp)}, "
+                    f"got {arr.dtype} {arr.shape}"
+                )
+            if arr.flags.writeable:
+                raise ValueError(
+                    f"bit index {name!r} must be read-only to be adopted"
+                )
+        icol, irow, tile = arrays["icol"], arrays["irow"], arrays["tile"]
+        starts, rows = arrays["starts"], arrays["rows"]
+        nnz = icol.size
+        if irow.size != nnz or tile.size != nnz:
+            raise ValueError("bit index entry arrays differ in length")
+        if rows.size != starts.size or (
+            nnz and (starts.size == 0 or starts[0] != 0)
+        ):
+            raise ValueError("bit index runs must start at entry 0")
+        d = A.tile_dim
+        if nnz and (
+            min(icol.min(), irow.min(), tile.min()) < 0
+            or icol.max() >= A.n_tile_cols * d
+            or irow.max() >= A.n_tile_rows * d
+            or tile.max() >= A.n_tiles
+            or starts.max() >= nnz
+        ):
+            raise ValueError("bit index entry out of range for the matrix")
+        return cls(**{name: arrays[name] for name in cls.FIELDS})
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self.FIELDS)
+
+    def select(
+        self, tile_active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(icol, starts, rows)`` restricted to the entries of active
+        tiles (a bool per stored tile).  Only runs that keep an entry
+        remain, so every segment is non-empty as ``reduceat`` requires."""
+        sel = np.flatnonzero(tile_active[self.tile])
+        irow = self.irow[sel]
+        starts = run_starts(irow)
+        return self.icol[sel], starts, irow[starts]
+
+
 class SweepPlan:
     """Memoized launch-invariant state for one :class:`B2SRMatrix`.
 
@@ -126,6 +259,7 @@ class SweepPlan:
         self.bits_budget = int(bits_budget)
         self._chunk_tables: dict[tuple[int, bool], tuple[SweepChunk, ...]] = {}
         self._gather: np.ndarray | None = None
+        self._bit_index: SetBitIndex | None = None
         self._bits: dict[tuple, np.ndarray] = {}
         self._bits_bytes = 0
         self._scratch: dict[tuple[str, int | None], np.ndarray] = {}
@@ -179,12 +313,37 @@ class SweepPlan:
         return table
 
     # ------------------------------------------------------------------
-    # Gather index and bit masks (semiring path)
+    # Set-bit index (idempotent semiring path)
+    # ------------------------------------------------------------------
+    @property
+    def bit_index(self) -> SetBitIndex:
+        """The matrix's :class:`SetBitIndex`, built once on first use."""
+        if self._bit_index is None:
+            self._bit_index = SetBitIndex.build(
+                self.matrix, self.chunks(1, row_aligned=True)
+            )
+        return self._bit_index
+
+    def adopt_bit_index(self, arrays: dict[str, np.ndarray]) -> None:
+        """Install a precomputed set-bit index without rebuilding it.
+
+        The shared-memory attach path (:mod:`repro.formats.shm`) maps
+        the exporter's frozen :attr:`bit_index` arrays into the worker as
+        read-only views; adopting them here makes the worker's first
+        min/max/OR pull as warm as the exporter's.  The views must be
+        read-only ``intp`` arrays sized for this matrix
+        (:meth:`SetBitIndex.adopt`); their bits are the exporter's,
+        CRC-checked on attach.
+        """
+        self._bit_index = SetBitIndex.adopt(self.matrix, arrays)
+
+    # ------------------------------------------------------------------
+    # Gather index and bit masks (dense semiring sweep)
     # ------------------------------------------------------------------
     @property
     def gather_index(self) -> np.ndarray:
         """``indices[:, None] * d + arange(d)`` — the value-vector gather
-        of the semiring schemes, precomputed once for all launches."""
+        of the dense semiring sweep, precomputed once for all launches."""
         if self._gather is None:
             A = self.matrix
             d = A.tile_dim
@@ -192,26 +351,6 @@ class SweepPlan:
                 A.indices[:, None] * d + np.arange(d, dtype=np.int64)
             )
         return self._gather
-
-    def adopt_gather(self, gather: np.ndarray) -> None:
-        """Install a precomputed gather index without rebuilding it.
-
-        The shared-memory attach path (:mod:`repro.formats.shm`) maps
-        the exporter's frozen :attr:`gather_index` into the worker as a
-        read-only view; adopting it here makes the first semiring launch
-        as warm as the exporter's.  The view must be read-only and match
-        exactly what :attr:`gather_index` would compute.
-        """
-        A = self.matrix
-        want = (A.n_tiles, A.tile_dim)
-        if gather.shape != want or gather.dtype != np.int64:
-            raise ValueError(
-                f"gather must be int64 with shape {want}, got "
-                f"{gather.dtype} {gather.shape}"
-            )
-        if gather.flags.writeable:
-            raise ValueError("gather must be read-only to be adopted")
-        self._gather = gather
 
     def bits(
         self, chunk: SweepChunk, subset: np.ndarray | None = None
@@ -264,7 +403,7 @@ class SweepPlan:
         unchanged while the per-launch broadcast/where work disappears.
 
         Cached per chunk under the same byte budget as :meth:`bits`
-        (int32 entries: 4 bytes per bit cell).
+        (``intp`` entries: 8 bytes per bit cell).
         """
         A = self.matrix
         d = A.tile_dim
@@ -368,29 +507,29 @@ class SweepPlan:
     # Warmup
     # ------------------------------------------------------------------
     def warm(self, plane_widths: tuple[int, ...] = (1,)) -> "SweepPlan":
-        """Eagerly build the launch-invariant state for the given plane
-        widths (both chunk-table flavours, the gather index, and the
-        row-aligned chunks' bit masks within budget) so the first
-        serving launch runs at warm speed."""
+        """Eagerly build the launch-invariant state serving launches
+        read — both chunk-table flavours per plane width and the
+        set-bit index — so the first BFS/SSSP/CC launch runs at warm
+        speed.  The dense sweep's bit-mask and masked-gather caches are
+        left to build lazily (under :attr:`bits_budget`) on the first
+        launch that needs them: arithmetic pulls, and min/max pulls
+        whose operand carries NaN or ``-0.0``."""
         d = self.matrix.tile_dim
         _ = self.matrix.tile_row_of()
-        _ = self.gather_index
         for width in plane_widths:
             pw = min(max(int(width), 1), d)
             self.chunks(pw, row_aligned=False)
-            for chunk in self.chunks(pw, row_aligned=True):
-                if pw == 1:
-                    # The single-vector semiring sweep folds through the
-                    # fused masked-gather index instead of raw bit masks.
-                    self.masked_gather(chunk)
-                else:
-                    self.bits(chunk)
+            self.chunks(pw, row_aligned=True)
+        _ = self.bit_index
         return self
 
     def stats(self) -> dict[str, float]:
         """Introspection for benches/reports."""
+        ix = self._bit_index
         return {
             "chunk_tables": float(len(self._chunk_tables)),
+            "bit_index_cached": float(ix is not None),
+            "bit_index_bytes": float(0 if ix is None else ix.nbytes),
             "bits_cached_bytes": float(self._bits_bytes),
             "bits_cached_chunks": float(len(self._bits)),
             "scratch_buffers": float(len(self._scratch)),
@@ -458,6 +597,7 @@ def note_active(
 
 __all__ = [
     "DEFAULT_BITS_BUDGET_BYTES",
+    "SetBitIndex",
     "SweepChunk",
     "SweepPlan",
     "note_active",

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when summary extraction, graph building, or fixpoint semantics
 #: change in a way that alters findings for identical sources.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
 

@@ -2,7 +2,7 @@
 
 PR 5 froze every B2SR array at construction: that freeze is the *whole*
 safety argument for memoized :class:`~repro.kernels.plan.SweepPlan`\\ s
-(chunk tables, gather indices, cached bit masks) never going stale, and
+(chunk tables, set-bit index, cached bit masks) never going stale, and
 for the serving registry sharing warm plans across thousands of
 launches.  One ``setflags(write=True)`` anywhere outside the format
 module silently re-opens the door to stale-plan wrong answers — the
@@ -10,7 +10,8 @@ worst kind: bitwise-plausible, no exception.
 
 Outside ``formats/b2sr.py`` and ``kernels/plan.py`` (the owners of the
 frozen state) the rule flags, for the guarded field names
-(``tiles`` / ``indices`` / ``indptr`` / ``trows`` / ``gather_index``):
+(``tiles`` / ``indices`` / ``indptr`` / ``trows`` / ``gather_index``,
+and the set-bit index's ``icol`` / ``irow``):
 
 * ``<anything>.setflags(write=True)`` — re-enabling writes anywhere is
   a red flag, guarded field or not;
@@ -28,7 +29,7 @@ from repro.lint.core import LintContext, Rule, RuleVisitor
 
 #: Attribute names whose backing arrays are frozen at construction.
 GUARDED_ATTRS = frozenset(
-    {"tiles", "indices", "indptr", "trows", "gather_index"}
+    {"tiles", "indices", "indptr", "trows", "gather_index", "icol", "irow"}
 )
 _EXEMPT = ("formats/b2sr.py", "kernels/plan.py")
 

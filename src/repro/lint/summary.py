@@ -125,7 +125,7 @@ _STDLIB_RANDOM_GLOBAL = frozenset(
 #: B2SR field names frozen at construction (mirrors
 #: :data:`repro.lint.rules.immutability.GUARDED_ATTRS`).
 _FROZEN_B2SR_ATTRS = frozenset(
-    {"tiles", "indices", "indptr", "trows", "gather_index"}
+    {"tiles", "indices", "indptr", "trows", "gather_index", "icol", "irow"}
 )
 
 #: Mutating container methods: calling one of these on a module-level

@@ -63,6 +63,14 @@ class Semiring:
         one buffered ``reduceat`` sweep replaces the unbuffered per-element
         scatter loop.  Every segment named by ``starts`` must be non-empty
         (kernels guarantee this by reducing only stored-tile runs).
+    idempotent:
+        ``a ⊕ a = a`` (min, max, OR).  Such a fold over a row's stored
+        bits gives the same bits in any order and grouping, provided the
+        operands hold no NaN and no ``-0.0`` — the only floats whose
+        min/max depends on fold order.  The BMV kernels pull these
+        semirings through the plan's set-bit gather
+        (:class:`repro.kernels.plan.SetBitIndex`); arithmetic sums keep
+        the order-preserving dense sweep.
     """
 
     name: str
@@ -72,6 +80,7 @@ class Semiring:
     mult_matrix_one: Callable[[np.ndarray], np.ndarray]
     add_at: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     add_reduceat: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    idempotent: bool = False
 
     def empty_output(self, n: int, dtype=np.float32) -> np.ndarray:
         """Length-``n`` output vector filled with the add identity."""
@@ -152,6 +161,7 @@ BOOLEAN = Semiring(
     add_reduceat=lambda v, starts: np.logical_or.reduceat(
         v, starts, axis=0
     ).astype(np.float32),
+    idempotent=True,
 )
 
 ARITHMETIC = Semiring(
@@ -176,6 +186,7 @@ MIN_PLUS = Semiring(
     mult_matrix_one=_mult_plus_one,
     add_at=_minimum_at,
     add_reduceat=lambda v, starts: np.minimum.reduceat(v, starts, axis=0),
+    idempotent=True,
 )
 
 MAX_TIMES = Semiring(
@@ -186,6 +197,7 @@ MAX_TIMES = Semiring(
     mult_matrix_one=_mult_identity,
     add_at=_maximum_at,
     add_reduceat=lambda v, starts: np.maximum.reduceat(v, starts, axis=0),
+    idempotent=True,
 )
 
 # min-second: add = min, mult(a, x) = x.  The FastSV connected-components
@@ -199,6 +211,7 @@ MIN_SECOND = Semiring(
     mult_matrix_one=_mult_identity,
     add_at=_minimum_at,
     add_reduceat=lambda v, starts: np.minimum.reduceat(v, starts, axis=0),
+    idempotent=True,
 )
 
 #: All semirings of Table IV (plus min-second for FastSV CC), by name.

@@ -184,8 +184,8 @@ class GraphRegistry:
             estimator=ServiceEstimator(engine, cc_engine=cc),
         )
         # A registered serving graph owns warm kernel plans: the chunk
-        # tables, gather indices and bit masks its batched launches need
-        # are built now, not on the first query's critical path.
+        # tables and set-bit index its batched launches need are built
+        # now, not on the first query's critical path.
         entry.batcher.warm()
         self._entries[name] = entry
         return entry

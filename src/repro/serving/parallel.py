@@ -6,7 +6,7 @@ inside one Python process.  This module puts real hardware under that
 model: a :class:`WorkerPool` of spawned worker processes, each pinned to
 a cluster :class:`~repro.serving.events.Server` (``sid %% processes``),
 executing committed batches as **real kernel launches** against B2SR
-tiles and gather indices shared zero-copy through
+tiles and set-bit indices shared zero-copy through
 :mod:`repro.formats.shm`.
 
 Discipline (enforced by the ``worker-queue-discipline`` lint rule):

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 import repro.bitops.packing as packing_mod
-from repro.bitops.packing import pack_bitmatrix, pack_bitvector
+from repro.bitops.packing import (
+    pack_bitmatrix,
+    pack_bitvector,
+    plane_slices,
+)
 from repro.bitops.segreduce import (
     SequentialFoldPlan,
     segment_sum_sequential,
@@ -40,6 +44,42 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
         u = np.dtype(f"u{a.dtype.itemsize}")
         return np.array_equal(a.view(u), b.view(u))
     return np.array_equal(a, b)
+
+
+#: Operand families of the semiring differential test.  ``signed`` mixes
+#: NaN, +0.0 and -0.0 — the values whose min/max depends on fold order,
+#: which must route the idempotent semirings to the dense sweep.
+OPERAND_FAMILIES = ("identity_heavy", "signed", "float64", "all_identity")
+
+
+def operand(family, s, shape, rng):
+    X = (rng.standard_normal(shape) * 5).astype(np.float32)
+    if family == "all_identity":
+        return np.full(shape, s.zero, dtype=np.float32)
+    if family == "signed":
+        X[rng.random(shape) < 0.3] = 0.0
+        X[rng.random(shape) < 0.3] = -0.0
+        X[rng.random(shape) < 0.05] = np.nan
+    elif family == "float64":
+        X = X.astype(np.float64)
+    # Identity-heavy operands exercise the elision paths.
+    X[rng.random(shape) < 0.6] = s.zero
+    return X
+
+
+def expected_counters(A, X, s, skip):
+    """What every semiring sweep must report: per word plane, the stored
+    tiles whose column block is active (skip) or all of them (dense)."""
+    d = A.tile_dim
+    cols = X.reshape(X.shape[0], -1)
+    xpad = np.zeros((A.n_tile_cols * d, cols.shape[1]), dtype=cols.dtype)
+    xpad[: A.ncols] = cols
+    active = visits = 0.0
+    for sl in plane_slices(cols.shape[1], d):
+        act = value_activity(xpad[:, sl], d, s.zero)[A.indices]
+        active += float(act.sum()) if skip else float(A.n_tiles)
+        visits += float(A.n_tiles)
+    return {"active_tiles": active, "tile_visits": visits}
 
 
 # ----------------------------------------------------------------------
@@ -99,25 +139,33 @@ class TestBitwiseEquality:
         s = SEMIRINGS[semiring_name]
         A, dense, rng = build(n=77, d=d, seed=d + 100)
         n = dense.shape[0]
-        for k in (1, d, d + 1, 2 * d + 3):
-            X = (rng.standard_normal((n, k)) * 5).astype(np.float32)
-            # Identity-heavy operands exercise the elision paths.
-            X[rng.random((n, k)) < 0.6] = s.zero
+        for family in OPERAND_FAMILIES:
+            for k in (1, d, d + 1, 2 * d + 3):
+                X = operand(family, s, (n, k), rng)
+                counters = {}
+                assert bitwise_equal(
+                    bmv.bmv_bin_full_full_multi(
+                        A, X, s, skip=skip, counters=counters
+                    ),
+                    planless.bmv_bin_full_full_multi(A, X, s),
+                ), (family, k)
+                assert counters == expected_counters(A, X, s, skip), (
+                    family, k
+                )
+            x = operand(family, s, (n,), rng)
+            mask = rng.random(n) < 0.5
+            counters = {}
             assert bitwise_equal(
-                bmv.bmv_bin_full_full_multi(A, X, s, skip=skip),
-                planless.bmv_bin_full_full_multi(A, X, s),
-            )
-        x = (rng.standard_normal(n) * 5).astype(np.float32)
-        x[rng.random(n) < 0.6] = s.zero
-        mask = rng.random(n) < 0.5
-        assert bitwise_equal(
-            bmv.bmv_bin_full_full(A, x, s, skip=skip),
-            planless.bmv_bin_full_full(A, x, s),
-        )
-        assert bitwise_equal(
-            bmv.bmv_bin_full_full_masked(A, x, mask, semiring=s, skip=skip),
-            planless.bmv_bin_full_full_masked(A, x, mask, semiring=s),
-        )
+                bmv.bmv_bin_full_full(A, x, s, skip=skip, counters=counters),
+                planless.bmv_bin_full_full(A, x, s),
+            ), family
+            assert counters == expected_counters(A, x, s, skip), family
+            assert bitwise_equal(
+                bmv.bmv_bin_full_full_masked(
+                    A, x, mask, semiring=s, skip=skip
+                ),
+                planless.bmv_bin_full_full_masked(A, x, mask, semiring=s),
+            ), family
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_float64_payloads_with_signed_zeros(self, skip):
@@ -209,15 +257,46 @@ class TestPlanReuse:
         assert plan.bits_cached_bytes == 0
 
     def test_warm_builds_state(self):
-        A, _, _ = build(n=100, d=8, seed=6)
+        """warm() builds what serving launches read — the chunk tables
+        and the set-bit index; the dense sweep's bit-mask caches stay
+        empty until the first arithmetic launch fills them."""
+        A, _, rng = build(n=100, d=8, seed=6)
         plan = SweepPlan(A)
         st = plan.stats()
-        assert st["chunk_tables"] == 0 and st["gather_cached"] == 0
+        assert st["chunk_tables"] == 0 and st["bit_index_cached"] == 0
         plan.warm((1, 8))
         st = plan.stats()
         assert st["chunk_tables"] >= 2
-        assert st["gather_cached"] == 1
-        assert st["bits_cached_bytes"] > 0
+        assert st["bit_index_cached"] == 1
+        assert st["bit_index_bytes"] == plan.bit_index.nbytes > 0
+        assert plan.bits_cached_bytes == 0
+        x = rng.random(100).astype(np.float32)
+        X = rng.random((100, 3)).astype(np.float32)
+        bmv.bmv_bin_full_full(A, x, MIN_PLUS, plan=plan)
+        bmv.bmv_bin_full_full_multi(A, X, MIN_PLUS, plan=plan)
+        assert plan.bits_cached_bytes == 0
+        got = bmv.bmv_bin_full_full(A, x, ARITHMETIC, plan=plan)
+        assert plan.bits_cached_bytes > 0
+        assert bitwise_equal(got, planless.bmv_bin_full_full(A, x))
+
+    def test_set_bit_index_lists_every_stored_bit(self):
+        A, dense, _ = build(n=77, d=8, density=0.2, seed=14)
+        ix = A.plan().bit_index
+        assert ix.icol.size == A.nnz
+        # Sorted by output row, runs delimited exactly.
+        assert np.all(np.diff(ix.irow) >= 0)
+        assert np.array_equal(ix.rows, np.unique(ix.irow))
+        assert np.array_equal(ix.irow[ix.starts], ix.rows)
+        # Every entry is a stored bit of its owning tile, and the
+        # (row, col) pairs are exactly the matrix's nonzeros.
+        d = A.tile_dim
+        assert np.array_equal(A.indices[ix.tile], ix.icol // d)
+        assert np.array_equal(A.tile_row_of()[ix.tile], ix.irow // d)
+        got = sorted(zip(ix.irow.tolist(), ix.icol.tolist()))
+        want = sorted(zip(*(a.tolist() for a in np.nonzero(dense))))
+        assert got == want
+        for name in ix.FIELDS:
+            assert not getattr(ix, name).flags.writeable
 
     def test_registry_entry_owns_warm_plans(self):
         g = diagonal_pattern(128, bandwidth=2, seed=1)

@@ -16,6 +16,9 @@ from repro.formats.shm import (
     shm_available,
 )
 from repro.graph import Graph
+from repro.kernels.bmv import bmv_bin_full_full
+from repro.kernels.plan import SetBitIndex
+from repro.semiring import MIN_PLUS
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -48,14 +51,15 @@ class TestRoundTrip:
             assert np.array_equal(B.indices, A.indices)
             assert np.array_equal(B.tiles, A.tiles)
             assert B.tiles.dtype == A.tiles.dtype
-            # The plan's gather index was exported and adopted, and it
-            # is a true zero-copy view into the shared segment.
-            assert np.array_equal(
-                B.plan().gather_index, A.plan().gather_index
-            )
-            assert B.plan().gather_index.base is not None
+            # The plan's set-bit index was exported and adopted, and
+            # every array is a true zero-copy view into the segment.
+            got, want = B.plan().bit_index, A.plan().bit_index
+            for name in SetBitIndex.FIELDS:
+                arr = getattr(got, name)
+                assert np.array_equal(arr, getattr(want, name)), name
+                assert arr.base is not None and not arr.flags.writeable
             assert not B.tiles.flags.writeable
-            del B  # release the views before unmapping
+            del B, got, arr  # release the views before unmapping
             att.close()
         assert_no_segments()
 
@@ -72,6 +76,13 @@ class TestRoundTrip:
             shadow._At = att.matrix
             got = shadow.frontier_expand(frontier, visited)
             assert np.array_equal(got, want)
+            # The SSSP pull reads the adopted set-bit index.
+            x = np.full(g.n, np.inf, dtype=np.float32)
+            x[:5] = np.arange(5, dtype=np.float32)
+            assert np.array_equal(
+                bmv_bin_full_full(att.matrix, x, MIN_PLUS),
+                bmv_bin_full_full(g.b2sr_t(32), x, MIN_PLUS),
+            )
             del shadow  # release the attached matrix before unmapping
             att.close()
         assert_no_segments()
@@ -79,7 +90,7 @@ class TestRoundTrip:
     def test_without_plan(self):
         g = random_graph(seed=3)
         with ShmGraphExport(g.b2sr_t(16), with_plan=False) as exp:
-            assert "gather" not in exp.manifest.keys
+            assert exp.manifest.keys == ("indptr", "indices", "tiles")
             att = attach(exp.manifest)
             assert np.array_equal(att.matrix.tiles, g.b2sr_t(16).tiles)
             att.close()
@@ -199,16 +210,33 @@ class TestFromSharedViews:
         )
         assert B.nnz == A.nnz
 
-    def test_adopt_gather_validates(self):
+    def test_adopt_bit_index_validates(self):
         g = random_graph(seed=10)
         A = g.b2sr_t(8)
-        gather = A.plan().gather_index.copy()
-        gather.flags.writeable = False
-        A.plan().adopt_gather(gather)  # round-trips
-        bad = gather[:, :1].copy()
-        bad.flags.writeable = False
-        with pytest.raises(ValueError):
-            A.plan().adopt_gather(bad)
+        index = A.plan().bit_index
+
+        def frozen(**changes):
+            arrays = {}
+            for name in SetBitIndex.FIELDS:
+                arr = changes.get(name, getattr(index, name)).copy()
+                arr.flags.writeable = False
+                arrays[name] = arr
+            return arrays
+
+        A.plan().adopt_bit_index(frozen())  # round-trips
+        assert np.array_equal(A.plan().bit_index.icol, index.icol)
+        for bad in (
+            {"icol": index.icol[:-1]},  # entry arrays disagree
+            {"irow": index.irow.astype(np.int32)},  # wrong dtype
+            {"rows": index.rows[:-1]},  # runs and rows disagree
+            {"tile": index.tile + A.n_tiles},  # out of range
+        ):
+            with pytest.raises(ValueError):
+                A.plan().adopt_bit_index(frozen(**bad))
+        writable = frozen()
+        writable["icol"] = index.icol.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            A.plan().adopt_bit_index(writable)
 
 
 class TestAttachedGraph:
