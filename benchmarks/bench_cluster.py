@@ -26,12 +26,13 @@ and per-server balance per cell.
 ``--wallclock`` additionally runs the real-parallel data-plane bench
 (``test_parallel_data_plane_wallclock``): the same launch mix executed by
 actual worker processes against zero-copy shm exports, timed with
-``perf_counter``.  It compares the serial in-process backend, shm workers
-at 1/2(/4, cpu-gated), and the pickle-per-launch strawman, asserts every
-backend's answers are bitwise identical, that zero-copy's per-launch
-data-plane overhead beats pickle-per-launch at equal worker count, and
-(only on >= 4-CPU hosts) that 4 workers deliver >= 2x serial warm
-throughput.  Rows land in ``BENCH_parallel.json``.
+``perf_counter``.  It compares the in-process plane, shm workers at
+1/2(/4, cpu-gated), and a bench-local pickle-per-launch strawman
+(:class:`_PicklePool`), asserts every plane's answers are bitwise
+identical, that zero-copy's per-launch data-plane overhead beats
+pickle-per-launch at one worker each, and (only on >= 4-CPU hosts) that
+4 workers deliver >= 2x in-process warm throughput.  Rows land in
+``BENCH_parallel.json``.
 
 ``--failures`` runs the fault-tolerance benches: a mid-flight server
 crash whose attainment dips through the outage and recovers after the
@@ -44,9 +45,9 @@ overload).  Rows land in ``BENCH_faults.json``.
 """
 
 import dataclasses
+import multiprocessing as mp
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -54,18 +55,22 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.analysis.report import format_table
 from repro.datasets.generators import hybrid_pattern, road_pattern
+from repro.formats.b2sr import B2SRMatrix
 from repro.formats.shm import shm_available
 from repro.gpusim import GTX1080
 from repro.serving import (
     Autoscaler,
     FaultPlan,
     GraphRegistry,
+    InProcessPlane,
+    LaunchResult,
     LaunchSpec,
     PLACEMENTS,
     Router,
     WorkerPool,
     multi_graph_poisson_stream,
 )
+from repro.serving.parallel import ShmBitEngine, _execute_spec
 
 GRAPH_SEEDS = (4, 9, 14)
 N_VERTICES = 512
@@ -273,20 +278,94 @@ def _plane_template(registry: GraphRegistry) -> list[LaunchSpec]:
     return specs
 
 
-def _plane_round(
-    pool: WorkerPool, template: list[LaunchSpec]
-) -> tuple[dict, float]:
+def _pickle_worker(task_q, result_q) -> None:
+    """Strawman worker: every launch arrives with its graph's B2SR
+    arrays pickled next to the spec, and the engines are rebuilt from
+    them before the launch runs."""
+    while (msg := task_q.get()) is not None:
+        spec, (n, tile_dim, device, skip, operands) = msg
+        engines = []
+        for arrays, locality in operands:
+            for a in arrays:
+                a.flags.writeable = False
+            mat = B2SRMatrix.from_shared_views(n, n, tile_dim, *arrays)
+            engines.append(ShmBitEngine(mat, n, device, locality, skip))
+        out, iters, wall = _execute_spec(*engines, spec)
+        result_q.put(
+            LaunchResult(
+                batch_id=spec.batch_id, worker=0, pid=os.getpid(),
+                wall_ms=wall, columns=out, iterations=iters,
+            )
+        )
+
+
+class _PicklePool:
+    """The pickle-per-launch strawman the zero-copy exports are
+    measured against: one worker process, graph arrays shipped with
+    every launch instead of once per epoch through shared memory."""
+
+    def __init__(self, registry: GraphRegistry) -> None:
+        self._payloads = {}
+        for entry in registry:
+            operands = tuple(
+                ((m.indptr, m.indices, m.tiles), eng._locality)
+                for eng in (entry.engine, entry.cc_engine)
+                for m in (eng._At,)
+            )
+            self._payloads[(entry.name, entry.version)] = (
+                entry.engine.n, entry.engine.tile_dim, entry.engine.device,
+                entry.engine.skip_inactive, operands,
+            )
+        ctx = mp.get_context("spawn")
+        self._task_q, self._result_q = ctx.Queue(), ctx.Queue()
+        self._proc = ctx.Process(
+            target=_pickle_worker, args=(self._task_q, self._result_q),
+            daemon=True,
+        )
+        self._proc.start()
+        self._next_batch_id = 0
+        self._pending = 0
+
+    def next_batch_id(self) -> int:
+        self._next_batch_id += 1
+        return self._next_batch_id
+
+    def submit(self, sid: int, spec: LaunchSpec) -> None:
+        payload = self._payloads[(spec.graph, spec.version)]
+        self._task_q.put((spec, payload))
+        self._pending += 1
+
+    def drain(self) -> dict:
+        out = {}
+        while self._pending:
+            res = self._result_q.get(timeout=120.0)
+            out[res.batch_id] = res
+            self._pending -= 1
+        return out
+
+    def close(self) -> None:
+        self._task_q.put(None)
+        self._proc.join(timeout=10.0)
+        self._task_q.close()
+        self._result_q.close()
+
+
+def _plane_round(plane, template: list[LaunchSpec]) -> tuple[dict, float]:
     """Submit one full round, spread across servers; returns the
     answers keyed by (graph, kind, sources) and the summed in-worker
-    kernel wall time (ms)."""
+    kernel wall time (ms; 0 in-process, which reads no clock)."""
     submitted = {}
+    done = {}
     for i, spec in enumerate(template):
-        live = dataclasses.replace(spec, batch_id=pool.next_batch_id())
-        pool.submit(i, live)
+        live = dataclasses.replace(spec, batch_id=plane.next_batch_id())
         submitted[live.batch_id] = spec
+        res = plane.submit(i, live)
+        if res is not None:
+            done[live.batch_id] = res
+    done.update(plane.drain())
     out = {}
     kernel_ms = 0.0
-    for bid, res in pool.drain().items():
+    for bid, res in done.items():
         assert res.error is None, res.error
         key = submitted[bid]
         out[(key.graph, key.kind, key.sources)] = res.columns
@@ -294,36 +373,36 @@ def _plane_round(
     return out, kernel_ms
 
 
-def _run_plane(processes: int, transport: str) -> dict:
-    """Warm one backend, then time PLANE_ROUNDS rounds of launches."""
+def _run_plane(label: str, processes: int) -> dict:
+    """Warm one plane, then time PLANE_ROUNDS rounds of launches."""
     registry = _plane_registry()
-    with warnings.catch_warnings():
-        # processes=0 intentionally exercises the serial fallback; its
-        # RuntimeWarning is the tested behavior, not bench noise.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        pool = WorkerPool(registry, processes=processes, transport=transport)
+    if label == "in-process":
+        plane = InProcessPlane(registry)
+    elif label == "pickle":
+        plane = _PicklePool(registry)
+    else:
+        plane = WorkerPool(registry, processes=processes)
     try:
         template = _plane_template(registry)
         # Warm round: workers attach segments, plans warm, caches fill.
-        answers, _ = _plane_round(pool, template)
+        answers, _ = _plane_round(plane, template)
         t0 = time.perf_counter()
         kernel_ms = 0.0
         for _ in range(PLANE_ROUNDS):
-            _, round_kernel_ms = _plane_round(pool, template)
+            _, round_kernel_ms = _plane_round(plane, template)
             kernel_ms += round_kernel_ms
         elapsed = time.perf_counter() - t0
-        backend = pool.backend
     finally:
-        pool.close()
+        if not isinstance(plane, InProcessPlane):
+            plane.close()
     launches = PLANE_ROUNDS * len(template)
     queries = PLANE_ROUNDS * sum(s.width for s in template)
     # Everything that is not kernel execution — queue hops, payload
     # (un)pickling, per-launch engine rebuilds — attributed per launch.
-    # Only exact without CPU contention (workers <= free cores), which
-    # is why the transport comparison below runs both cells at 1 worker.
+    # Only meaningful for a single worker: with more, the summed
+    # in-worker kernel time overlaps and can exceed the elapsed time.
     overhead_ms = (1e3 * elapsed - kernel_ms) / launches
     return {
-        "backend": backend,
         "throughput_qps": queries / elapsed,
         "overhead_ms": overhead_ms,
         "answers": answers,
@@ -336,18 +415,19 @@ def test_parallel_data_plane_wallclock(results_dir, json_report, wallclock):
     if not shm_available():
         pytest.skip("POSIX shared memory unavailable")
     ncpu = os.cpu_count() or 1
-    cells = [("serial", 0, "shm"), ("shm", 1, "shm"), ("shm", 2, "shm")]
+    # (label, worker processes, transport)
+    cells = [("in-process", 0, "none"), ("shm", 1, "shm"), ("shm", 2, "shm")]
     if ncpu >= 4:
         cells.append(("shm", 4, "shm"))
     cells.append(("pickle", 1, "pickle"))
 
     measured = {}
     reference = None
-    for label, procs, transport in cells:
-        cell = _run_plane(procs, transport)
-        # Every backend's answers are bitwise identical to the serial
-        # in-process reference — the data plane changes where kernels
-        # run, never what they compute.
+    for label, procs, _ in cells:
+        cell = _run_plane(label, procs)
+        # Every plane's answers are bitwise identical to the in-process
+        # reference — the data plane changes where kernels run, never
+        # what they compute.
         if reference is None:
             reference = cell["answers"]
         else:
@@ -358,7 +438,7 @@ def test_parallel_data_plane_wallclock(results_dir, json_report, wallclock):
                 ), key
         measured[(label, procs)] = cell
 
-    serial_qps = measured[("serial", 0)]["throughput_qps"]
+    base_qps = measured[("in-process", 0)]["throughput_qps"]
     # Zero-copy beats pickle-per-launch: compare per-launch data-plane
     # *overhead* (everything but in-worker kernel time) at 1 worker
     # each, so the comparison is immune to kernel-time variance and to
@@ -372,10 +452,10 @@ def test_parallel_data_plane_wallclock(results_dir, json_report, wallclock):
         > 1.2 * measured[("shm", 1)]["overhead_ms"]
     ), (measured[("pickle", 1)], measured[("shm", 1)])
     # Scaling acceptance is cpu-gated: on >= 4 CPUs, 4 real workers must
-    # at least double the serial warm throughput.
+    # at least double the in-process warm throughput.
     if ncpu >= 4:
         assert (
-            measured[("shm", 4)]["throughput_qps"] >= 2.0 * serial_qps
+            measured[("shm", 4)]["throughput_qps"] >= 2.0 * base_qps
         )
 
     rows = []
@@ -383,7 +463,7 @@ def test_parallel_data_plane_wallclock(results_dir, json_report, wallclock):
         cell = measured[(label, procs)]
         qps = cell["throughput_qps"]
         config = {
-            "backend": cell["backend"],
+            "backend": "in-process" if procs == 0 else "process",
             "processes": procs,
             "transport": transport,
             "cpus": ncpu,
@@ -391,13 +471,12 @@ def test_parallel_data_plane_wallclock(results_dir, json_report, wallclock):
         }
         json_report.emit("parallel", config, "throughput_qps", qps)
         json_report.emit(
-            "parallel", config, "speedup_vs_serial", qps / serial_qps
+            "parallel", config, "speedup_vs_in_process", qps / base_qps
         )
-        # Overhead accounting needs uncontended workers (see
-        # _run_plane); on fewer CPUs than workers the subtraction is
-        # meaningless, so the cell is omitted rather than misleading.
-        contended = procs > max(1, ncpu)
-        if not contended:
+        # Overhead is elapsed minus in-worker kernel time, which only
+        # one worker keeps apart: the in-process plane times no kernel
+        # and several workers' kernel times overlap.
+        if procs == 1:
             json_report.emit(
                 "parallel", config, "overhead_ms_per_launch",
                 cell["overhead_ms"],
@@ -408,14 +487,14 @@ def test_parallel_data_plane_wallclock(results_dir, json_report, wallclock):
                 procs,
                 transport,
                 f"{qps:.1f}",
-                f"{qps / serial_qps:.2f}x",
-                "-" if contended else f"{cell['overhead_ms']:.2f}",
+                f"{qps / base_qps:.2f}x",
+                f"{cell['overhead_ms']:.2f}" if procs == 1 else "-",
                 "yes",
             ]
         )
     text = format_table(
-        ["backend", "workers", "transport", "queries/s",
-         "vs serial", "overhead ms/launch", "bitwise"],
+        ["plane", "workers", "transport", "queries/s",
+         "vs in-process", "overhead ms/launch", "bitwise"],
         rows,
         title=f"real-parallel data plane: 3 graphs (n={PLANE_N}, "
               f"B2SR-{TILE_DIM}), {PLANE_ROUNDS} warm rounds of "

@@ -1,7 +1,8 @@
 """E17 — online SLO-aware scheduling: batch-now vs wait-for-riders.
 
 Sweeps a Poisson arrival stream over (arrival rate × SLO budget) and
-serves it under three policies on one backend:
+serves it under three policies on one backend (one graph on a
+one-server :class:`repro.serving.cluster.Router`):
 
 * ``slo``   — the event-driven scheduler: accumulate riders while the
   deadline slack (minus a contention reserve) allows, urgent lane
@@ -25,8 +26,7 @@ from repro.analysis.report import format_table
 from repro.datasets.generators import hybrid_pattern
 from repro.engines import BitEngine
 from repro.gpusim import GTX1080
-from repro.serving import Scheduler, poisson_stream
-from repro.serving.scheduler import POLICIES
+from repro.serving import POLICIES, GraphRegistry, Router, poisson_stream
 
 RATES_QPS = (1000.0, 4000.0, 8000.0)
 SLOS_MS = (5.0, 20.0, 80.0)
@@ -45,6 +45,14 @@ def _solo_service_ceiling(engine, cc_engine):
     return max(times)
 
 
+def _single_server(engine, cc_engine):
+    """A fresh one-graph registry (fresh service estimates) on one
+    server: the single-backend online scheduler."""
+    registry = GraphRegistry(max_batch=32)
+    registry.add_engines("g", engine, cc_engine=cc_engine)
+    return Router(registry, n_servers=1)
+
+
 def _sweep():
     g = hybrid_pattern(512, seed=4)
     engine = BitEngine(g, device=GTX1080, tile_dim=32)
@@ -58,9 +66,7 @@ def _sweep():
                 g.n, requests=REQUESTS, rate_qps=rate, slo_ms=slo,
                 urgent_slo_ms=urgent_slo, seed=SEED,
             )
-            scheduler = Scheduler(
-                engine, cc_engine=cc_engine, max_batch=32
-            )
+            scheduler = _single_server(engine, cc_engine)
             reports = {
                 # verify=False: policy comparison only needs latencies;
                 # bitwise checks are covered by tests/test_scheduler.py.
@@ -87,7 +93,7 @@ def _sweep():
         g.n, requests=REQUESTS, rate_qps=RATES_QPS[1], slo_ms=SLOS_MS[1],
         urgent_slo_ms=SLOS_MS[1] / 4, seed=SEED,
     )
-    scheduler = Scheduler(engine, cc_engine=cc_engine, max_batch=32)
+    scheduler = _single_server(engine, cc_engine)
     _, verified_rep = scheduler.run(mid, policy="slo", verify=True)
     return cells, verified_rep, solo_ceiling
 

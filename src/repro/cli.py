@@ -420,8 +420,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     from repro.engines import BitEngine
-    from repro.serving import Scheduler, poisson_stream
-    from repro.serving.scheduler import POLICIES
+    from repro.serving import POLICIES, GraphRegistry, Router, poisson_stream
 
     if args.requests < 1:
         print("error: --requests must be >= 1", file=sys.stderr)
@@ -442,15 +441,17 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     g = load_matrix(args.matrix)
     device = device_by_name(args.device)
 
-    engine = BitEngine(g, device=device, tile_dim=args.tile_dim)
-    cc_engine = BitEngine(
-        g.symmetrized(), device=device, tile_dim=args.tile_dim
+    registry = GraphRegistry(max_batch=args.max_batch)
+    registry.add_engines(
+        g.name,
+        BitEngine(g, device=device, tile_dim=args.tile_dim),
+        cc_engine=BitEngine(
+            g.symmetrized(), device=device, tile_dim=args.tile_dim
+        ),
     )
-    scheduler = Scheduler(
-        engine,
-        cc_engine=cc_engine,
-        max_batch=args.max_batch,
-        slack_factor=args.slack_factor,
+    # One graph on one server: the single-backend online scheduler.
+    router = Router(
+        registry, n_servers=1, slack_factor=args.slack_factor
     )
     stream = poisson_stream(
         g.n,
@@ -475,7 +476,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     )
     rows = []
     for name in policies:
-        _, rep = scheduler.run(stream, policy=name, verify=verify)
+        _, rep = router.run(stream, policy=name, verify=verify)
         lanes = " ".join(
             f"{lane}={100 * att:.0f}%"
             for lane, att in sorted(rep.lane_attainment.items())
@@ -509,6 +510,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    import warnings
+
     from repro.serving import (
         FaultPlan,
         GraphRegistry,
@@ -518,6 +521,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         multi_graph_poisson_stream,
         parse_speed_spec,
     )
+    from repro.serving import parallel
 
     if args.requests < 1:
         print("error: --requests must be >= 1", file=sys.stderr)
@@ -609,10 +613,19 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         server_counts = [args.servers]
     else:
         server_counts = [1] if args.servers == 1 else [1, args.servers]
-    pool = (
-        None if args.workers is None
-        else WorkerPool(registry, processes=args.workers)
-    )
+    # --workers 0 (or no --workers) serves in-process; so does any N
+    # on a host without POSIX shared memory, with one warning.
+    pool = None
+    if args.workers:
+        if parallel.shm_available():
+            pool = WorkerPool(registry, processes=args.workers)
+        else:
+            warnings.warn(
+                "POSIX shared memory is unavailable; serving in-process "
+                f"instead of on {args.workers} worker processes",
+                RuntimeWarning,
+                stacklevel=1,
+            )
     planes: list[dict] = []
     fault_lines: list[str] = []
     try:
@@ -688,9 +701,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         reexec = sum(p.get("reexecutions", 0) for p in planes)
         p0 = planes[0]
         print(
-            f"data plane: {p0['backend']} backend "
-            f"({p0['processes']} workers, {p0['transport']} transport) "
-            f"— {launches} real launches across {len(planes)} rows, "
+            f"data plane: {p0['processes']} worker processes over shared "
+            f"memory — {launches} real launches across {len(planes)} rows, "
             f"{wall:.1f} ms wall-clock kernel time"
             + (f", {reexec} re-executions after worker loss"
                if reexec else "")
@@ -1074,10 +1086,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "--placement speed-aware)")
     sp.add_argument("--workers", type=int, default=None,
                     help="execute committed batches on N real worker "
-                         "processes over zero-copy shared memory "
-                         "(0 = in-process serial backend; degrades to "
-                         "serial with a warning when POSIX shm is "
-                         "unavailable); omit for modeled-only serving")
+                         "processes over zero-copy shared memory; 0 or "
+                         "omitted serves in-process (as does any N, with "
+                         "a warning, when POSIX shm is unavailable)")
     sp.add_argument("--tile-dim", type=int, default=32,
                     choices=list(TILE_DIMS))
     sp.add_argument("--device", default="pascal")

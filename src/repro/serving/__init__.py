@@ -16,22 +16,21 @@ gap in layers:
 * :mod:`~repro.serving.events` — the discrete-event core: simulated
   clock, :class:`Server` busy/free model, and the :class:`EventLoop`
   every online policy rides.
-* :class:`Scheduler` — the online front end over one backend: consume a
-  timestamped arrival stream (:mod:`repro.serving.arrivals`), decide
-  batch-now vs wait-for-riders against per-query latency SLOs
+* :class:`Router` + :class:`GraphRegistry` — the online front end:
+  consume a timestamped arrival stream (:mod:`repro.serving.arrivals`),
+  decide batch-now vs wait-for-riders against per-query latency SLOs
   (pluggable :data:`POLICIES` admission objects, per-kind
   :class:`ServiceEstimator`), let late arrivals join still-open batches
-  mid-flight, and run urgent/bulk priority lanes.
-* :class:`Router` + :class:`GraphRegistry` — the sharded cluster: many
-  named serving graphs (each with its own batcher and estimator) behind
-  one arrival stream, dispatched across N servers by pluggable
-  :data:`PLACEMENTS` policies (graph-affinity sharding, least-loaded,
-  power-of-two-choices).
-* :class:`WorkerPool` (:mod:`~repro.serving.parallel`) — the real data
-  plane: worker processes pinned to cluster servers executing committed
-  batches as real kernel launches over B2SR tiles shared zero-copy
-  through :mod:`repro.formats.shm`; ``Router.run(data_plane=...)``
-  swaps it in under the modeled control plane.
+  mid-flight, run urgent/bulk priority lanes, and dispatch many named
+  serving graphs across N servers by pluggable :data:`PLACEMENTS`
+  policies (graph-affinity sharding, least-loaded,
+  power-of-two-choices).  One graph on ``n_servers=1`` is the
+  single-backend scheduler.
+* :class:`DataPlane` (:mod:`~repro.serving.plane`) — where every
+  committed batch executes: :class:`InProcessPlane` by default, or a
+  :class:`WorkerPool` (:mod:`~repro.serving.parallel`) of worker
+  processes pinned to cluster servers executing real kernel launches
+  over B2SR tiles shared zero-copy through :mod:`repro.formats.shm`.
 
 * :mod:`~repro.serving.faults` — declarative fault injection: a seeded
   :class:`FaultPlan` of crash/recover/slow events replays through the
@@ -90,10 +89,12 @@ from repro.serving.faults import (
     parse_fail_spec,
     parse_speed_spec,
 )
-from repro.serving.parallel import (
+from repro.serving.parallel import WorkerPool
+from repro.serving.plane import (
+    DataPlane,
+    InProcessPlane,
     LaunchResult,
     LaunchSpec,
-    WorkerPool,
 )
 from repro.serving.ingest import (
     Ingester,
@@ -102,11 +103,6 @@ from repro.serving.ingest import (
     mutation_trace,
 )
 from repro.serving.events import EventLoop, QueryOutcome, Server
-from repro.serving.scheduler import (
-    Policy,
-    ScheduleReport,
-    Scheduler,
-)
 
 __all__ = [
     "AdmissionContext",
@@ -116,6 +112,7 @@ __all__ = [
     "Batch",
     "BatchReport",
     "ClusterReport",
+    "DataPlane",
     "EventLoop",
     "FaultEvent",
     "FaultPlan",
@@ -123,6 +120,7 @@ __all__ = [
     "GraphEntry",
     "GraphRegistry",
     "GraphStore",
+    "InProcessPlane",
     "IngestRecord",
     "IngestReport",
     "Ingester",
@@ -133,15 +131,12 @@ __all__ = [
     "PLACEMENTS",
     "POLICIES",
     "PlacementPolicy",
-    "Policy",
     "Query",
     "QueryBatcher",
     "QueryOutcome",
     "QueryResult",
     "Router",
     "ScaleRecord",
-    "ScheduleReport",
-    "Scheduler",
     "Server",
     "ServiceEstimator",
     "StealRecord",

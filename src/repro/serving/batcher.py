@@ -27,14 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ``bfs`` and ``sssp`` stay bound here, uncalled: perfbench/tracer.py
+# wraps every algorithm this module binds.  Standalone runs go through
+# ``solo_reference``, whose bindings live in ``serving/plane.py``.
 from repro.algorithms import (
-    bfs,
+    bfs,  # noqa: F401
     connected_components,
     multi_source_bfs,
     multi_source_sssp,
-    sssp,
+    sssp,  # noqa: F401
 )
 from repro.engines.base import Engine
+from repro.serving.plane import solo_reference
 
 #: Query kinds the batcher can coalesce.
 KINDS = ("bfs", "sssp", "cc")
@@ -174,9 +178,9 @@ class QueryBatcher:
         ``AssertionError`` and the singles' cost becomes the reported
         k-independent baseline.
 
-        ``singles_cache`` lets a caller flushing repeatedly (the online
-        scheduler launches one flush per batch) memoize the standalone
-        runs across flushes — valid because the engines are
+        ``singles_cache`` lets a caller flushing repeatedly memoize the
+        standalone runs across flushes (the router's registry entries
+        keep one per graph version) — valid because the engines are
         deterministic.
         """
         queries, self._pending = self._pending, []
@@ -250,15 +254,9 @@ class QueryBatcher:
         singles_ms = 0.0
         singles_launches = 0
         for q in chunk:
-            key = (q.kind, q.source)
-            if key not in cache:
-                if q.kind == "bfs":
-                    cache[key] = bfs(self.engine, q.source)
-                elif q.kind == "sssp":
-                    cache[key] = sssp(self.engine, q.source)
-                else:
-                    cache[key] = connected_components(self.cc_engine)
-            ref, rep1 = cache[key]
+            ref, rep1 = solo_reference(
+                self.engine, self.cc_engine, q.kind, q.source, cache
+            )
             got = results[q.qid].result
             assert np.array_equal(got, ref, equal_nan=True), (
                 f"batched {q.kind} answer for query {q.qid} is not bitwise "

@@ -1,9 +1,10 @@
 """Sharded multi-server serving cluster.
 
-The single-backend :class:`repro.serving.scheduler.Scheduler` keeps one
-serving graph busy; a production front end faces *many* named graphs and
-more aggregate traffic than one server can clear.  This module scales
-the same event core out:
+A production front end faces *many* named graphs and more aggregate
+traffic than one server can clear.  This module runs the discrete-event
+core (:mod:`repro.serving.events`) over N servers; one graph on one
+server (``Router(registry, n_servers=1)``) is the single-backend online
+scheduler:
 
 * :class:`GraphRegistry` — named serving graphs.  Each entry owns its
   engines, its :class:`~repro.serving.batcher.QueryBatcher`, its
@@ -45,10 +46,14 @@ with ``steal=True`` — merely backed-up servers; an optional
 :class:`Autoscaler` adds or drains servers against observed SLO
 attainment (drain = stop-placing-then-finish).
 
-Exactness survives sharding *and* recovery: every launch flows through
-the owning graph's ``QueryBatcher``, so ``verify=True`` re-runs each
-query solo on that graph's engines and raises unless the clustered
-answer is bitwise identical — including answers that were re-queued or
+Every committed batch executes one way: as a
+:class:`~repro.serving.plane.LaunchSpec` handed to a
+:class:`~repro.serving.plane.DataPlane` — in-process by default, or a
+:class:`~repro.serving.parallel.WorkerPool` of real worker processes.
+Exactness survives sharding *and* recovery: every answer, from either
+plane, goes through one install, and ``verify=True`` re-runs each query
+solo on its graph's engines and raises unless the clustered answer is
+bitwise identical — including answers that were re-queued or
 re-executed after a crash.
 """
 
@@ -58,7 +63,7 @@ import dataclasses
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -81,12 +86,17 @@ from repro.serving.batcher import QueryBatcher
 from repro.serving.estimator import ServiceEstimator
 from repro.serving.events import EPS, EventLoop, QueryOutcome, Server
 from repro.serving.faults import FaultEvent, FaultPlan
-from repro.serving.parallel import LaunchSpec, solo_reference
+from repro.serving.plane import (
+    DataPlane,
+    InProcessPlane,
+    LaunchResult,
+    LaunchSpec,
+    solo_reference,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpusim.device import DeviceSpec
     from repro.graph import Graph
-    from repro.serving.parallel import WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -704,9 +714,21 @@ class ClusterReport:
 # ----------------------------------------------------------------------
 # Router
 # ----------------------------------------------------------------------
+def _spec_row(spec: LaunchSpec, **fields: Any) -> dict[str, Any]:
+    """One ``extra["data_plane"]`` row: the launch plus ``fields``."""
+    return {
+        "batch_id": spec.batch_id,
+        "graph": spec.graph,
+        "version": spec.version,
+        "kind": spec.kind,
+        "width": spec.width,
+        **fields,
+    }
+
+
 class _RouterController:
     """Per-run scheduling state: admission via the policy, placement
-    commitments, launches through each graph's batcher."""
+    commitments, launches through the data plane."""
 
     def __init__(
         self,
@@ -716,8 +738,8 @@ class _RouterController:
         placement: PlacementPolicy,
         rng: np.random.Generator,
         verify: bool,
-        mutations: list[MutationBatch] | None = None,
-        data_plane: WorkerPool | None = None,
+        mutations: list[MutationBatch] | None,
+        plane: DataPlane,
         faults: FaultPlan | None = None,
         autoscaler: Autoscaler | None = None,
         steal: bool = False,
@@ -730,11 +752,10 @@ class _RouterController:
         self.placement = placement
         self.rng = rng
         self.verify = verify
-        # Real-parallel data plane: committed batches become LaunchSpecs
-        # on the pool's per-server queues instead of in-process batcher
-        # flushes; results are installed after the event loop drains.
-        self.pool = data_plane
-        self.pool_pending: list[tuple[LaunchSpec, Batch]] = []
+        self.plane = plane
+        # Launches the plane answers only at drain, with the server each
+        # was submitted to.
+        self.deferred: list[tuple[LaunchSpec, Batch, int]] = []
         self.ctx = AdmissionContext(
             max_batch=self.registry.max_batch,
             slack_factor=router.slack_factor,
@@ -763,14 +784,14 @@ class _RouterController:
         self.max_requeues = max_requeues
         self.requeues = 0
         self.failed = 0
-        # sid -> (batch, data-plane spec id) for the launch occupying
-        # that server; entries go stale once the launch finishes (the
-        # crash path checks free_at before trusting one).
-        self.inflight: dict[int, tuple[Batch, int | None]] = {}
-        self.last_spec_id: int | None = None
-        # Data-plane launches whose modeled server crashed mid-flight:
-        # their results (if the worker even produced any) are ignored.
-        self.aborted_specs: set[int] = set()
+        # sid -> (batch, batch id) for the launch occupying that
+        # server; entries go stale once the launch finishes (the crash
+        # path checks free_at before trusting one).
+        self.inflight: dict[int, tuple[Batch, int]] = {}
+        # Launches whose modeled server crashed mid-flight: a deferred
+        # result for one of them (if a worker even produced it) is
+        # never installed.
+        self.aborted: set[int] = set()
         self._crashed_sids: set[int] = set()
         # Elasticity.
         self.autoscaler = autoscaler
@@ -794,14 +815,11 @@ class _RouterController:
             entry, report = self.registry.mutate(
                 mut.graph, mut.inserts, mut.deletes
             )
-            if self.pool is not None:
-                # Export the new epoch's segments *before* any launch
-                # can reference it (attach and launch share each
-                # worker's FIFO queue), then schedule the old epoch's
-                # segments for unlink — deferred until its last
-                # in-flight batch drains.
-                self.pool.publish(entry)
-                self.pool.retire(mut.graph, entry.version - 1)
+            # Publish the new epoch *before* any launch can reference
+            # it, then schedule the old epoch's release — deferred until
+            # its last in-flight batch drains.
+            self.plane.publish(entry)
+            self.plane.retire(mut.graph, entry.version - 1)
             self.swaps.append(
                 SwapRecord(
                     time_ms=mut.time_ms,
@@ -841,8 +859,7 @@ class _RouterController:
                 if not server.up:
                     server.recover(now)
                     self._crashed_sids.discard(server.sid)
-                    if self.pool is not None:
-                        self.pool.revive_worker(server.sid)
+                    self.plane.revive_worker(server.sid)
                 self.fault_records.append(
                     FaultRecord(
                         time_ms=ev.time_ms, kind="recover", sid=ev.sid,
@@ -867,10 +884,9 @@ class _RouterController:
         the dispatch loop to steal onto survivors."""
         requeued = failed = 0
         if server.up:
-            if self.pool is not None:
-                # Kill the pinned worker process at the same modeled
-                # instant, so the modeled and real failure sets agree.
-                self.pool.kill_worker(server.sid)
+            # Kill the pinned worker (if the plane has one) at the same
+            # modeled instant, so the modeled and real failure sets agree.
+            self.plane.kill_worker(server.sid)
             was_busy = not server.idle(now)
             server.crash(now)
             self._crashed_sids.add(server.sid)
@@ -893,9 +909,8 @@ class _RouterController:
         entry = self.inflight.pop(sid, None)
         if entry is None:
             return 0, 0
-        batch, spec_id = entry
-        if spec_id is not None:
-            self.aborted_specs.add(spec_id)
+        batch, batch_id = entry
+        self.aborted.add(batch_id)
         # Withdraw the outcomes the launch recorded: the answers this
         # server was computing died with it.
         for seq, _ in batch.members:
@@ -903,10 +918,11 @@ class _RouterController:
         batch.retries += 1
         width = len(batch.members)
         if batch.retries > self.max_requeues:
-            self._fail_batch(
-                batch, now, sid,
+            self._fail_closed(
+                batch,
                 f"server {sid} crashed mid-flight; retry budget "
                 f"({self.max_requeues}) exhausted",
+                sid, now, now, batch.retries,
             )
             return 0, width
         batch.sid = None
@@ -916,25 +932,38 @@ class _RouterController:
         self.policy.refresh(self.open_batches, self.ctx)
         return width, 0
 
-    def _fail_batch(
-        self, batch: Batch, now: float, sid: int, reason: str
+    def _write_outcomes(
+        self, batch: Batch, sid: int, launch_ms: float, finish_ms: float,
+        retries: int, failure: str | None = None,
     ) -> None:
-        """Fail every member of ``batch`` closed at ``now``."""
+        """Write every member's outcome without an answer: a launch's
+        placeholder (its install fills in the answer) or, with
+        ``failure``, the query failed closed."""
         width = len(batch.members)
         for seq, a in batch.members:
             self.outcomes[seq] = QueryOutcome(
                 arrival=a,
                 result=None,
-                launch_ms=now,
-                finish_ms=now,
+                launch_ms=launch_ms,
+                finish_ms=finish_ms,
                 batch_width=width,
                 joined=width > 1,
                 server=sid,
                 version=batch.version,
-                failure=reason,
-                retries=batch.retries,
+                failure=failure,
+                retries=retries,
             )
-        self.failed += width
+
+    def _fail_closed(
+        self, batch: Batch, reason: str, sid: int, launch_ms: float,
+        finish_ms: float, retries: int,
+    ) -> None:
+        """Fail every member of ``batch`` closed with ``reason`` — the
+        one writer of failed outcomes."""
+        self._write_outcomes(
+            batch, sid, launch_ms, finish_ms, retries, failure=reason
+        )
+        self.failed += len(batch.members)
 
     def _refresh_capacity(self) -> None:
         """Re-point admission's contention reserve at the surviving
@@ -951,10 +980,11 @@ class _RouterController:
         capacity and no recovery event left) — every query in the
         stream gets an outcome, served or not."""
         for batch in list(self.open_batches):
-            self._fail_batch(
-                batch, now,
-                batch.sid if batch.sid is not None else -1,
+            self._fail_closed(
+                batch,
                 "stranded: no available server and no recovery scheduled",
+                batch.sid if batch.sid is not None else -1,
+                now, now, batch.retries,
             )
         self.open_batches.clear()
 
@@ -1151,70 +1181,27 @@ class _RouterController:
             service = self._launch(batch, now, server)
             self.widths.append(len(batch.members))
             server.start(now, service)
-            self.inflight[server.sid] = (batch, self.last_spec_id)
             # The launch changed the backlog (and the estimator):
             # remaining batches may now afford to wait longer.
             self.policy.refresh(self.open_batches, self.ctx)
             return True
         return False
 
-    # ------------------------------------------------------------------
+    # -- launches and results ------------------------------------------
     def _launch(self, batch: Batch, now: float, server: Server) -> float:
-        """Serve the batch through its graph's QueryBatcher (one
-        coalesced launch group; the verification path re-runs singles
-        when asked) and record every member's outcome.  Returns the
-        modeled service ms.  The batch resolves the epoch it was
-        *admitted* against — a swap between admission and launch never
-        changes what a query answers over."""
+        """Hand the batch to the data plane as one launch and record
+        every member's outcome; returns the modeled service ms booked.
+
+        A finished result (the in-process plane) books its modeled time,
+        feeds the estimator and installs at once.  A deferred one (a
+        worker process) books the service estimate and installs after
+        the loop drains the plane (:meth:`collect`).  The batch resolves
+        the epoch it was *admitted* against — a swap between admission
+        and launch never changes what a query answers over."""
         entry = self.registry.entry_for(batch.graph, batch.version)
-        self.last_spec_id = None
-        if self.pool is not None:
-            return self._launch_pool(batch, now, server, entry)
-        submitted = [
-            (entry.batcher.submit(a.kind, a.source), seq, a)
-            for seq, a in batch.members
-        ]
-        results, reports = entry.batcher.flush(
-            verify=self.verify, singles_cache=entry.singles_cache
-        )
-        service = sum(rep.batched_ms for rep in reports)
-        width = len(batch.members)
-        # The estimator's books stay in speed-1 units; this server's
-        # speed factor scales the occupancy (Server.start agrees).
-        finish = now + service / server.speed
-        for qid, seq, a in submitted:
-            res = results[qid]
-            self.outcomes[seq] = QueryOutcome(
-                arrival=a,
-                result=res.result,
-                launch_ms=now,
-                finish_ms=finish,
-                batch_width=width,
-                joined=width > 1,
-                baseline_ms=res.baseline_ms,
-                server=server.sid,
-                version=batch.version,
-                retries=batch.retries,
-            )
-        entry.estimator.observe(batch.kind, width, service)
-        return service
-
-    def _launch_pool(
-        self, batch: Batch, now: float, server: Server, entry: GraphEntry
-    ) -> float:
-        """Dispatch the batch to the real data plane.
-
-        The worker pinned to ``server`` executes the coalesced launch
-        for real; the event loop keeps running on the *estimated*
-        modeled service (the estimator is not re-observed — there is no
-        in-process modeled run to observe).  Results and per-launch
-        wall timings are installed after the loop drains the pool
-        (:meth:`Router._finish_pool`); outcomes carry a placeholder
-        until then."""
-        assert self.pool is not None
         width = len(batch.members)
         spec = LaunchSpec(
-            batch_id=self.pool.next_batch_id(),
+            batch_id=self.plane.next_batch_id(),
             graph=batch.graph,
             version=batch.version,
             kind=batch.kind,
@@ -1225,24 +1212,151 @@ class _RouterController:
             ),
             width=width,
         )
-        self.pool.submit(server.sid, spec)
-        self.pool_pending.append((spec, batch))
-        self.last_spec_id = spec.batch_id
-        service = entry.estimator.estimate_ms(batch.kind, width)
-        finish = now + service / server.speed
-        for seq, a in batch.members:
-            self.outcomes[seq] = QueryOutcome(
-                arrival=a,
-                result=None,
-                launch_ms=now,
-                finish_ms=finish,
-                batch_width=width,
-                joined=width > 1,
-                server=server.sid,
-                version=batch.version,
-                retries=batch.retries,
+        result = self.plane.submit(server.sid, spec)
+        if result is None:
+            service = entry.estimator.estimate_ms(batch.kind, width)
+            self.deferred.append((spec, batch, server.sid))
+        else:
+            service = result.modeled_ms
+            entry.estimator.observe(batch.kind, width, service)
+        # The estimator's books stay in speed-1 units; this server's
+        # speed factor scales the occupancy (Server.start agrees).
+        self._write_outcomes(
+            batch, server.sid, now, now + service / server.speed,
+            batch.retries,
+        )
+        if result is not None:
+            self._install(
+                spec, batch, result, server.sid, batch.retries,
+                verify=self.verify,
             )
+        self.inflight[server.sid] = (batch, spec.batch_id)
         return service
+
+    def _install(
+        self, spec: LaunchSpec, batch: Batch, res: LaunchResult, sid: int,
+        retries: int, *, verify: bool,
+    ) -> None:
+        """Install one launch's answers into its members' outcomes,
+        naming ``sid`` (the server the router submitted the launch to)
+        as their server.  With ``verify`` each answer must be bitwise
+        identical to its standalone run, memoized in the entry's
+        ``singles_cache``."""
+        entry = self.registry.entry_for(batch.graph, batch.version)
+        cols = res.columns
+        assert cols is not None, f"launch {spec.batch_id} has no answers"
+        for j, (seq, a) in enumerate(batch.members):
+            outcome = self.outcomes[seq]
+            got = cols.copy() if spec.kind == "cc" else cols[:, j].copy()
+            outcome.result = got
+            outcome.server = sid
+            outcome.retries = max(outcome.retries, retries)
+            if verify:
+                ref, solo = solo_reference(
+                    entry.engine, entry.cc_engine,
+                    a.kind, a.source, entry.singles_cache,
+                )
+                assert np.array_equal(got, ref, equal_nan=True), (
+                    f"{a.kind} answer for arrival {seq} is not bitwise "
+                    "identical to its standalone run"
+                )
+                outcome.baseline_ms = float(solo.algorithm_ms)
+
+    def collect(self) -> dict[str, Any] | None:
+        """Drain the data plane and install every deferred launch.
+
+        Launches whose modeled server crashed were re-queued or failed
+        closed by the event loop and are skipped.  A launch a *real*
+        worker death lost re-executes on a surviving server within the
+        same retry budget, then fails closed.  Returns the
+        ``extra["data_plane"]`` payload, or ``None`` for a plane
+        without per-launch rows."""
+        results = self.plane.drain()
+        rows: list[dict[str, Any]] = []
+        failed_rows: list[dict[str, Any]] = []
+        reexecutions = 0
+        work = [
+            (spec, batch, sid, 0)
+            for spec, batch, sid in self.deferred
+            if spec.batch_id not in self.aborted
+        ]
+        while work:
+            retry: list[tuple[LaunchSpec, Batch, int, int]] = []
+            for spec, batch, sid, tries in work:
+                res = results.get(spec.batch_id)
+                if (
+                    res is not None
+                    and res.error is None
+                    and res.columns is not None
+                ):
+                    self._install(
+                        spec, batch, res, sid, tries, verify=self.verify
+                    )
+                    rows.append(
+                        _spec_row(
+                            spec, sid=sid, worker=res.worker, pid=res.pid,
+                            wall_ms=res.wall_ms, iterations=res.iterations,
+                            retries=tries,
+                        )
+                    )
+                    continue
+                why = res.error if res is not None else "no result"
+                if tries < self.max_requeues:
+                    moved = self._reexecute_lost(spec)
+                    if moved is not None:
+                        reexecutions += 1
+                        new_spec, new_sid = moved
+                        retry.append((new_spec, batch, new_sid, tries + 1))
+                        continue
+                    why = f"{why}; no surviving worker to re-execute on"
+                first = self.outcomes[batch.members[0][0]]
+                self._fail_closed(
+                    batch,
+                    f"data plane lost batch {spec.batch_id} ({spec.kind} "
+                    f"on {spec.graph!r} v{spec.version}): {why}",
+                    sid, first.launch_ms, first.finish_ms,
+                    max(batch.retries, tries),
+                )
+                failed_rows.append(
+                    _spec_row(spec, error=str(why), retries=tries)
+                )
+            if retry:
+                # Wait out the re-executed launches before re-checking.
+                results.update(self.plane.drain())
+            work = retry
+        facts = self.plane.describe()
+        if facts is None:
+            return None
+        return {
+            **facts,
+            "launches": rows,
+            "failed": failed_rows,
+            "reexecutions": reexecutions,
+            "wall_ms_total": float(sum(r["wall_ms"] for r in rows)),
+        }
+
+    def _reexecute_lost(
+        self, spec: LaunchSpec
+    ) -> tuple[LaunchSpec, int] | None:
+        """Re-submit a launch a dead worker lost onto the least busy
+        surviving server.  Returns the new spec and that server, or
+        ``None`` when no live worker remains."""
+        survivors = [
+            s for s in self.servers
+            if s.up and self.plane.worker_alive(s.sid)
+        ]
+        if not survivors:
+            return None
+        target = min(survivors, key=lambda s: (s.busy_ms, s.sid))
+        # The drain that reported the loss released any retired epoch
+        # with nothing left in flight: publish the launch's epoch again
+        # (a no-op while it is live) and re-retire it behind the launch.
+        self.plane.publish(self.registry.entry_for(spec.graph, spec.version))
+        new = dataclasses.replace(spec, batch_id=self.plane.next_batch_id())
+        self.plane.submit(target.sid, new)
+        if spec.version != self.registry.current_version(spec.graph):
+            self.plane.retire(spec.graph, spec.version)
+        return new, target.sid
 
 
 class Router:
@@ -1295,7 +1409,7 @@ class Router:
         placement: str | PlacementPolicy | None = None,
         verify: bool = False,
         mutations: list[MutationBatch] | None = None,
-        data_plane: WorkerPool | None = None,
+        data_plane: DataPlane | None = None,
         faults: FaultPlan | None = None,
         speeds: dict[int, float] | list[float] | None = None,
         autoscaler: Autoscaler | None = None,
@@ -1309,17 +1423,14 @@ class Router:
         standalone through the owning graph's verification path and
         raises on any non-bitwise-identical answer.
 
-        ``data_plane`` attaches a real
-        :class:`~repro.serving.parallel.WorkerPool`: committed batches
-        are executed as real kernel launches by the worker pinned to
-        their placed server (zero-copy over shared B2SR segments)
-        instead of in-process batcher flushes.  The event loop still
-        advances on modeled service estimates; real per-launch
-        wall-clock timings land in ``report.extra["data_plane"]`` and
-        ``verify=True`` keeps the bitwise-equal-to-solo contract across
-        the process boundary.  Epoch swaps export the new version's
-        segments before the swap serves and unlink the old version's
-        only after its last in-flight batch drains.
+        Every committed batch executes through ``data_plane`` (see
+        :mod:`repro.serving.plane`).  The default in-process plane
+        serves each launch at once and books its modeled time.  A
+        :class:`~repro.serving.parallel.WorkerPool` runs each launch on
+        the worker pinned to its placed server, books the service
+        estimate, installs the answers once the loop drains the pool,
+        and reports per-launch wall-clock rows in
+        ``report.extra["data_plane"]``.
 
         ``mutations`` interleaves timestamped edge-mutation batches with
         the arrival stream (the registry must be a versioned
@@ -1369,17 +1480,18 @@ class Router:
         servers = [Server(sid) for sid in range(self.n_servers)]
         for sid, factor in self._normalize_speeds(speeds).items():
             servers[sid].speed = factor
+        plane: DataPlane = (
+            InProcessPlane(self.registry) if data_plane is None
+            else data_plane
+        )
         controller = _RouterController(
             self, servers, pol, placer,
             np.random.default_rng(self.seed), verify, muts,
-            data_plane, faults, autoscaler, steal, max_requeues,
+            plane, faults, autoscaler, steal, max_requeues,
         )
         end = EventLoop(servers).run(stream, controller)
         controller.finalize(end)
-        plane_extra = (
-            None if data_plane is None
-            else self._finish_pool(controller, data_plane, verify)
-        )
+        plane_extra = controller.collect()
         ordered = [controller.outcomes[j] for j in range(len(stream))]
         report = self._report(
             pol.name, placer.name, ordered, controller, servers, verify
@@ -1415,183 +1527,6 @@ class Router:
                     f"got {factor}"
                 )
         return {sid: float(f) for sid, f in items.items()}
-
-    def _finish_pool(
-        self,
-        controller: _RouterController,
-        pool: WorkerPool,
-        verify: bool,
-    ) -> dict:
-        """Drain the data plane and install the real answers.
-
-        Every pending launch's columns replace the placeholder outcomes
-        recorded at dispatch time; with ``verify`` each member is
-        checked bitwise against its standalone run (memoized in the
-        entry's ``singles_cache``, exactly like the in-process
-        verification path).  Launches whose modeled server crashed were
-        aborted by the controller and are skipped here (their queries
-        were re-queued or failed closed in the modeled loop); launches a
-        *real* worker death lost are re-executed on surviving workers —
-        bounded by the same retry budget — and re-executed answers go
-        through the identical verification.  Queries still unanswered
-        after the budget fail closed.  Returns the
-        ``extra["data_plane"]`` payload: per-launch wall-clock rows,
-        failure rows, measured per-server speed factors, and backend
-        facts."""
-        results = pool.drain()
-        rows: list[dict] = []
-        failed_rows: list[dict] = []
-        attempts: dict[int, int] = {}
-        reexecutions = 0
-        work = [
-            (spec, batch)
-            for spec, batch in controller.pool_pending
-            if spec.batch_id not in controller.aborted_specs
-        ]
-        while work:
-            retry: list[tuple[LaunchSpec, Batch]] = []
-            for spec, batch in work:
-                res = results.get(spec.batch_id)
-                tried = attempts.get(id(batch), 0)
-                if (
-                    res is None
-                    or res.error is not None
-                    or res.columns is None
-                ):
-                    why = res.error if res is not None else "no result"
-                    if tried < controller.max_requeues:
-                        attempts[id(batch)] = tried + 1
-                        new = self._reexecute_spec(
-                            controller, pool, spec, batch
-                        )
-                        if new is not None:
-                            reexecutions += 1
-                            retry.append((new, batch))
-                            continue
-                        why = f"{why}; no surviving worker to re-execute on"
-                    self._fail_pool_batch(
-                        controller, batch, spec, str(why),
-                        attempts.get(id(batch), 0),
-                    )
-                    failed_rows.append(
-                        {
-                            "batch_id": spec.batch_id,
-                            "graph": spec.graph,
-                            "version": spec.version,
-                            "kind": spec.kind,
-                            "width": spec.width,
-                            "error": str(why),
-                            "retries": attempts.get(id(batch), 0),
-                        }
-                    )
-                    continue
-                rows.append(
-                    self._install_pool_result(
-                        controller, spec, batch, res, tried,
-                        verify=verify,
-                    )
-                )
-            if retry:
-                # Wait out the re-executed launches before re-checking.
-                results.update(pool.drain())
-            work = retry
-        return {
-            "backend": pool.backend,
-            "transport": pool.transport,
-            "processes": pool.processes,
-            "launches": rows,
-            "failed": failed_rows,
-            "reexecutions": reexecutions,
-            "measured_speeds": pool.measured_speeds(),
-            "wall_ms_total": float(sum(r["wall_ms"] for r in rows)),
-        }
-
-    def _install_pool_result(
-        self,
-        controller: _RouterController,
-        spec: LaunchSpec,
-        batch: Batch,
-        res,  # LaunchResult
-        retries: int,
-        *,
-        verify: bool,
-    ) -> dict:
-        """Install one real launch's columns into its member outcomes
-        (bitwise-verifying each against its standalone run when asked);
-        returns the launch's report row."""
-        entry = self.registry.entry_for(batch.graph, batch.version)
-        cols = res.columns
-        for j, (seq, a) in enumerate(batch.members):
-            outcome = controller.outcomes[seq]
-            got = cols.copy() if spec.kind == "cc" else cols[:, j].copy()
-            outcome.result = got
-            outcome.failure = None
-            outcome.retries = max(outcome.retries, retries)
-            if retries:
-                outcome.server = res.sid
-            if verify:
-                ref, solo_ms = solo_reference(
-                    entry.engine, entry.cc_engine,
-                    a.kind, a.source, entry.singles_cache,
-                )
-                assert np.array_equal(got, ref, equal_nan=True), (
-                    f"data-plane {a.kind} answer for arrival {seq} "
-                    "is not bitwise identical to its standalone run"
-                )
-                outcome.baseline_ms = solo_ms
-        return {
-            "batch_id": spec.batch_id,
-            "graph": spec.graph,
-            "version": spec.version,
-            "kind": spec.kind,
-            "width": spec.width,
-            "sid": res.sid,
-            "pid": res.pid,
-            "wall_ms": res.wall_ms,
-            "iterations": res.iterations,
-            "retries": retries,
-        }
-
-    def _reexecute_spec(
-        self,
-        controller: _RouterController,
-        pool: WorkerPool,
-        spec: LaunchSpec,
-        batch: Batch,
-    ) -> LaunchSpec | None:
-        """Re-submit a launch a dead worker lost onto a surviving
-        server (its answers re-enter :meth:`_install_pool_result`'s
-        ``verify=``-explicit path like any first-run launch).  Returns
-        the new spec, or ``None`` when no live worker remains."""
-        survivors = [
-            s for s in controller.servers
-            if s.up and pool.worker_alive(s.sid)
-        ]
-        if not survivors:
-            return None
-        target = min(survivors, key=lambda s: (s.busy_ms, s.sid))
-        new = dataclasses.replace(spec, batch_id=pool.next_batch_id())
-        pool.submit(target.sid, new)
-        return new
-
-    def _fail_pool_batch(
-        self,
-        controller: _RouterController,
-        batch: Batch,
-        spec: LaunchSpec,
-        why: str,
-        retries: int,
-    ) -> None:
-        """Fail a lost data-plane launch's queries closed."""
-        for seq, _ in batch.members:
-            outcome = controller.outcomes[seq]
-            outcome.result = None
-            outcome.failure = (
-                f"data plane lost batch {spec.batch_id} "
-                f"({spec.kind} on {spec.graph!r} v{spec.version}): {why}"
-            )
-            outcome.retries = max(outcome.retries, retries)
-        controller.failed += len(batch.members)
 
     def compare_placements(
         self,
@@ -1648,68 +1583,40 @@ class Router:
         servers: list[Server],
         verified: bool,
     ) -> ClusterReport:
-        served = len(outcomes)
-        if served == 0:
-            return ClusterReport(
-                policy=policy, placement=placement,
-                n_servers=len(servers), served=0, batches=0, joins=0,
-                mean_batch_width=0.0, slo_attainment=1.0,
-                lane_attainment={}, graph_attainment={},
-                mean_queue_ms=0.0, p95_queue_ms=0.0, mean_service_ms=0.0,
-                mean_latency_ms=0.0, makespan_ms=0.0, busy_ms=0.0,
-                server_busy_ms=[0.0] * len(servers),
-                server_launches=[0] * len(servers),
-                verified=verified,
-                swaps=len(controller.swaps),
-                failed=controller.failed,
-                requeues=controller.requeues,
-                steals=len(controller.steal_records),
-                scale_events=len(controller.scale_records),
-                faults=len(controller.fault_records),
-                server_speed=[s.speed for s in servers],
-                extra={
-                    "swaps": list(controller.swaps),
-                    "faults": list(controller.fault_records),
-                    "steals": list(controller.steal_records),
-                    "scales": list(controller.scale_records),
-                },
-            )
-        queue = np.array([o.queue_ms for o in outcomes])
+        def mean(values: list, empty: float = 0.0) -> float:
+            return float(np.mean(values)) if values else empty
+
+        queue = [o.queue_ms for o in outcomes]
         lane_attainment: dict[str, float] = {}
         for lane in LANES:
             hits = [o.slo_met for o in outcomes if o.arrival.lane == lane]
             if hits:
-                lane_attainment[lane] = float(np.mean(hits))
+                lane_attainment[lane] = mean(hits)
         graph_attainment: dict[str, float] = {}
         for name in self.registry.names:
             hits = [
                 o.slo_met for o in outcomes if o.arrival.graph == name
             ]
             if hits:
-                graph_attainment[name] = float(np.mean(hits))
+                graph_attainment[name] = mean(hits)
         return ClusterReport(
             policy=policy,
             placement=placement,
             n_servers=len(servers),
-            served=served,
+            served=len(outcomes),
             batches=len(controller.widths),
             joins=controller.joins,
-            mean_batch_width=(
-                float(np.mean(controller.widths))
-                if controller.widths else 0.0
-            ),
-            slo_attainment=float(np.mean([o.slo_met for o in outcomes])),
+            mean_batch_width=mean(controller.widths),
+            slo_attainment=mean([o.slo_met for o in outcomes], 1.0),
             lane_attainment=lane_attainment,
             graph_attainment=graph_attainment,
-            mean_queue_ms=float(queue.mean()),
-            p95_queue_ms=float(np.percentile(queue, 95)),
-            mean_service_ms=float(
-                np.mean([o.service_ms for o in outcomes])
+            mean_queue_ms=mean(queue),
+            p95_queue_ms=(
+                float(np.percentile(queue, 95)) if queue else 0.0
             ),
-            mean_latency_ms=float(
-                np.mean([o.latency_ms for o in outcomes])
-            ),
-            makespan_ms=float(max(o.finish_ms for o in outcomes)),
+            mean_service_ms=mean([o.service_ms for o in outcomes]),
+            mean_latency_ms=mean([o.latency_ms for o in outcomes]),
+            makespan_ms=float(max((o.finish_ms for o in outcomes), default=0.0)),
             busy_ms=float(sum(s.busy_ms for s in servers)),
             server_busy_ms=[s.busy_ms for s in servers],
             server_launches=[s.launches for s in servers],
@@ -1728,7 +1635,6 @@ class Router:
                 "scales": list(controller.scale_records),
             },
         )
-
 
 __all__ = [
     "AffinityPlacement",

@@ -3,10 +3,10 @@
 Everything the online schedulers share lives here: the simulated clock
 and event-ordering rules, the :class:`Server` busy/free model, and the
 :class:`EventLoop` that interleaves a time-sorted arrival stream with
-server completions and controller timers.  The single-server
-:class:`repro.serving.scheduler.Scheduler`, both of its baselines, and
-the multi-server :class:`repro.serving.cluster.Router` all ride this
-loop — policy code never touches time-advance logic.
+server completions and controller timers.  The
+:class:`repro.serving.cluster.Router` rides this loop under every
+admission policy, on one server or many — policy code never touches
+time-advance logic.
 
 The loop is deliberately minimal: it owns *when* (time advance, event
 ordering, termination) and delegates *what* to a controller object

@@ -7,15 +7,16 @@ model: a :class:`WorkerPool` of spawned worker processes, each pinned to
 a cluster :class:`~repro.serving.events.Server` (``sid %% processes``),
 executing committed batches as **real kernel launches** against B2SR
 tiles and set-bit indices shared zero-copy through
-:mod:`repro.formats.shm`.
+:mod:`repro.formats.shm`.  It is one of the two
+:class:`~repro.serving.plane.DataPlane` implementations; the other
+serves in-process.
 
 Discipline (enforced by the ``worker-queue-discipline`` lint rule):
 
-* Only picklable :class:`LaunchSpec` / :class:`LaunchResult` records
-  cross the queues — never graph arrays.  Graphs travel once, by name,
-  as shared-memory segments (``transport="shm"``); the deliberately
-  naive ``transport="pickle"`` ships the arrays *per launch* and exists
-  so ``bench_cluster.py --wallclock`` can prove zero-copy wins.
+* Only picklable :class:`~repro.serving.plane.LaunchSpec` /
+  :class:`~repro.serving.plane.LaunchResult` records cross the queues —
+  never graph arrays.  Graphs travel once, by name, as shared-memory
+  segments.
 * Worker-reachable code touches no module-level mutable state, reads
   the wall clock only through the designated :func:`_wall_ms` hook, and
   never reaches host-side graph owners (`serving/cluster`,
@@ -25,9 +26,10 @@ Discipline (enforced by the ``worker-queue-discipline`` lint rule):
   segments are unlinked only after their last in-flight batch drains —
   the PR 7 epoch discipline, extended across processes.
 
-``WorkerPool(processes=0)`` — or any platform without POSIX shared
-memory — degrades to an in-process serial backend (one warning): same
-specs, same execution path, no processes.
+A pool always means worker processes: it needs ``processes >= 1``,
+POSIX shared memory and B2SR-backed registry entries, and raises
+otherwise.  Without them, serve in-process (``Router.run`` with no
+``data_plane``).
 """
 
 from __future__ import annotations
@@ -38,18 +40,15 @@ import queue as queue_mod
 import signal
 import time
 import traceback
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.algorithms import (
-    bfs,
     connected_components,
     multi_source_bfs,
     multi_source_sssp,
-    sssp,
 )
 from repro.engines.base import Engine
 from repro.engines.bit import BitEngine
@@ -64,6 +63,7 @@ from repro.formats.shm import (
 )
 from repro.gpusim.counters import KernelStats
 from repro.gpusim.device import DeviceSpec
+from repro.serving.plane import LaunchResult, LaunchSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.cluster import GraphEntry, GraphRegistry
@@ -82,54 +82,15 @@ def _wall_ms() -> float:
     return time.perf_counter() * 1e3
 
 
-# ----------------------------------------------------------------------
-# Queue records — specs and results, never arrays
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LaunchSpec:
-    """One committed batch, as it crosses the task queue.
-
-    Carries query kind/sources/width and the graph *name + version* —
-    the worker resolves those against its attached segments; graph
-    arrays never ride the queue (except under the pickle strawman
-    transport, where they ride next to the spec, per launch, which is
-    the point being benchmarked against).
-    """
-
-    batch_id: int
-    graph: str
-    version: int
-    kind: str
-    sources: tuple[int, ...]
-    width: int
-
-
-@dataclass(frozen=True)
-class LaunchResult:
-    """One completed launch: answer columns plus wall-clock timing."""
-
-    batch_id: int
-    sid: int
-    pid: int
-    wall_ms: float
-    columns: np.ndarray | None
-    iterations: int = 0
-    error: str | None = None
-
-
 @dataclass(frozen=True)
 class GraphPayload:
     """Attach-time description of one exported graph version."""
 
-    graph: str
-    version: int
     n: int
-    tile_dim: int
     device: DeviceSpec
     skip_inactive: bool | str
-    transport: str
-    manifest: ShmManifest | None
-    cc_manifest: ShmManifest | None
+    manifest: ShmManifest
+    cc_manifest: ShmManifest
     locality: float
     cc_locality: float
 
@@ -204,53 +165,21 @@ class _WorkerGraph:
             att.close()
 
 
-def _engines_from_payload(
-    payload: GraphPayload,
-    arrays: tuple[np.ndarray, ...] | None,
-    cc_arrays: tuple[np.ndarray, ...] | None,
-) -> _WorkerGraph:
-    """Build the worker's engines for one graph version.
-
-    ``transport="shm"``: attach both exported segments (CRC-asserted
-    bitwise-identical views, resource-tracker-unregistered).
-    ``transport="pickle"``: adopt the arrays that rode the queue.
-    """
-    if payload.transport == "shm":
-        if payload.manifest is None or payload.cc_manifest is None:
-            raise ValueError("shm transport needs manifests")
-        att = attach(payload.manifest, verify=True)
-        cc_att = attach(payload.cc_manifest, verify=True)
-        engine = ShmBitEngine(
-            att.matrix, payload.n, payload.device,
-            payload.locality, payload.skip_inactive,
-        )
-        cc_engine = ShmBitEngine(
-            cc_att.matrix, payload.n, payload.device,
-            payload.cc_locality, payload.skip_inactive,
-        )
-        return _WorkerGraph(engine, cc_engine, (att, cc_att))
-    if arrays is None or cc_arrays is None:
-        raise ValueError("pickle transport needs per-launch arrays")
-    mats: list[B2SRMatrix] = []
-    for raw in (arrays, cc_arrays):
-        indptr, indices, tiles = (a.copy() for a in raw)
-        for a in (indptr, indices, tiles):
-            a.flags.writeable = False
-        mats.append(
-            B2SRMatrix.from_shared_views(
-                payload.n, payload.n, payload.tile_dim,
-                indptr, indices, tiles,
-            )
-        )
+def _engines_from_payload(payload: GraphPayload) -> _WorkerGraph:
+    """Build the worker's engines for one graph version by attaching
+    both exported segments (CRC-asserted bitwise-identical views,
+    resource-tracker-unregistered)."""
+    att = attach(payload.manifest, verify=True)
+    cc_att = attach(payload.cc_manifest, verify=True)
     engine = ShmBitEngine(
-        mats[0], payload.n, payload.device,
+        att.matrix, payload.n, payload.device,
         payload.locality, payload.skip_inactive,
     )
     cc_engine = ShmBitEngine(
-        mats[1], payload.n, payload.device,
+        cc_att.matrix, payload.n, payload.device,
         payload.cc_locality, payload.skip_inactive,
     )
-    return _WorkerGraph(engine, cc_engine, ())
+    return _WorkerGraph(engine, cc_engine, (att, cc_att))
 
 
 # repro-lint: ignore[modeled-time-purity] — brackets the real kernel launch with the sanctioned timing hook; wall timings are the data plane's output
@@ -278,9 +207,7 @@ def _execute_spec(
 
 
 # repro-lint: ignore[modeled-time-purity] — worker entry point: forwards per-launch wall timings measured by the sanctioned hook
-def worker_main(
-    wid: int, task_q: Any, result_q: Any, transport: str
-) -> None:
+def worker_main(wid: int, task_q: Any, result_q: Any) -> None:
     """Worker process entry point: attach graphs, serve launches.
 
     Message protocol (FIFO per worker, so an ``attach`` for a version
@@ -288,8 +215,7 @@ def worker_main(
 
     * ``("attach", key, payload)`` — map a graph version.
     * ``("retire", key)`` — unmap a version (exporter unlinks).
-    * ``("launch", spec, arrays, cc_arrays)`` — run one batch; arrays
-      are ``None`` except under the pickle strawman transport.
+    * ``("launch", spec)`` — run one batch.
     * ``("stop",)`` — clean shutdown.
     """
     import os
@@ -304,10 +230,8 @@ def worker_main(
             break
         if tag == "attach":
             _, key, payload = msg
-            if payload.transport == "pickle":
-                continue  # pickle transport attaches per launch
             try:
-                graphs[key] = _engines_from_payload(payload, None, None)
+                graphs[key] = _engines_from_payload(payload)
             except Exception:  # pragma: no cover - surfaced per launch
                 attach_errors[key] = traceback.format_exc()
             continue
@@ -319,29 +243,26 @@ def worker_main(
             attach_errors.pop(key, None)
             continue
         if tag == "launch":
-            _, spec, payload, arrays, cc_arrays = msg
+            _, spec = msg
             key = (spec.graph, spec.version)
             try:
-                if arrays is not None:
-                    wg = _engines_from_payload(payload, arrays, cc_arrays)
-                elif key in graphs:
-                    wg = graphs[key]
-                else:
+                if key not in graphs:
                     raise RuntimeError(
                         attach_errors.get(
                             key, f"graph {key!r} was never attached"
                         )
                     )
+                wg = graphs[key]
                 out, iters, wall = _execute_spec(
                     wg.engine, wg.cc_engine, spec
                 )
                 result = LaunchResult(
-                    batch_id=spec.batch_id, sid=wid, pid=pid,
+                    batch_id=spec.batch_id, worker=wid, pid=pid,
                     wall_ms=wall, columns=out, iterations=iters,
                 )
             except Exception:
                 result = LaunchResult(
-                    batch_id=spec.batch_id, sid=wid, pid=pid,
+                    batch_id=spec.batch_id, worker=wid, pid=pid,
                     wall_ms=0.0, columns=None,
                     error=traceback.format_exc(),
                 )
@@ -349,31 +270,6 @@ def worker_main(
             continue
     for wg in graphs.values():
         wg.close()
-
-
-# ----------------------------------------------------------------------
-# Reference answers (verification across the process boundary)
-# ----------------------------------------------------------------------
-def solo_reference(
-    engine: Engine,
-    cc_engine: Engine,
-    kind: str,
-    source: int | None,
-    cache: dict[tuple[str, int | None], Any],
-) -> tuple[np.ndarray, float]:
-    """Standalone answer + modeled ms for one query, memoized exactly
-    like ``QueryBatcher._verify`` (same ``(kind, source)`` keys, so the
-    pool shares the entry's ``singles_cache``)."""
-    key = (kind, source)
-    if key not in cache:
-        if kind == "bfs":
-            cache[key] = bfs(engine, int(source))  # type: ignore[arg-type]
-        elif kind == "sssp":
-            cache[key] = sssp(engine, int(source))  # type: ignore[arg-type]
-        else:
-            cache[key] = connected_components(cc_engine)
-    ref, rep = cache[key]
-    return ref, float(rep.algorithm_ms)
 
 
 # ----------------------------------------------------------------------
@@ -385,37 +281,21 @@ class _Export:
 
     payload: GraphPayload
     exports: tuple[ShmGraphExport, ...]
-    arrays: tuple[np.ndarray, ...] | None
-    cc_arrays: tuple[np.ndarray, ...] | None
     inflight: int = 0
     retired: bool = False
 
 
-@dataclass
-class _Serial:
-    """In-process fallback backend: same specs, same execution path."""
-
-    entries: dict[tuple[str, int], "GraphEntry"] = field(
-        default_factory=dict
-    )
-
-    # repro-lint: ignore[modeled-time-purity] — serial fallback runs the same wall-timed launch path as the workers
-    def submit(self, spec: LaunchSpec) -> LaunchResult:
-        entry = self.entries[(spec.graph, spec.version)]
-        try:
-            out, iters, wall = _execute_spec(
-                entry.engine, entry.cc_engine, spec
-            )
-            return LaunchResult(
-                batch_id=spec.batch_id, sid=0, pid=0,
-                wall_ms=wall, columns=out, iterations=iters,
-            )
-        except Exception:
-            return LaunchResult(
-                batch_id=spec.batch_id, sid=0, pid=0,
-                wall_ms=0.0, columns=None,
-                error=traceback.format_exc(),
-            )
+def _b2sr_operands(entry: "GraphEntry") -> tuple[B2SRMatrix, B2SRMatrix]:
+    """The entry's exportable B2SR operands (bfs/sssp, then cc)."""
+    At = getattr(entry.engine, "_At", None)
+    cc_At = getattr(entry.cc_engine, "_At", None)
+    if not isinstance(At, B2SRMatrix) or not isinstance(cc_At, B2SRMatrix):
+        raise ValueError(
+            f"graph {entry.name!r} v{entry.version} has no B2SR operand "
+            "to export; WorkerPool serves BitEngine registrations only "
+            "(serve other engines in-process)"
+        )
+    return At, cc_At
 
 
 class WorkerPool:
@@ -426,15 +306,15 @@ class WorkerPool:
     registry:
         The serving graphs; every current entry is published (exported
         to shared memory and attached by every worker) at construction,
-        and epoch swaps publish new versions via :meth:`publish`.
+        and epoch swaps publish new versions via :meth:`publish`.  Every
+        entry must be B2SR-backed (a :class:`BitEngine` registration).
     processes:
-        Worker count.  ``0`` — or an unavailable POSIX shm layer —
-        falls back to the in-process serial backend with one warning.
-    transport:
-        ``"shm"`` (zero-copy, default) or ``"pickle"`` (arrays ride the
-        queue per launch; the bench strawman).
+        Worker count, at least 1 (default: one fewer than the CPUs).
     timeout_s:
         Drain gives up on a batch after this long without progress.
+
+    Raises ``ValueError`` for ``processes < 1`` or a non-B2SR entry and
+    ``RuntimeError`` on a host without POSIX shared memory.
     """
 
     def __init__(
@@ -442,39 +322,25 @@ class WorkerPool:
         registry: "GraphRegistry",
         *,
         processes: int | None = None,
-        transport: str = "shm",
         timeout_s: float = 120.0,
     ) -> None:
-        if transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pickle', got {transport!r}"
-            )
         if processes is None:
             processes = max(1, (mp.cpu_count() or 1) - 1)
-        if processes < 0:
-            raise ValueError(f"processes must be >= 0, got {processes}")
-        if processes > 0 and transport == "shm" and not shm_available():
-            warnings.warn(
-                "POSIX shared memory is unavailable; WorkerPool falls "
-                "back to the in-process serial backend",
-                RuntimeWarning,
-                stacklevel=2,
+        if processes < 1:
+            raise ValueError(
+                f"WorkerPool needs processes >= 1, got {processes}; "
+                "serve in-process by passing no data plane"
             )
-            processes = 0
-        elif processes == 0:
-            warnings.warn(
-                "WorkerPool(processes=0): running the in-process serial "
-                "backend (no worker processes)",
-                RuntimeWarning,
-                stacklevel=2,
+        if not shm_available():
+            raise RuntimeError(
+                "WorkerPool needs POSIX shared memory, which this host "
+                "lacks; serve in-process by passing no data plane"
             )
-        self.registry = registry
+        for name in registry.names:
+            _b2sr_operands(registry[name])
         self.processes = processes
-        self.transport = transport
         self.timeout_s = float(timeout_s)
-        self.backend = "serial" if processes == 0 else "process"
         self._exports: dict[tuple[str, int], _Export] = {}
-        self._serial = _Serial()
         self._results: dict[int, LaunchResult] = {}
         self._assigned: dict[int, int] = {}
         self._specs: dict[int, LaunchSpec] = {}
@@ -482,7 +348,6 @@ class WorkerPool:
         self._closed = False
         self._procs: list[Any] = []
         self._task_qs: list[Any] = []
-        self._result_q: Any = None
         # Fault-injection bookkeeping: each revive bumps the worker's
         # incarnation so batches queued to a dead incarnation fail at
         # drain instead of hanging; per-worker wall timings accumulate
@@ -490,22 +355,31 @@ class WorkerPool:
         self._worker_epoch: list[int] = [0] * processes
         self._launch_epoch: dict[int, int] = {}
         self._wall_stats: dict[int, tuple[float, int]] = {}
-        if self.backend == "process":
-            ctx = mp.get_context("spawn")
-            self._result_q = ctx.Queue()
-            for wid in range(processes):
-                tq = ctx.Queue()
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(wid, tq, self._result_q, transport),
-                    daemon=True,
-                    name=f"repro-worker-{wid}",
-                )
-                proc.start()
-                self._task_qs.append(tq)
-                self._procs.append(proc)
+        self._result_q = mp.get_context("spawn").Queue()
+        for wid in range(processes):
+            self._spawn(wid)
         for name in registry.names:
             self.publish(registry[name])
+
+    def _spawn(self, wid: int) -> Any:
+        """Start worker ``wid`` on a fresh task queue; returns the
+        queue it replaced (``None`` on first spawn)."""
+        ctx = mp.get_context("spawn")
+        tq = ctx.Queue()
+        proc = ctx.Process(
+            target=worker_main,
+            args=(wid, tq, self._result_q),
+            daemon=True,
+            name=f"repro-worker-{wid}",
+        )
+        proc.start()
+        if wid < len(self._procs):
+            old_q, self._task_qs[wid] = self._task_qs[wid], tq
+            self._procs[wid] = proc
+            return old_q
+        self._task_qs.append(tq)
+        self._procs.append(proc)
+        return None
 
     # -- lifecycle -----------------------------------------------------
     def publish(self, entry: "GraphEntry") -> None:
@@ -519,52 +393,16 @@ class WorkerPool:
         key = (entry.name, entry.version)
         if key in self._exports or self._closed:
             return
-        engine = entry.engine
-        cc_engine = entry.cc_engine
-        At = getattr(engine, "_At", None)
-        cc_At = getattr(cc_engine, "_At", None)
-        if self.backend == "serial" or At is None or cc_At is None:
-            # Serial fallback — and non-B2SR engines, which have no
-            # exportable tile arrays — execute on the entry's own
-            # in-process engines.
-            self._serial.entries[key] = entry
-            self._exports[key] = _Export(
-                payload=GraphPayload(
-                    graph=entry.name, version=entry.version,
-                    n=engine.n, tile_dim=getattr(engine, "tile_dim", 32),
-                    device=engine.device,
-                    skip_inactive=getattr(engine, "skip_inactive", True),
-                    transport="serial",
-                    manifest=None, cc_manifest=None,
-                    locality=0.0, cc_locality=0.0,
-                ),
-                exports=(), arrays=None, cc_arrays=None,
-            )
-            return
-        exports: tuple[ShmGraphExport, ...] = ()
-        manifest = cc_manifest = None
-        arrays = cc_arrays = None
-        if self.transport == "shm":
-            exp = ShmGraphExport(At)
-            cc_exp = ShmGraphExport(cc_At)
-            exports = (exp, cc_exp)
-            manifest, cc_manifest = exp.manifest, cc_exp.manifest
-        else:
-            arrays = (At.indptr, At.indices, At.tiles)
-            cc_arrays = (cc_At.indptr, cc_At.indices, cc_At.tiles)
+        At, cc_At = _b2sr_operands(entry)
+        exp, cc_exp = ShmGraphExport(At), ShmGraphExport(cc_At)
         payload = GraphPayload(
-            graph=entry.name, version=entry.version,
-            n=engine.n, tile_dim=At.tile_dim, device=engine.device,
-            skip_inactive=getattr(engine, "skip_inactive", True),
-            transport=self.transport,
-            manifest=manifest, cc_manifest=cc_manifest,
-            locality=float(getattr(engine, "_locality", 0.0)),
-            cc_locality=float(getattr(cc_engine, "_locality", 0.0)),
+            n=entry.engine.n, device=entry.engine.device,
+            skip_inactive=getattr(entry.engine, "skip_inactive", True),
+            manifest=exp.manifest, cc_manifest=cc_exp.manifest,
+            locality=float(getattr(entry.engine, "_locality", 0.0)),
+            cc_locality=float(getattr(entry.cc_engine, "_locality", 0.0)),
         )
-        self._exports[key] = _Export(
-            payload=payload, exports=exports,
-            arrays=arrays, cc_arrays=cc_arrays,
-        )
+        self._exports[key] = _Export(payload=payload, exports=(exp, cc_exp))
         for tq in self._task_qs:
             tq.put(("attach", key, payload))
 
@@ -589,7 +427,6 @@ class WorkerPool:
             tq.put(("retire", key))
         for e in exp.exports:
             e.unlink()
-        self._serial.entries.pop(key, None)
 
     def close(self) -> None:
         """Stop workers and unlink every remaining segment
@@ -611,11 +448,9 @@ class WorkerPool:
             exp = self._exports.pop(key)
             for e in exp.exports:
                 e.unlink()
-        self._serial.entries.clear()
         for tq in self._task_qs:
             tq.close()
-        if self._result_q is not None:
-            self._result_q.close()
+        self._result_q.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -634,16 +469,21 @@ class WorkerPool:
         (leak checks)."""
         return list_segments()
 
+    def describe(self) -> dict[str, Any]:
+        """Backend facts for ``report.extra["data_plane"]``."""
+        return {
+            "backend": "process",
+            "processes": self.processes,
+            "measured_speeds": self.measured_speeds(),
+        }
+
     # -- fault injection -----------------------------------------------
     def kill_worker(self, sid: int) -> bool:
         """Fault injection: SIGKILL the worker process pinned to server
         ``sid`` (``sid % processes`` — with fewer workers than servers
         the kill hits every server sharing that worker).  The dead
         worker's unanswered batches surface as ``error`` results at the
-        next :meth:`drain`; live workers are unaffected.  Returns
-        ``False`` on the serial backend (nothing to kill)."""
-        if self.backend != "process":
-            return False
+        next :meth:`drain`; live workers are unaffected."""
         proc = self._procs[sid % self.processes]
         if proc.is_alive():
             os.kill(proc.pid, signal.SIGKILL)
@@ -656,38 +496,21 @@ class WorkerPool:
         Launches queued to the dead incarnation do not replay — they
         fail at the next :meth:`drain` (the router's recovery path
         re-executes them).  Returns ``True`` when a respawn happened."""
-        if self.backend != "process" or self._closed:
-            return False
         wid = sid % self.processes
-        if self._procs[wid].is_alive():
+        if self._closed or self._procs[wid].is_alive():
             return False
-        ctx = mp.get_context("spawn")
-        old_q = self._task_qs[wid]
-        tq = ctx.Queue()
-        proc = ctx.Process(
-            target=worker_main,
-            args=(wid, tq, self._result_q, self.transport),
-            daemon=True,
-            name=f"repro-worker-{wid}",
-        )
-        proc.start()
-        self._task_qs[wid] = tq
-        self._procs[wid] = proc
+        old_q = self._spawn(wid)
         self._worker_epoch[wid] += 1
         try:
             old_q.close()
         except (OSError, ValueError):  # pragma: no cover - defensive
             pass
         for key, exp in self._exports.items():
-            if exp.payload.transport != "serial":
-                tq.put(("attach", key, exp.payload))
+            self._task_qs[wid].put(("attach", key, exp.payload))
         return True
 
     def worker_alive(self, sid: int) -> bool:
-        """Is the worker pinned to server ``sid`` alive?  (Serial
-        backend: always — launches run in-process.)"""
-        if self.backend != "process":
-            return True
+        """Is the worker pinned to server ``sid`` alive?"""
         return bool(self._procs[sid % self.processes].is_alive())
 
     def measured_speeds(self) -> dict[int, float]:
@@ -715,10 +538,9 @@ class WorkerPool:
         self._next_batch_id += 1
         return self._next_batch_id
 
-    # repro-lint: ignore[modeled-time-purity] — the serial fallback executes the wall-timed launch path inline; the process backend only enqueues
     def submit(self, sid: int, spec: LaunchSpec) -> None:
         """Queue one committed batch on the worker pinned to server
-        ``sid`` (serial backend: execute immediately in-process)."""
+        ``sid``; its result arrives at :meth:`drain`."""
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         key = (spec.graph, spec.version)
@@ -726,26 +548,11 @@ class WorkerPool:
         if exp is None:
             raise KeyError(f"graph version {key!r} was never published")
         self._specs[spec.batch_id] = spec
-        if self.backend == "serial":
-            res = self._serial.submit(spec)
-            self._results[spec.batch_id] = res
-            self._note_wall(res)
-            return
         exp.inflight += 1
         wid = sid % self.processes
         self._assigned[spec.batch_id] = wid
         self._launch_epoch[spec.batch_id] = self._worker_epoch[wid]
-        if self.transport == "pickle":
-            self._task_qs[wid].put(
-                ("launch", spec, exp.payload, exp.arrays, exp.cc_arrays)
-            )
-        else:
-            self._task_qs[wid].put(("launch", spec, None, None, None))
-
-    @property
-    def outstanding(self) -> int:
-        """Batches submitted but not yet collected by :meth:`drain`."""
-        return len(self._specs) - len(self._results)
+        self._task_qs[wid].put(("launch", spec))
 
     def drain(self) -> dict[int, LaunchResult]:
         """Collect every outstanding result; returns results by
@@ -757,9 +564,7 @@ class WorkerPool:
         """
         idle_polls = 0
         max_polls = max(1, int(self.timeout_s / _POLL_S))
-        while self.outstanding > 0:
-            if self.backend == "serial":  # pragma: no cover - defensive
-                break
+        while len(self._results) < len(self._specs):
             try:
                 res: LaunchResult = self._result_q.get(timeout=_POLL_S)
             except queue_mod.Empty:
@@ -767,9 +572,6 @@ class WorkerPool:
                 self._fail_dead_workers()
                 if idle_polls >= max_polls:
                     self._fail_outstanding("drain timed out")
-                break_out = self.outstanding == 0
-                if break_out:
-                    break
                 continue
             idle_polls = 0
             self._record(res)
@@ -788,20 +590,17 @@ class WorkerPool:
 
     def _record(self, res: LaunchResult) -> None:
         self._results[res.batch_id] = res
-        self._note_wall(res)
+        if res.error is None and res.wall_ms > 0.0:
+            # Fold the launch's wall timing into the per-worker speed
+            # books (see measured_speeds).
+            total, n = self._wall_stats.get(res.worker, (0.0, 0))
+            self._wall_stats[res.worker] = (total + res.wall_ms, n + 1)
         spec = self._specs.get(res.batch_id)
         if spec is None:  # pragma: no cover - unknown batch
             return
         exp = self._exports.get((spec.graph, spec.version))
         if exp is not None:
             exp.inflight = max(0, exp.inflight - 1)
-
-    def _note_wall(self, res: LaunchResult) -> None:
-        """Fold one successful launch's wall timing into the per-worker
-        speed books (see :meth:`measured_speeds`)."""
-        if res.error is None and res.wall_ms > 0.0:
-            total, n = self._wall_stats.get(res.sid, (0.0, 0))
-            self._wall_stats[res.sid] = (total + res.wall_ms, n + 1)
 
     def _fail_dead_workers(self) -> None:
         for bid, wid in list(self._assigned.items()):
@@ -816,7 +615,7 @@ class WorkerPool:
             if stale or not self._procs[wid].is_alive():
                 self._record(
                     LaunchResult(
-                        batch_id=bid, sid=wid, pid=0, wall_ms=0.0,
+                        batch_id=bid, worker=wid, pid=0, wall_ms=0.0,
                         columns=None,
                         error=f"worker {wid} died mid-batch",
                     )
@@ -827,7 +626,7 @@ class WorkerPool:
             if bid not in self._results:
                 self._record(
                     LaunchResult(
-                        batch_id=bid, sid=-1, pid=0, wall_ms=0.0,
+                        batch_id=bid, worker=-1, pid=0, wall_ms=0.0,
                         columns=None, error=why,
                     )
                 )
@@ -836,10 +635,7 @@ class WorkerPool:
 __all__ = [
     "TIMING_HOOKS",
     "GraphPayload",
-    "LaunchSpec",
-    "LaunchResult",
     "ShmBitEngine",
     "WorkerPool",
-    "solo_reference",
     "worker_main",
 ]

@@ -14,7 +14,6 @@ from repro.serving import (
     PLACEMENTS,
     POLICIES,
     Router,
-    Scheduler,
     ServiceEstimator,
     Server,
     multi_graph_poisson_stream,
@@ -370,32 +369,6 @@ class TestRouterServing:
         outcomes, rep = router.run(stream, verify=True)
         assert rep.batches == 2
         assert all(o.batch_width == 2 for o in outcomes)
-
-    def test_single_server_router_matches_scheduler(self):
-        """The Scheduler *is* the 1-server router: identical outcomes,
-        launches, and accounting on the same stream."""
-        g = hybrid_pattern(200, seed=4)
-        engine = BitEngine(g, tile_dim=16)
-        cc_engine = BitEngine(g.symmetrized(), tile_dim=16)
-        stream = poisson_stream(200, requests=20, rate_qps=3000, seed=2)
-
-        sched = Scheduler(engine, cc_engine=cc_engine, max_batch=16)
-        s_out, s_rep = sched.run(stream, verify=True)
-
-        reg = GraphRegistry(max_batch=16)
-        reg.add_engines("default", engine, cc_engine=cc_engine)
-        router = Router(reg, n_servers=1)
-        r_out, r_rep = router.run(stream, verify=True)
-
-        assert len(s_out) == len(r_out)
-        for so, ro in zip(s_out, r_out, strict=True):
-            assert so.launch_ms == pytest.approx(ro.launch_ms)
-            assert so.finish_ms == pytest.approx(ro.finish_ms)
-            assert so.batch_width == ro.batch_width
-            assert np.array_equal(so.result, ro.result, equal_nan=True)
-        assert s_rep.batches == r_rep.batches
-        assert s_rep.busy_ms == pytest.approx(r_rep.busy_ms)
-        assert s_rep.slo_attainment == r_rep.slo_attainment
 
     def test_outcomes_record_server_and_resolved_graph(self):
         reg = make_registry(sizes=(120,))

@@ -9,23 +9,21 @@ The headline contracts:
   admitted against the same epoch;
 * in-flight batches finish (and verify bitwise) on the version they
   were admitted against, while arrivals after a swap see the new epoch;
-* ``compare_placements`` / ``Scheduler.compare`` score every candidate
-  from the same estimator state, so reports are identical whatever the
-  comparison order, and the registry is left untouched.
+* ``compare_placements`` scores every candidate from the same
+  estimator state, so reports are identical whatever the comparison
+  order, and the registry is left untouched.
 """
 
 import numpy as np
 import pytest
 
 from repro.datasets.generators import hybrid_pattern, road_pattern
-from repro.engines import BitEngine
 from repro.serving import (
     GraphRegistry,
     GraphStore,
     Ingester,
     MutationBatch,
     Router,
-    Scheduler,
     multi_graph_poisson_stream,
     mutation_trace,
     poisson_stream,
@@ -254,25 +252,6 @@ class TestEstimatorHygiene:
         before = store.estimator_state()
         router.compare_placements(self._stream())
         assert store.estimator_state() == before
-
-    def test_scheduler_compare_leaves_state_untouched(self):
-        g = hybrid_pattern(160, seed=2)
-        sched = Scheduler(BitEngine(g, tile_dim=16))
-        stream = poisson_stream(160, requests=16, seed=4)
-        sched.run(stream)
-        before = sched.registry.estimator_state()
-        sched.compare(stream)
-        assert sched.registry.estimator_state() == before
-
-    def test_scheduler_compare_cells_match_solo_runs(self):
-        g = hybrid_pattern(160, seed=2)
-        stream = poisson_stream(160, requests=16, seed=4)
-        compared = Scheduler(BitEngine(g, tile_dim=16)).compare(stream)
-        for name, (_, rep) in compared.items():
-            _, solo = Scheduler(BitEngine(g, tile_dim=16)).run(
-                stream, policy=name
-            )
-            assert rep == solo
 
 
 # ----------------------------------------------------------------------

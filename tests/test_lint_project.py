@@ -11,6 +11,7 @@ import ast
 import json
 import os
 import time
+from pathlib import Path
 
 from repro.lint import (
     get_rules,
@@ -798,6 +799,43 @@ class TestFailurePathVerify:
             }
         )
         assert hits == []
+
+
+# ----------------------------------------------------------------------
+# Serving rules over the real tree
+# ----------------------------------------------------------------------
+class TestServingRuleScope:
+    """``failure-path-verify`` only inspects recovery-named functions and
+    ``worker-queue-discipline`` only what ``worker_main`` reaches, so a
+    rename could leave either rule silently green.  Index the real
+    ``src/`` tree and pin both scopes."""
+
+    def test_router_recovery_and_worker_paths_in_scope(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        index = ProjectIndex(
+            analyze_file(p.read_text(), p, []).summary
+            for p in sorted(src.rglob("*.py"))
+        )
+        (rule,) = get_rules("failure-path-verify")
+        ctl = "repro.serving.cluster._RouterController"
+        for name in ("_requeue_inflight", "_reexecute_lost"):
+            fn = index.functions[f"{ctl}.{name}"]
+            assert any(m in fn.name for m in rule._RECOVERY_MARKS)
+            assert rule.applies_to(index.path_of(fn.qualname))
+        cluster = index.modules["repro.serving.cluster"]
+        assert rule.check_module(index, cluster) == []
+
+        reach = index.worker_reachable
+        assert "repro.serving.parallel.worker_main" in reach
+        assert "repro.serving.parallel._execute_spec" in reach
+        for qual in reach:
+            assert index.function_module[qual] not in (
+                "repro.serving.cluster",
+                "repro.serving.batcher",
+            ), index.worker_path(qual)
+            assert not qual.startswith(
+                "repro.serving.plane.InProcessPlane."
+            ), index.worker_path(qual)
 
 
 # ----------------------------------------------------------------------

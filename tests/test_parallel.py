@@ -1,7 +1,8 @@
-"""Real-parallel data plane (repro.serving.parallel): worker-pool
+"""Data planes (repro.serving.plane, repro.serving.parallel): worker-pool
 execution under the Router, bitwise verification across the process
-boundary, epoch-swap segment lifecycle, serial fallback, and crash
-containment with leak-free teardown."""
+boundary, epoch-swap segment lifecycle, the in-process plane and the
+CLI's fallback to it, crash containment with leak-free teardown, and a
+seeded differential run of both planes under faults and epoch swaps."""
 
 import os
 import signal
@@ -11,14 +12,19 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.algorithms import bfs, connected_components, sssp
+from repro.cli import main
 from repro.formats.shm import list_segments, shm_available
 from repro.graph import Graph
 from repro.serving import (
     GraphStore,
+    InProcessPlane,
     LaunchSpec,
     Router,
     WorkerPool,
+    chaos_plan,
     multi_graph_poisson_stream,
+    mutation_trace,
 )
 from repro.serving.arrivals import MutationBatch
 from repro.serving.cluster import GraphRegistry
@@ -72,49 +78,83 @@ def specs_for(pool, entry, kinds=("bfs", "sssp", "cc")):
     return out
 
 
+CLUSTER_ARGS = [
+    "cluster", "gen:hybrid:120", "gen:road:120", "--servers", "2",
+    "--requests", "12", "--rate", "3000",
+]
+
+
 class TestSerialFallback:
-    def test_processes_zero_warns_once_and_matches_solo(self):
+    """Serving without worker processes: the in-process plane, which
+    ``repro cluster`` uses for ``--workers 0`` and falls back to on a
+    host without POSIX shared memory."""
+
+    def test_workers_zero_serves_in_process(self, capsys):
         reg = GraphRegistry()
         entry = reg.add("g", random_graph(3))
+        with pytest.raises(ValueError, match="processes >= 1"):
+            WorkerPool(reg, processes=0)
+        plane = InProcessPlane(reg)
+        for i, spec in enumerate(specs_for(plane, entry)):
+            res = plane.submit(i, spec)
+            # finished at once, modeled time only: no clock was read
+            assert res.error is None and res.wall_ms == 0.0
+            assert res.modeled_ms > 0.0
+            if spec.kind == "cc":
+                ref, _ = connected_components(entry.cc_engine)
+                assert np.array_equal(res.columns, ref, equal_nan=True)
+            for j, src in enumerate(spec.sources):
+                ref, _ = (bfs if spec.kind == "bfs" else sssp)(
+                    entry.engine, src
+                )
+                assert np.array_equal(
+                    res.columns[:, j], ref, equal_nan=True
+                )
+        assert plane.drain() == {}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pool = WorkerPool(reg, processes=0)
-        fallback = [
-            w for w in caught if "serial backend" in str(w.message)
-        ]
-        assert len(fallback) == 1
-        assert pool.backend == "serial"
-        for i, spec in enumerate(specs_for(pool, entry)):
-            pool.submit(i, spec)
-        results = pool.drain()
-        assert all(r.error is None for r in results.values())
-        assert all(r.wall_ms > 0 for r in results.values())
-        pool.close()
-        assert_no_segments()
+            assert main([*CLUSTER_ARGS, "--workers", "0"]) == 0
+        assert not [w for w in caught if "in-process" in str(w.message)]
+        out = capsys.readouterr().out
+        assert "verified bit-identical" in out
+        assert "data plane" not in out
 
-    def test_unavailable_shm_falls_back(self, monkeypatch):
+    def test_unavailable_shm_falls_back(self, monkeypatch, capsys):
         import repro.serving.parallel as par
 
+        assert main(CLUSTER_ARGS) == 0
+        in_process = capsys.readouterr().out
         monkeypatch.setattr(par, "shm_available", lambda: False)
         reg = GraphRegistry()
         reg.add("g", random_graph(3))
-        with pytest.warns(RuntimeWarning, match="serial backend"):
-            pool = WorkerPool(reg, processes=2)
-        assert pool.backend == "serial"
-        pool.close()
+        with pytest.raises(RuntimeError, match="shared memory"):
+            WorkerPool(reg, processes=2)
+        with pytest.warns(RuntimeWarning, match="serving in-process") as w:
+            assert main([*CLUSTER_ARGS, "--workers", "2"]) == 0
+        assert sum("serving in-process" in str(x.message) for x in w) == 1
+        assert capsys.readouterr().out == in_process
 
     def test_router_serial_plane_bitwise(self):
         store = make_store()
         router = Router(store, n_servers=2)
         stream = make_stream(requests=16)
-        out0, _ = router.run(stream, verify=True)
-        with pytest.warns(RuntimeWarning):
-            pool = WorkerPool(store, processes=0)
-        out1, rep1 = router.run(stream, verify=True, data_plane=pool)
-        pool.close()
-        assert rep1.extra["data_plane"]["backend"] == "serial"
-        for a, b in zip(out0, out1):
+        base = store.estimator_state()
+        out0, rep0 = router.run(stream, verify=True)
+        store.restore_estimator_state(base)
+        out1, rep1 = router.run(
+            stream, verify=True, data_plane=InProcessPlane(store)
+        )
+        # the default plane *is* the in-process plane: same answers and
+        # the same measured-modeled timeline, and no data-plane rows
+        assert "data_plane" not in rep0.extra
+        assert "data_plane" not in rep1.extra
+        assert rep0.busy_ms == rep1.busy_ms
+        for a, b in zip(out0, out1, strict=True):
             assert np.array_equal(a.result, b.result, equal_nan=True)
+            assert (a.launch_ms, a.finish_ms, a.server) == (
+                b.launch_ms, b.finish_ms, b.server
+            )
+            assert a.baseline_ms is not None
         assert_no_segments()
 
 
@@ -135,17 +175,6 @@ class TestWorkerPool:
         assert {r["sid"] for r in dp["launches"]} <= {0, 1}
         for a, b in zip(out0, out1):
             assert np.array_equal(a.result, b.result, equal_nan=True)
-        assert_no_segments()
-
-    def test_pickle_transport_matches(self):
-        reg = GraphRegistry()
-        entry = reg.add("g", random_graph(4))
-        with WorkerPool(reg, processes=1, transport="pickle") as pool:
-            assert pool.segments() in (None, [])  # nothing exported
-            for i, spec in enumerate(specs_for(pool, entry)):
-                pool.submit(i, spec)
-            results = pool.drain()
-            assert all(r.error is None for r in results.values())
         assert_no_segments()
 
     def test_epoch_swap_exports_and_retires(self):
@@ -178,9 +207,7 @@ class TestWorkerPool:
     def test_unpublished_version_rejected(self):
         reg = GraphRegistry()
         reg.add("g", random_graph(4))
-        with pytest.warns(RuntimeWarning), WorkerPool(
-            reg, processes=0
-        ) as pool:
+        with WorkerPool(reg, processes=1) as pool:
             with pytest.raises(KeyError, match="never published"):
                 pool.submit(
                     0,
@@ -309,15 +336,14 @@ class TestFaultInjection:
             assert not pool.revive_worker(0)  # alive: nothing to do
         assert_no_segments()
 
-    def test_serial_backend_has_nothing_to_kill(self):
+    def test_in_process_plane_has_nothing_to_kill(self):
         reg = GraphRegistry()
         reg.add("g", random_graph(4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with WorkerPool(reg, processes=0) as pool:
-                assert not pool.kill_worker(0)
-                assert not pool.revive_worker(0)
-                assert pool.worker_alive(0)
+        plane = InProcessPlane(reg)
+        assert not plane.kill_worker(0)
+        assert not plane.revive_worker(0)
+        assert plane.worker_alive(0)
+        assert plane.describe() is None
 
     def test_stale_incarnation_batches_fail_not_hang(self):
         reg = GraphRegistry()
@@ -390,3 +416,97 @@ class TestFaultInjection:
         finally:
             pool.close()
         assert_no_segments()
+
+
+@needs_shm
+class TestPlaneRouting:
+    def test_reexecuted_outcomes_name_the_resubmit_server(self):
+        """Fewer workers than servers: server 1's worker is dead before
+        the run, so graph ``b`` (affinity home: server 1) loses every
+        launch and the router re-executes them on the least busy
+        surviving server.  Outcomes and launch rows must name that
+        server, not the worker index that ran the launch."""
+        reg = GraphRegistry()
+        for i, name in enumerate(("a", "b", "c")):
+            reg.add(name, random_graph(20 + i))
+        stream = multi_graph_poisson_stream(
+            {"a": 120, "b": 120, "c": 120}, requests=24,
+            rate_qps=400.0, seed=3,
+        )
+        router = Router(reg, n_servers=3, placement="affinity")
+        with WorkerPool(reg, processes=2, timeout_s=30.0) as pool:
+            pool.kill_worker(1)
+            out, rep = router.run(stream, verify=True, data_plane=pool)
+        dp = rep.extra["data_plane"]
+        assert dp["reexecutions"] > 0 and not dp["failed"]
+        # the re-execution target: least modeled busy time among the
+        # servers whose worker survived (0 and 2 share worker 0)
+        target = min((0, 2), key=lambda sid: (rep.server_busy_ms[sid], sid))
+        assert target == 2
+        lost = [o for o in out if o.arrival.graph == "b"]
+        assert lost and all(o.retries == 1 for o in lost)
+        assert {o.server for o in lost} == {target}
+        moved = [r for r in dp["launches"] if r["retries"]]
+        assert {(r["sid"], r["worker"]) for r in moved} == {(2, 0)}
+        assert all(o.result is not None for o in out)
+        assert_no_segments()
+
+
+def _served_xor_failed(outcomes, stream, rep):
+    assert len(outcomes) == len(stream)
+    failed = 0
+    for o, a in zip(outcomes, stream, strict=True):
+        assert o.arrival == a
+        assert (o.result is None) == (o.failure is not None)
+        failed += o.failure is not None
+    assert rep.failed == failed
+    return {i for i, o in enumerate(outcomes) if o.failure is None}
+
+
+@needs_shm
+@pytest.mark.parametrize("seed", [0, 1])
+def test_planes_agree_under_chaos_and_swaps(seed):
+    """One seeded stream through the in-process plane and through two
+    worker processes, with a crash/recover plan and epoch swaps on both
+    graphs, every answer verified.  Modeled timelines differ by design
+    (measured modeled time vs estimates), so only answers and
+    accounting are compared."""
+    stream = make_stream(requests=32, seed=seed)
+    horizon = stream[-1].time_ms
+    faults = chaos_plan(2, horizon, crashes=1, seed=seed)
+
+    def run(make_plane):
+        store = make_store()
+        muts = []
+        for j, name in enumerate(store.names):
+            muts += mutation_trace(
+                store[name].graph, batches=2, batch_size=6,
+                start_ms=horizon * (0.25 + 0.1 * j), gap_ms=horizon / 3,
+                seed=seed + j, name=name,
+            )
+        plane = make_plane(store)
+        try:
+            out, rep = Router(store, n_servers=2).run(
+                stream, verify=True, mutations=muts, faults=faults,
+                data_plane=plane,
+            )
+        finally:
+            if plane is not None:
+                plane.close()
+        assert rep.swaps == len(muts) and rep.faults >= 1
+        return out, rep
+
+    out0, rep0 = run(lambda store: None)
+    out1, rep1 = run(
+        lambda store: WorkerPool(store, processes=2, timeout_s=60.0)
+    )
+    served0 = _served_xor_failed(out0, stream, rep0)
+    served1 = _served_xor_failed(out1, stream, rep1)
+    both = served0 & served1
+    assert both
+    for i in both:
+        assert out0[i].version == out1[i].version
+        assert np.array_equal(
+            out0[i].result, out1[i].result, equal_nan=True
+        ), i
+    assert_no_segments()

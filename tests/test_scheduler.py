@@ -1,5 +1,6 @@
-"""Tests for the online SLO-aware scheduler (repro.serving.scheduler)
-and the arrival-stream generators (repro.serving.arrivals)."""
+"""Tests for online SLO-aware scheduling — one graph on a one-server
+:class:`repro.serving.cluster.Router` — and the arrival-stream
+generators (repro.serving.arrivals)."""
 
 import numpy as np
 import pytest
@@ -8,21 +9,37 @@ from repro.algorithms import bfs, connected_components, sssp
 from repro.datasets.generators import hybrid_pattern
 from repro.engines import BitEngine
 from repro.serving import (
+    POLICIES,
     Arrival,
-    Scheduler,
+    GraphRegistry,
+    Router,
     poisson_stream,
     trace_stream,
 )
-from repro.serving.scheduler import POLICIES
 
 
-def make_scheduler(n=200, seed=4, tile_dim=16, **kwargs):
+def make_scheduler(
+    n=200, seed=4, tile_dim=16, max_batch=64, slack_factor=1.5
+):
+    """One graph on one server: the single-backend online scheduler."""
     g = hybrid_pattern(n, seed=seed)
     engine = BitEngine(g, tile_dim=tile_dim)
     cc_engine = BitEngine(g.symmetrized(), tile_dim=tile_dim)
-    return g, engine, cc_engine, Scheduler(
-        engine, cc_engine=cc_engine, **kwargs
-    )
+    registry = GraphRegistry(max_batch=max_batch)
+    registry.add_engines("g", engine, cc_engine=cc_engine)
+    router = Router(registry, n_servers=1, slack_factor=slack_factor)
+    return g, engine, cc_engine, router
+
+
+def run_policies(router, stream, *, verify=False):
+    """Every admission policy on one stream, each starting from the
+    same learned service estimates."""
+    base = router.registry.estimator_state()
+    results = {}
+    for name in POLICIES:
+        router.registry.restore_estimator_state(base)
+        results[name] = router.run(stream, policy=name, verify=verify)
+    return results
 
 
 class TestArrivals:
@@ -101,9 +118,8 @@ class TestSchedulerEdgeCases:
             s.run([], policy="edf")
 
     def test_bad_slack_factor_rejected(self):
-        _, engine, _, _ = make_scheduler()
         with pytest.raises(ValueError, match="slack_factor"):
-            Scheduler(engine, slack_factor=0.5)
+            make_scheduler(slack_factor=0.5)
 
     def test_max_batch_one_degenerates_to_fcfs(self):
         """With join capacity 1 every query is its own launch, served in
@@ -235,7 +251,7 @@ class TestPoliciesAndReports:
     def test_compare_runs_all_policies(self):
         _, _, _, s = make_scheduler()
         stream = poisson_stream(200, requests=24, rate_qps=2000, seed=2)
-        results = s.compare(stream, verify=True)
+        results = run_policies(s, stream, verify=True)
         assert set(results) == set(POLICIES)
         for _, rep in results.values():
             assert rep.served == 24
@@ -265,7 +281,7 @@ class TestPoliciesAndReports:
             200, requests=64, rate_qps=6000, slo_ms=6.0,
             urgent_slo_ms=3.0, seed=7,
         )
-        results = s.compare(stream)
+        results = run_policies(s, stream)
         _, slo_rep = results["slo"]
         _, fcfs_rep = results["fcfs"]
         assert slo_rep.slo_attainment > fcfs_rep.slo_attainment
