@@ -24,13 +24,9 @@ without writing Python:
   stream, batches never mixing versions) or offline through the
   bounded-retry ingestion loop;
 * ``lint``     — the repo-specific invariant linter: per-file AST rules
-  (numeric-cliff, b2sr-immutability, b2sr-from-tiles, seeded-rng,
-  paper-faithful-skip, verify-contract, hot-path-scatter) plus
-  cross-module call-graph rules (hook-ordering, estimator-hygiene,
-  modeled-time-purity, shared-state-determinism, failure-path-verify),
-  with per-rule inline
-  suppressions, an mtime+hash warm-run cache, ``--baseline`` diffing
-  and text/JSON/SARIF reports;
+  plus cross-module call-graph rules (``repro lint --list-rules`` prints
+  the registry), with per-rule inline suppressions, ``--baseline``
+  diffing and text/JSON/SARIF reports;
 * ``matrices`` — list the named paper-matrix stand-ins;
 * ``suite``    — describe the 521-matrix evaluation suite.
 
@@ -878,11 +874,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: cannot read baseline {args.baseline}: {exc}",
                   file=sys.stderr)
             return 2
-    cache_path = None if args.no_cache else args.cache
     try:
-        report = lint_project(
-            args.paths, rules=rules, cache_path=cache_path
-        )
+        report = lint_project(args.paths, rules=rules)
     except LintPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1138,9 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "lint",
         help="invariant linter: per-file AST rules plus cross-module "
-             "call-graph rules (hook-ordering, estimator-hygiene, "
-             "modeled-time-purity, shared-state-determinism, "
-             "failure-path-verify)",
+             "call-graph rules (see --list-rules)",
     )
     sp.add_argument("paths", nargs="*", default=["src"],
                     help="files or directories to lint (default: src); "
@@ -1156,14 +1147,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--baseline", default=None, metavar="FILE",
                     help="previous --format json report; only findings "
                          "not present in it are reported")
-    sp.add_argument("--cache", default=".repro-lint-cache.json",
-                    metavar="FILE",
-                    help="on-disk analysis cache (mtime+hash keyed)")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="disable the analysis cache for this run")
     sp.add_argument("--stats", action="store_true",
-                    help="append per-rule timing + cache hit rate as a "
-                         "JSON row")
+                    help="append per-rule timings as a JSON row")
     sp.set_defaults(func=cmd_lint)
 
     sp = sub.add_parser("matrices", help="list named stand-ins")

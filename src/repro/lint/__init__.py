@@ -2,36 +2,22 @@
 
 Every rule in :mod:`repro.lint.rules` mechanizes a contract this codebase
 once enforced by review alone — and, in most cases, paid for as a shipped
-bug first:
-
-* ``numeric-cliff`` — float32 carries contiguous integers only to 2²⁴;
-  vertex ids, labels and priorities must ride float64 (three separate
-  cliff bugs across CC labels, coloring priorities and MIS draws).
-* ``b2sr-immutability`` — B2SR arrays are frozen at construction so
-  memoized :class:`~repro.kernels.plan.SweepPlan`\\ s can never go stale;
-  nothing outside the format/plan modules may re-enable writes or
-  scatter into them.
-* ``seeded-rng`` — global NumPy RNG state breaks the repo's
-  identical-stdout determinism contract; every draw threads a seeded
-  ``default_rng``.
-* ``paper-faithful-skip`` — reproduction surfaces pin
-  ``skip_inactive=False`` so Table VII artifacts stay byte-identical.
-* ``verify-contract`` — serving launch sites thread ``verify=``
-  explicitly instead of leaning on defaults.
-* ``hot-path-scatter`` — ``ufunc.at`` scatters and per-tile Python loops
-  are banned from the kernel hot path (the planless reference keeps
-  them as the bitwise oracle).
+bug first: the float32 id cliff, frozen B2SR tiles behind memoized sweep
+plans, seeded RNG, paper-faithful skip, explicit ``verify=``, and the
+cross-module call-path contracts of the serving stack.  Per-file rules
+see one module's AST; project rules (:mod:`repro.lint.project`) run over
+a whole-tree call graph.  ``repro lint --list-rules`` prints the
+registry with each rule's scope and invariant.
 
 Violations carry ``file:line``, a rule id and a fix hint; sanctioned
 exceptions are inline suppressions that must state their reason::
 
     x = frontier.astype(np.float32)  # repro-lint: ignore[numeric-cliff] — 0/1 payload, no ids
 
-Run it as ``repro lint [paths...]`` (text or ``--format json``) or via
-:func:`lint_paths` / :func:`lint_source`.
+Run it as ``repro lint [paths...]`` (text, ``--format json`` or
+``--format sarif``) or via :func:`lint_paths` / :func:`lint_source`.
 """
 
-from repro.lint.cache import DEFAULT_CACHE_NAME, LintCache, cache_signature
 from repro.lint.core import (
     LintContext,
     LintPathError,
@@ -39,17 +25,16 @@ from repro.lint.core import (
     RuleVisitor,
     Violation,
     iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
 )
 from repro.lint.project import (
     LintStats,
     ProjectIndex,
     ProjectReport,
     ProjectRule,
+    lint_paths,
     lint_project,
     lint_project_sources,
+    lint_source,
 )
 from repro.lint.reporters import (
     JSON_SCHEMA_VERSION,
@@ -64,9 +49,7 @@ from repro.lint.suppress import MALFORMED_RULE_ID, Suppression
 
 __all__ = [
     "ALL_RULES",
-    "DEFAULT_CACHE_NAME",
     "JSON_SCHEMA_VERSION",
-    "LintCache",
     "LintContext",
     "LintPathError",
     "LintStats",
@@ -79,10 +62,8 @@ __all__ = [
     "Suppression",
     "Violation",
     "apply_baseline",
-    "cache_signature",
     "get_rules",
     "iter_python_files",
-    "lint_file",
     "lint_paths",
     "lint_project",
     "lint_project_sources",

@@ -1,4 +1,4 @@
-"""Rule framework and file runner for the invariant linter.
+"""Rule framework for the invariant linter.
 
 The moving parts:
 
@@ -11,9 +11,10 @@ The moving parts:
 * :class:`RuleVisitor` — the shared visitor base: tracks the enclosing
   function stack (rules scope findings to e.g. ``cmd_run``) and funnels
   findings through :meth:`RuleVisitor.report`.
-* :func:`lint_source` / :func:`lint_file` / :func:`lint_paths` — parse
-  once, run every applicable rule, then fold in the suppression table
-  from :mod:`repro.lint.suppress`.
+* :func:`apply_suppressions` — folds a file's suppression table
+  (:mod:`repro.lint.suppress`) over its findings.
+
+The runners that drive all of this live in :mod:`repro.lint.project`.
 
 Paths are matched as normalized POSIX substrings (``"kernels/"``,
 ``"bench/harness.py"``), so the same rules fire whether the linter is
@@ -25,12 +26,11 @@ path=...)``.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.lint.resolve import AliasResolver
-from repro.lint.suppress import MALFORMED_RULE_ID, scan_suppressions
 
 #: Rule id reported for files the parser rejects.
 PARSE_ERROR_RULE_ID = "parse-error"
@@ -118,7 +118,7 @@ class Rule:
     ``scope`` distinguishes the two rule families: ``"file"`` rules see
     one module at a time through an AST visitor; ``"project"`` rules
     (:class:`repro.lint.project.ProjectRule`) run over the whole-tree
-    call-graph/effect index and are skipped by the per-file runners.
+    call-graph/effect index instead of a visitor.
     """
 
     id: str = ""
@@ -176,37 +176,8 @@ class RuleVisitor(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-# Runners
+# Suppression folding and file discovery
 # ----------------------------------------------------------------------
-def _default_rules() -> Sequence[Rule]:
-    from repro.lint.rules import ALL_RULES
-
-    return ALL_RULES
-
-
-def decorator_lines_by_def(tree: ast.AST) -> dict[int, tuple[int, ...]]:
-    """Map each decorated ``def``/``class`` line to its decorator lines.
-
-    A suppression directive naturally lands on whichever of the two
-    lines the author is looking at — rules anchor function-scoped
-    findings to the ``def`` line, so matching must accept directives on
-    any decorator line of that definition as well.
-    """
-    out: dict[int, tuple[int, ...]] = {}
-    for node in ast.walk(tree):
-        if isinstance(
-            node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
-        ) and node.decorator_list:
-            lines: list[int] = []
-            for dec in node.decorator_list:
-                end = getattr(dec, "end_lineno", dec.lineno)
-                # ``@`` sits one column before the expression but on the
-                # same line as the decorator's first token.
-                lines.extend(range(dec.lineno, end + 1))
-            out[node.lineno] = tuple(lines)
-    return out
-
-
 def apply_suppressions(
     violations: Iterable[Violation],
     suppressions: dict[int, list],
@@ -216,7 +187,9 @@ def apply_suppressions(
 
     Candidate lines for each violation are its node span plus — when
     the violation anchors to a decorated ``def`` line — the decorator
-    lines above it (see :func:`decorator_lines_by_def`).
+    lines above it (``decorator_map``: ``def`` line → decorator lines).
+    A directive naturally lands on whichever of the two lines the
+    author is looking at, so both must match.
     """
     out: list[Violation] = []
     for v in violations:
@@ -238,75 +211,12 @@ def apply_suppressions(
     return out
 
 
-def lint_source(
-    source: str,
-    path: str | Path,
-    rules: Sequence[Rule] | None = None,
-) -> list[Violation]:
-    """Lint one module's source as if it lived at ``path``.
-
-    Returns **all** findings, suppressed ones included (marked) — the
-    reporters and exit-code logic filter on :attr:`Violation.suppressed`.
-    """
-    if rules is None:
-        rules = _default_rules()
-    norm = normalize_path(path)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                path=norm,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule=PARSE_ERROR_RULE_ID,
-                message=f"could not parse: {exc.msg}",
-            )
-        ]
-    ctx = LintContext(norm, tree, source)
-    for rule in rules:
-        if rule.scope == "file" and rule.applies_to(ctx.path):
-            rule.visitor(ctx).visit(tree)
-
-    known = frozenset(r.id for r in rules)
-    suppressions, malformed = scan_suppressions(source, known)
-    out: list[Violation] = []
-    for line, col, message in malformed:
-        out.append(
-            Violation(
-                path=norm,
-                line=line,
-                col=col,
-                rule=MALFORMED_RULE_ID,
-                message=message,
-                hint="write: # repro-lint: ignore[rule-id] — reason",
-            )
-        )
-    out.extend(
-        apply_suppressions(
-            ctx.violations, suppressions, decorator_lines_by_def(tree)
-        )
-    )
-    out.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return out
-
-
 def read_lint_target(path: str | Path) -> str:
     """Read a lint target, raising :class:`LintPathError` on failure."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise LintPathError(path, f"cannot read ({exc.strerror})") from exc
-
-
-def lint_file(
-    path: str | Path,
-    rules: Sequence[Rule] | None = None,
-    as_path: str | Path | None = None,
-) -> list[Violation]:
-    """Lint a file on disk (``as_path`` overrides the path rules see)."""
-    text = read_lint_target(path)
-    return lint_source(text, as_path if as_path is not None else path, rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -331,24 +241,6 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 yield f
 
 
-def lint_paths(
-    paths: Iterable[str | Path],
-    rules: Sequence[Rule] | None = None,
-) -> tuple[list[Violation], int]:
-    """Lint every ``.py`` file under ``paths``.
-
-    Returns ``(violations, files_scanned)``; violations include
-    suppressed findings (marked) in ``(path, line)`` order.  Runs the
-    full analysis — per-file rules *and* the cross-module project rules
-    (cacheless; use :func:`repro.lint.project.lint_project` directly for
-    the cached/stats-bearing variant).
-    """
-    from repro.lint.project import lint_project
-
-    report = lint_project(paths, rules)
-    return report.violations, report.files_scanned
-
-
 __all__ = [
     "PARSE_ERROR_RULE_ID",
     "LintContext",
@@ -357,11 +249,7 @@ __all__ = [
     "RuleVisitor",
     "Violation",
     "apply_suppressions",
-    "decorator_lines_by_def",
     "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "normalize_path",
     "read_lint_target",
 ]

@@ -18,26 +18,24 @@ module closes that gap:
   chain across files.
 * :class:`ProjectRule` — the registry face of a cross-module rule:
   same ``id``/``description``/``hint`` surface as per-file rules, but
-  checked per *module* against the full index (which is what makes the
-  cached-findings story per-module too).
-* :func:`lint_project` / :func:`lint_project_sources` — the disk and
-  in-memory runners.  The disk runner threads the mtime+hash cache
-  (:mod:`repro.lint.cache`): warm runs re-parse only changed files and
-  re-check cross-module rules only for modules whose dependency cone
-  changed.
+  checked per *module* against the full index.
+* the one lint path — :func:`analyze_file` parses a file and runs the
+  per-file rules, then :func:`_finish` builds the index, runs the
+  project rules and folds suppressions over both families.  Every
+  runner goes through it: :func:`lint_source` (one in-memory module,
+  file rules only), :func:`lint_project_sources` (in-memory fixtures),
+  and :func:`lint_project` / :func:`lint_paths` (files on disk).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import time
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.cache import LintCache, cache_signature
 from repro.lint.core import (
     PARSE_ERROR_RULE_ID,
     LintContext,
@@ -75,9 +73,8 @@ class ProjectRule(Rule):
     """A rule over the whole-project index instead of one file's AST.
 
     Subclasses implement :meth:`check_module`, returning the violations
-    *reported in* ``module`` (their facts may span the whole index).
-    Per-module reporting is what lets the cache reuse a module's
-    cross-module findings while its dependency cone is unchanged.
+    *reported in* ``module`` (their facts may span the whole index), so
+    they fold through that module's suppression table.
     """
 
     scope = "project"
@@ -341,91 +338,20 @@ class ProjectIndex:
 # ----------------------------------------------------------------------
 @dataclass
 class FileRecord:
-    """Everything one parse of one file yields (cacheable as a unit)."""
+    """Everything one parse of one file yields."""
 
     norm_path: str
-    sha256: str
     summary: ModuleSummary
     raw_violations: list[Violation]
     suppressions: dict[int, list[Suppression]]
     malformed: list[tuple[int, int, str]]
-    from_cache: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "norm_path": self.norm_path,
-            "sha256": self.sha256,
-            "summary": self.summary.to_dict(),
-            "raw_violations": [
-                _violation_to_dict(v) for v in self.raw_violations
-            ],
-            "suppressions": [
-                {
-                    "line": s.line,
-                    "target": s.target,
-                    "rules": list(s.rules),
-                    "reason": s.reason,
-                }
-                for sups in self.suppressions.values()
-                for s in sups
-            ],
-            "malformed": [list(m) for m in self.malformed],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FileRecord":
-        suppressions: dict[int, list[Suppression]] = {}
-        for s in d["suppressions"]:
-            sup = Suppression(
-                line=s["line"],
-                target=s["target"],
-                rules=tuple(s["rules"]),
-                reason=s["reason"],
-            )
-            suppressions.setdefault(sup.target, []).append(sup)
-        return cls(
-            norm_path=d["norm_path"],
-            sha256=d["sha256"],
-            summary=ModuleSummary.from_dict(d["summary"]),
-            raw_violations=[
-                _violation_from_dict(v) for v in d["raw_violations"]
-            ],
-            suppressions=suppressions,
-            malformed=[tuple(m) for m in d["malformed"]],
-            from_cache=True,
-        )
-
-
-def _violation_to_dict(v: Violation) -> dict:
-    return {
-        "path": v.path,
-        "line": v.line,
-        "col": v.col,
-        "rule": v.rule,
-        "message": v.message,
-        "hint": v.hint,
-        "end_line": v.end_line,
-    }
-
-
-def _violation_from_dict(d: dict) -> Violation:
-    return Violation(
-        path=d["path"],
-        line=d["line"],
-        col=d["col"],
-        rule=d["rule"],
-        message=d["message"],
-        hint=d["hint"],
-        end_line=d["end_line"],
-    )
 
 
 def _known_rule_ids() -> frozenset[str]:
     """Every registered rule id — the vocabulary suppressions may name.
 
     Deliberately the *full* registry, not the ``--select`` subset: a
-    suppression for a deselected rule is still well-formed, and cached
-    suppression tables must not depend on the selection.
+    suppression for a deselected rule is still well-formed.
     """
     from repro.lint.rules import ALL_RULES
 
@@ -453,13 +379,11 @@ def analyze_file(
     their findings, so both families share one suppression path.
     """
     norm = normalize_path(path)
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         return FileRecord(
             norm_path=norm,
-            sha256=digest,
             summary=ModuleSummary(
                 module=f"<unparsed:{norm}>", path=norm
             ),
@@ -489,7 +413,6 @@ def analyze_file(
     suppressions, malformed = scan_suppressions(source, _known_rule_ids())
     return FileRecord(
         norm_path=norm,
-        sha256=digest,
         summary=summary,
         raw_violations=ctx.violations,
         suppressions=suppressions,
@@ -505,31 +428,17 @@ class LintStats:
     """One run's cost accounting (the ``--stats`` JSON row)."""
 
     files: int = 0
-    parsed: int = 0
-    file_cache_hits: int = 0
-    parsed_paths: list[str] = field(default_factory=list)
     project_modules: int = 0
-    project_reused: int = 0
-    project_reanalyzed: list[str] = field(default_factory=list)
     rule_ms: dict[str, float] = field(default_factory=dict)
     fixpoint_passes: int = 0
     total_ms: float = 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.file_cache_hits / self.files if self.files else 0.0
 
     def to_row(self) -> dict:
         """BENCH_-style machine-readable row."""
         return {
             "bench": "lint",
             "files": self.files,
-            "parsed": self.parsed,
-            "file_cache_hits": self.file_cache_hits,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
             "project_modules": self.project_modules,
-            "project_reused": self.project_reused,
-            "project_reanalyzed": len(self.project_reanalyzed),
             "fixpoint_passes": self.fixpoint_passes,
             "rule_ms": {
                 k: round(v * 1e3, 3)
@@ -555,7 +464,6 @@ def _finish(
     records: list[FileRecord],
     rules: Sequence[Rule],
     stats: LintStats,
-    cache: LintCache | None = None,
 ) -> list[Violation]:
     project_rules = _project_rules(rules)
     selected_ids = {r.id for r in rules}
@@ -563,28 +471,9 @@ def _finish(
     stats.fixpoint_passes = index.fixpoint_passes
     stats.project_modules = len(index.modules)
 
-    by_module: dict[str, FileRecord] = {
-        r.summary.module: r for r in records
-    }
-    cones = _module_cones(index) if project_rules else {}
     project_found: dict[str, list[Violation]] = {}
-    for mod_name, record in sorted(by_module.items()):
-        if not project_rules:
-            break
-        digest = _cone_digest(cones.get(mod_name, {mod_name}), by_module)
-        cached = (
-            cache.get_project(mod_name, digest)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            project_found[mod_name] = [
-                _violation_from_dict(v) for v in cached
-            ]
-            stats.project_reused += 1
-            continue
+    for module in index.modules.values():
         found: list[Violation] = []
-        module = index.modules[mod_name]
         for rule in project_rules:
             t0 = time.perf_counter()
             if rule.applies_to(module.path):
@@ -592,14 +481,7 @@ def _finish(
             stats.rule_ms[rule.id] = stats.rule_ms.get(rule.id, 0.0) + (
                 time.perf_counter() - t0
             )
-        project_found[mod_name] = found
-        stats.project_reanalyzed.append(mod_name)
-        if cache is not None:
-            cache.put_project(
-                mod_name,
-                digest,
-                [_violation_to_dict(v) for v in found],
-            )
+        project_found[module.module] = found
 
     # Fold suppressions per file over both rule families at once.
     out: list[Violation] = []
@@ -632,52 +514,6 @@ def _finish(
     return out
 
 
-def _module_cones(index: ProjectIndex) -> dict[str, set[str]]:
-    """Module → the modules whose content its project findings depend
-    on: the transitive closure over call edges (both directions — a
-    dispatch-reachability verdict depends on *callers*, an effect
-    verdict on *callees*) plus referenced module globals."""
-    neighbors: dict[str, set[str]] = {m: set() for m in index.modules}
-    for caller, outs in index.edges.items():
-        cm = index.function_module[caller]
-        for callee, _line in outs:
-            dm = index.function_module[callee]
-            if cm != dm:
-                neighbors[cm].add(dm)
-                neighbors[dm].add(cm)
-    for fn in index.functions.values():
-        fm = index.function_module[fn.qualname]
-        for mut in fn.global_mutations:
-            found = index.find_global(mut.target)
-            if found is not None and found[0] != fm:
-                neighbors[fm].add(found[0])
-                neighbors[found[0]].add(fm)
-    cones: dict[str, set[str]] = {}
-    for mod in index.modules:
-        seen = {mod}
-        work = deque([mod])
-        while work:
-            cur = work.popleft()
-            for nxt in neighbors[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
-        cones[mod] = seen
-    return cones
-
-
-def _cone_digest(
-    cone: set[str], by_module: dict[str, FileRecord]
-) -> str:
-    h = hashlib.sha256()
-    for mod in sorted(cone):
-        record = by_module.get(mod)
-        if record is not None:
-            h.update(mod.encode())
-            h.update(record.sha256.encode())
-    return h.hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
@@ -685,6 +521,23 @@ def _default_rules() -> Sequence[Rule]:
     from repro.lint.rules import ALL_RULES
 
     return ALL_RULES
+
+
+def lint_source(
+    source: str,
+    path: str | Path,
+    rules: Sequence[Rule] | None = None,
+) -> list[Violation]:
+    """Lint one module's source as if it lived at ``path``.
+
+    Runs the file-scope rules among ``rules`` (project rules need the
+    other modules; see :func:`lint_project_sources`).  Returns **all**
+    findings, suppressed ones included (marked) — the reporters and
+    exit-code logic filter on :attr:`Violation.suppressed`.
+    """
+    file_rules = _file_rules(_default_rules() if rules is None else rules)
+    record = analyze_file(source, path, file_rules)
+    return _finish([record], file_rules, LintStats())
 
 
 def lint_project_sources(
@@ -698,66 +551,52 @@ def lint_project_sources(
     """
     if rules is None:
         rules = _default_rules()
-    stats = LintStats()
+    file_rules = _file_rules(rules)
     records = [
-        analyze_file(text, path, _file_rules(rules))
+        analyze_file(text, path, file_rules)
         for path, text in sorted(sources.items())
     ]
-    stats.files = stats.parsed = len(records)
-    return _finish(records, rules, stats)
+    return _finish(records, rules, LintStats())
 
 
 def lint_project(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
-    *,
-    cache_path: str | Path | None = None,
 ) -> ProjectReport:
     """Project-lint every ``.py`` file under ``paths``.
 
-    With ``cache_path``, per-file parse products are reused while the
-    file's mtime+hash is unchanged, and per-module cross-module findings
-    are reused while the module's dependency cone is unchanged.
     Raises :class:`repro.lint.core.LintPathError` on missing targets.
     """
     if rules is None:
         rules = _default_rules()
     t_start = time.perf_counter()
     stats = LintStats()
-    cache = None
-    if cache_path is not None:
-        cache = LintCache(Path(cache_path))
-        # Key the cache on the *active* rule set: records computed
-        # under a --select subset must never satisfy a full run.
-        cache.load(cache_signature(rules))
     file_rules = _file_rules(rules)
-
-    records: list[FileRecord] = []
-    for f in iter_python_files(paths):
-        stats.files += 1
-        abspath = str(f.resolve())
-        norm = normalize_path(f)
-        entry = None
-        if cache is not None:
-            entry = cache.get_file(abspath, f)
-        if entry is not None and entry.get("norm_path") == norm:
-            records.append(FileRecord.from_dict(entry))
-            stats.file_cache_hits += 1
-            continue
-        source = read_lint_target(f)
-        record = analyze_file(source, f, file_rules, stats.rule_ms)
-        records.append(record)
-        stats.parsed += 1
-        stats.parsed_paths.append(norm)
-        if cache is not None:
-            cache.put_file(abspath, f, record.to_dict())
-    violations = _finish(records, rules, stats, cache)
-    if cache is not None:
-        cache.save()
+    records = [
+        analyze_file(read_lint_target(f), f, file_rules, stats.rule_ms)
+        for f in iter_python_files(paths)
+    ]
+    stats.files = len(records)
+    violations = _finish(records, rules, stats)
     stats.total_ms = (time.perf_counter() - t_start) * 1e3
     return ProjectReport(
         violations=violations, files_scanned=stats.files, stats=stats
     )
+
+
+def lint_paths(
+    paths: Iterable[str | Path],
+    rules: Sequence[Rule] | None = None,
+) -> tuple[list[Violation], int]:
+    """Lint every ``.py`` file under ``paths``.
+
+    Returns ``(violations, files_scanned)``; violations include
+    suppressed findings (marked) in ``(path, line)`` order.  Runs the
+    full analysis — per-file rules *and* the cross-module project
+    rules; :func:`lint_project` also returns the ``--stats`` row.
+    """
+    report = lint_project(paths, rules)
+    return report.violations, report.files_scanned
 
 
 __all__ = [
@@ -768,6 +607,8 @@ __all__ = [
     "ProjectReport",
     "ProjectRule",
     "analyze_file",
+    "lint_paths",
     "lint_project",
     "lint_project_sources",
+    "lint_source",
 ]

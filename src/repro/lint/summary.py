@@ -3,11 +3,8 @@
 One pass over a module's AST produces a :class:`ModuleSummary` — every
 function with its resolved outgoing calls, *direct* effects, and
 module-global mutations, plus the module's classes and its module-level
-mutable bindings.  Summaries are plain data (JSON round-trippable, see
-:meth:`ModuleSummary.to_dict`), which is what makes the on-disk cache
-sound: the cross-module layer (:mod:`repro.lint.project`) is a pure
-function of the summaries, so an unchanged file's summary can be reused
-without re-parsing and the call-graph fixpoint stays cheap on warm runs.
+mutable bindings.  Summaries are plain data, and the cross-module layer
+(:mod:`repro.lint.project`) is a pure function of them.
 
 Direct effects tagged here (transitive closure is the fixpoint's job):
 
@@ -188,13 +185,6 @@ class CallSite:
     target: str
     line: int
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "target": self.target, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallSite":
-        return cls(kind=d["kind"], target=d["target"], line=d["line"])
-
 
 @dataclass(frozen=True)
 class EffectSite:
@@ -202,13 +192,6 @@ class EffectSite:
 
     line: int
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"line": self.line, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EffectSite":
-        return cls(line=d["line"], detail=d["detail"])
 
 
 @dataclass(frozen=True)
@@ -223,13 +206,6 @@ class GlobalMutation:
     target: str
     line: int
     how: str
-
-    def to_dict(self) -> dict:
-        return {"target": self.target, "line": self.line, "how": self.how}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GlobalMutation":
-        return cls(target=d["target"], line=d["line"], how=d["how"])
 
 
 @dataclass
@@ -247,44 +223,6 @@ class FunctionSummary:
     direct_effects: dict[str, EffectSite] = field(default_factory=dict)
     global_mutations: tuple[GlobalMutation, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "end_line": self.end_line,
-            "decorator_lines": list(self.decorator_lines),
-            "calls": [c.to_dict() for c in self.calls],
-            "called_names": sorted(self.called_names),
-            "direct_effects": {
-                k: v.to_dict() for k, v in self.direct_effects.items()
-            },
-            "global_mutations": [
-                m.to_dict() for m in self.global_mutations
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionSummary":
-        return cls(
-            qualname=d["qualname"],
-            name=d["name"],
-            cls=d["cls"],
-            line=d["line"],
-            end_line=d["end_line"],
-            decorator_lines=tuple(d["decorator_lines"]),
-            calls=tuple(CallSite.from_dict(c) for c in d["calls"]),
-            called_names=frozenset(d["called_names"]),
-            direct_effects={
-                k: EffectSite.from_dict(v)
-                for k, v in d["direct_effects"].items()
-            },
-            global_mutations=tuple(
-                GlobalMutation.from_dict(m) for m in d["global_mutations"]
-            ),
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -296,25 +234,6 @@ class ClassSummary:
     bases: tuple[str, ...] = ()  # canonical dotted candidates
     attr_types: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "methods": list(self.methods),
-            "bases": list(self.bases),
-            "attr_types": dict(self.attr_types),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassSummary":
-        return cls(
-            name=d["name"],
-            line=d["line"],
-            methods=tuple(d["methods"]),
-            bases=tuple(d["bases"]),
-            attr_types=dict(d["attr_types"]),
-        )
-
 
 @dataclass(frozen=True)
 class GlobalBinding:
@@ -323,13 +242,6 @@ class GlobalBinding:
     name: str
     line: int
     kind: str  # "dict literal", "list()", ...
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "line": self.line, "kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GlobalBinding":
-        return cls(name=d["name"], line=d["line"], kind=d["kind"])
 
 
 @dataclass
@@ -341,39 +253,6 @@ class ModuleSummary:
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     mutable_globals: dict[str, GlobalBinding] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": {
-                k: v.to_dict() for k, v in self.functions.items()
-            },
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "mutable_globals": {
-                k: v.to_dict() for k, v in self.mutable_globals.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleSummary":
-        return cls(
-            module=d["module"],
-            path=d["path"],
-            functions={
-                k: FunctionSummary.from_dict(v)
-                for k, v in d["functions"].items()
-            },
-            classes={
-                k: ClassSummary.from_dict(v)
-                for k, v in d["classes"].items()
-            },
-            mutable_globals={
-                k: GlobalBinding.from_dict(v)
-                for k, v in d["mutable_globals"].items()
-            },
-        )
-
 
 # ----------------------------------------------------------------------
 # Module naming

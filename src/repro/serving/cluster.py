@@ -1603,7 +1603,7 @@ class Router:
             policy=policy,
             placement=placement,
             n_servers=len(servers),
-            served=len(outcomes),
+            served=sum(o.failure is None for o in outcomes),
             batches=len(controller.widths),
             joins=controller.joins,
             mean_batch_width=mean(controller.widths),

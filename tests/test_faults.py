@@ -48,11 +48,14 @@ def make_stream(reg, *, rate_qps=24000.0, requests=64, slo_ms=6.0,
     )
 
 
-def assert_accounted(outcomes):
+def assert_accounted(outcomes, report):
     """Every query either served (result) or failed closed (reason) —
-    never both, never neither."""
+    never both, never neither — and the report counts each side."""
     for o in outcomes:
         assert (o.result is not None) ^ (o.failure is not None)
+    failed = sum(o.failed for o in outcomes)
+    assert report.failed == failed
+    assert report.served + report.failed == len(outcomes)
 
 
 def crash_window(outcomes, sid):
@@ -190,7 +193,7 @@ class TestCrashRecovery:
         )
         assert rep.faults == 2 and rep.requeues >= 1
         assert rep.failed == 0
-        assert_accounted(out)
+        assert_accounted(out, rep)
         requeued = [o for o in out if o.retries > 0]
         assert requeued, "mid-flight crash produced no re-queued queries"
         # verify=True already asserted bitwise equality inside run();
@@ -228,7 +231,7 @@ class TestCrashRecovery:
         out, rep = router.run(
             stream, placement="least-loaded", faults=plan
         )
-        assert_accounted(out)
+        assert_accounted(out, rep)
         stranded = [o for o in out if o.failure and "stranded" in o.failure]
         assert stranded, "no-survivor queries must fail closed as stranded"
         assert rep.failed == len([o for o in out if o.failed])
@@ -248,7 +251,7 @@ class TestCrashRecovery:
         out, rep = router.run(
             stream, placement="least-loaded", faults=plan, max_requeues=0
         )
-        assert_accounted(out)
+        assert_accounted(out, rep)
         exhausted = [
             o for o in out if o.failure and "retry budget" in o.failure
         ]
@@ -268,7 +271,7 @@ class TestCrashRecovery:
         )
         kinds = [f.kind for f in rep.extra["faults"]]
         assert "skipped-crash" in kinds
-        assert_accounted(out)
+        assert_accounted(out, rep)
 
     def test_fault_sid_out_of_range_rejected(self):
         reg = make_registry()
@@ -287,7 +290,7 @@ class TestCrashRecovery:
         )
         assert rep.server_speed[1] == 0.25
         assert rep.server_speed[0] == 1.0
-        assert_accounted(out)
+        assert_accounted(out, rep)
         assert rep.failed == 0
 
 
@@ -313,7 +316,7 @@ class TestWorkStealing:
         steals = rep.extra["steals"]
         assert {s.reason for s in steals} == {"down"}
         assert all(s.from_sid == 1 and s.to_sid == 0 for s in steals)
-        assert_accounted(out)
+        assert_accounted(out, rep)
         assert rep.failed == 0  # everything re-landed on the survivor
 
     def test_backed_up_steal_requires_opt_in(self):
@@ -332,7 +335,7 @@ class TestWorkStealing:
         )
         assert rep_on.steals >= 1
         assert {s.reason for s in rep_on.extra["steals"]} == {"backed-up"}
-        assert_accounted(out)
+        assert_accounted(out, rep_on)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +416,7 @@ class TestAutoscaler:
         assert adds, "overloaded fleet never upscaled"
         assert rep.n_servers > 1
         assert rep.slo_attainment > fixed.slo_attainment
-        assert_accounted(out)
+        assert_accounted(out, rep)
 
     def test_drains_idle_capacity_stop_placing_then_finish(self):
         reg = make_registry()
@@ -443,7 +446,7 @@ class TestAutoscaler:
             if o.server in done_at and o.result is not None:
                 assert o.launch_ms <= done_at[o.server] + 1e-9, actions
         assert rep.scale_events == len(actions)
-        assert_accounted(out)
+        assert_accounted(out, rep)
         assert rep.failed == 0
 
 
@@ -471,7 +474,7 @@ class TestRealDataPlaneFaults:
                 stream, placement="least-loaded", verify=True,
                 faults=plan, data_plane=pool,
             )
-            assert_accounted(out)
+            assert_accounted(out, rep)
             kinds = [f.kind for f in rep.extra["faults"]]
             assert kinds == ["crash", "recover"]
             plane = rep.extra["data_plane"]

@@ -17,6 +17,7 @@ from repro.lint import (
     apply_baseline,
     iter_python_files,
     lint_paths,
+    lint_project_sources,
     lint_source,
     load_baseline,
     render_json,
@@ -383,6 +384,21 @@ class TestSuppressions:
         )
         assert ids(lint_source(src, "src/repro/engines/f.py")) == []
 
+    def test_rule_subset_runners_agree(self):
+        # A directive naming a rule outside the selection is still
+        # well-formed, and the one-module and project runners share one
+        # path, so they agree finding for finding.
+        src = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng()"
+            "  # repro-lint: ignore[seeded-rng] — fixture draws\n"
+            "x = ids.astype(np.float32)\n"
+        )
+        rules = get_rules("numeric-cliff")
+        single = lint_source(src, self.PATH, rules=rules)
+        assert ids(single) == ["numeric-cliff"]
+        assert single == lint_project_sources({self.PATH: src}, rules=rules)
+
     def test_multiline_statement_continuation_line(self):
         # A trailing directive on the continuation line that carries
         # the flagged expression matches (spans are node-based).
@@ -495,24 +511,6 @@ class TestCli:
     def test_unknown_rule_select_exits_2(self):
         proc = self._run("--select", "bogus-rule", "src")
         assert proc.returncode == 2
-
-    def test_select_cache_does_not_mask_full_run(self, tmp_path):
-        # Regression: `--select X --cache c` followed by a full run on
-        # the same cache used to reuse the select-run records and
-        # report exit 0 on a file with a seeded-rng violation.
-        bad = tmp_path / "src" / "repro" / "algorithms" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "import numpy as np\nrng = np.random.default_rng()\n"
-        )
-        cache = tmp_path / "cache.json"
-        first = self._run(
-            str(bad), "--select", "numeric-cliff", "--cache", str(cache)
-        )
-        assert first.returncode == 0
-        second = self._run(str(bad), "--cache", str(cache))
-        assert second.returncode == 1
-        assert "seeded-rng" in second.stdout
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +628,7 @@ class TestSarif:
         bad.write_text(self.SRC_BAD)
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "lint", str(bad),
-             "--format", "sarif", "--no-cache"],
+             "--format", "sarif"],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
@@ -678,7 +676,7 @@ class TestBaseline:
         env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
         first = subprocess.run(
             [sys.executable, "-m", "repro", "lint", str(bad),
-             "--format", "json", "--no-cache"],
+             "--format", "json"],
             capture_output=True, text=True, cwd=REPO_ROOT, env=env,
         )
         assert first.returncode == 1
@@ -686,7 +684,7 @@ class TestBaseline:
         baseline_file.write_text(first.stdout)
         second = subprocess.run(
             [sys.executable, "-m", "repro", "lint", str(bad),
-             "--baseline", str(baseline_file), "--no-cache"],
+             "--baseline", str(baseline_file)],
             capture_output=True, text=True, cwd=REPO_ROOT, env=env,
         )
         assert second.returncode == 0, second.stdout
@@ -711,13 +709,15 @@ class TestCliStats:
         clean = tmp_path / "ok.py"
         clean.write_text("x = 1\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", str(clean),
-             "--stats", "--cache", str(tmp_path / "cache.json")],
+            [sys.executable, "-m", "repro", "lint", str(clean), "--stats"],
             capture_output=True, text=True, cwd=REPO_ROOT,
             env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0
         row = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert set(row) == {
+            "bench", "files", "project_modules", "fixpoint_passes",
+            "rule_ms", "total_ms",
+        }
         assert row["bench"] == "lint"
         assert row["files"] == 1
-        assert "rule_ms" in row and "cache_hit_rate" in row

@@ -4,13 +4,10 @@ cycles), the effect fixpoint, the six cross-module rules against
 violating / clean / suppressed fixtures (the violating hook-ordering,
 modeled-time-purity and worker-queue-discipline fixtures span two
 files), decorator-line
-suppressions, the on-disk cache (warm byte-identical, reverse-cone
-invalidation), and the --stats row."""
+suppressions, and the --stats row."""
 
 import ast
 import json
-import os
-import time
 from pathlib import Path
 
 from repro.lint import (
@@ -18,7 +15,6 @@ from repro.lint import (
     lint_paths,
     lint_project,
     lint_project_sources,
-    render_json,
     rule_ids,
 )
 from repro.lint.project import ProjectIndex, analyze_file
@@ -948,7 +944,7 @@ class TestDecoratorSuppressions:
 
 
 # ----------------------------------------------------------------------
-# The on-disk cache
+# Stats row
 # ----------------------------------------------------------------------
 TREE = {
     "src/repro/__init__.py": "",
@@ -968,139 +964,17 @@ TREE = {
 }
 
 
-class TestCache:
-    def test_warm_run_byte_identical_and_parse_free(self, tmp_path):
-        write_tree(tmp_path, TREE)
-        cache = tmp_path / "cache.json"
-        cold = lint_project([tmp_path / "src"], cache_path=cache)
-        warm = lint_project([tmp_path / "src"], cache_path=cache)
-        assert cold.stats.parsed == len(TREE)
-        # Warm run re-parses nothing and re-analyzes no module...
-        assert warm.stats.parsed == 0
-        assert warm.stats.parsed_paths == []
-        assert warm.stats.file_cache_hits == len(TREE)
-        assert warm.stats.project_reanalyzed == []
-        # ...and the report is byte-identical.
-        assert render_json(
-            warm.violations, files_scanned=warm.files_scanned
-        ) == render_json(cold.violations, files_scanned=cold.files_scanned)
-
-    def test_edit_invalidates_reverse_dependency_cone(self, tmp_path):
-        write_tree(tmp_path, TREE)
-        cache = tmp_path / "cache.json"
-        lint_project([tmp_path / "src"], cache_path=cache)
-        time.sleep(0.01)
-        (tmp_path / "src/repro/x/c.py").write_text(
-            "def helper2():\n    return 3\n"
-        )
-        warm = lint_project([tmp_path / "src"], cache_path=cache)
-        # Only the edited file re-parses...
-        assert [p.rsplit("/", 1)[-1] for p in warm.stats.parsed_paths] == [
-            "c.py"
-        ]
-        # ...and exactly its reverse-dependency cone (a -> b -> c)
-        # re-runs project analysis; d and the package inits are reused.
-        assert sorted(warm.stats.project_reanalyzed) == [
-            "repro.x.a",
-            "repro.x.b",
-            "repro.x.c",
-        ]
-        assert warm.stats.project_reused == 3
-
-    def test_touch_without_change_hits_sha_fallback(self, tmp_path):
-        write_tree(tmp_path, TREE)
-        cache = tmp_path / "cache.json"
-        lint_project([tmp_path / "src"], cache_path=cache)
-        target = tmp_path / "src/repro/x/c.py"
-        os.utime(target, (time.time() + 5, time.time() + 5))
-        warm = lint_project([tmp_path / "src"], cache_path=cache)
-        assert warm.stats.parsed == 0
-        assert warm.stats.file_cache_hits == len(TREE)
-
-    def test_select_run_does_not_poison_full_run_cache(self, tmp_path):
-        # Regression: a --select run used to store records computed with
-        # only the selected rules under the same cache signature as a
-        # full run, so the next full run silently reused them and
-        # dropped every other rule's findings (exit 0 on a dirty tree).
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/x/r.py": (
-                    "import numpy as np\n"
-                    "def draw():\n"
-                    "    return np.random.default_rng()\n"
-                ),
-            },
-        )
-        cache = tmp_path / "cache.json"
-        selected = lint_project(
-            [tmp_path / "src"],
-            rules=get_rules("numeric-cliff"),
-            cache_path=cache,
-        )
-        assert ids(selected.violations) == []
-        full = lint_project([tmp_path / "src"], cache_path=cache)
-        assert "seeded-rng" in ids(full.violations)
-        # The selection mismatch forces a cold run, never a silent reuse.
-        assert full.stats.parsed == 1
-
-    def test_crlf_file_touch_hits_sha_fallback(self, tmp_path):
-        # The fallback digest must use the same universal-newline text
-        # as FileRecord.sha256, or CRLF files re-parse on every touch.
-        write_tree(tmp_path, TREE)
-        target = tmp_path / "src/repro/x/c.py"
-        target.write_bytes(b"def helper2():\r\n    return 1\r\n")
-        cache = tmp_path / "cache.json"
-        lint_project([tmp_path / "src"], cache_path=cache)
-        os.utime(target, (time.time() + 5, time.time() + 5))
-        warm = lint_project([tmp_path / "src"], cache_path=cache)
-        assert warm.stats.parsed == 0
-        assert warm.stats.file_cache_hits == len(TREE)
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path):
-        write_tree(tmp_path, TREE)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        report = lint_project([tmp_path / "src"], cache_path=cache)
-        assert report.stats.parsed == len(TREE)
-        # The run rewrites a valid cache behind it.
-        assert json.loads(cache.read_text())["files"]
-
-    def test_findings_survive_the_cache_round_trip(self, tmp_path):
-        files = {
-            "src/repro/serving/helpers.py": (
-                "def kick_queue(ctl):\n"
-                "    ctl.dispatch(0.0)\n"
-            ),
-            "src/repro/serving/ctrl.py": (
-                "from repro.serving.helpers import kick_queue\n"
-                "class MyController:\n"
-                "    def on_arrival(self, now, req):\n"
-                "        kick_queue(self)\n"
-            ),
-        }
-        write_tree(tmp_path, files)
-        cache = tmp_path / "cache.json"
-        cold = lint_project([tmp_path / "src"], cache_path=cache)
-        warm = lint_project([tmp_path / "src"], cache_path=cache)
-        assert ids(cold.violations) == ["hook-ordering"]
-        assert ids(warm.violations) == ["hook-ordering"]
-        assert warm.stats.project_reanalyzed == []
-
-
-# ----------------------------------------------------------------------
-# Stats row
-# ----------------------------------------------------------------------
 class TestStats:
     def test_stats_row_shape(self, tmp_path):
         write_tree(tmp_path, TREE)
-        cache = tmp_path / "cache.json"
-        lint_project([tmp_path / "src"], cache_path=cache)
-        warm = lint_project([tmp_path / "src"], cache_path=cache)
-        row = warm.stats.to_row()
+        row = lint_project([tmp_path / "src"]).stats.to_row()
+        assert set(row) == {
+            "bench", "files", "project_modules", "fixpoint_passes",
+            "rule_ms", "total_ms",
+        }
         assert row["bench"] == "lint"
-        assert row["cache_hit_rate"] == 1.0
         assert row["files"] == len(TREE)
+        assert row["project_modules"] == len(TREE)
         assert isinstance(row["rule_ms"], dict)
         json.dumps(row)  # must be JSON-serializable
 
