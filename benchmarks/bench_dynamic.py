@@ -12,7 +12,7 @@ Two sweeps:
   bitwise identical to the from-scratch matrix first; the cost
   comparison is only meaningful because the artifacts are
   interchangeable.
-* **Epoch swaps under load.**  A versioned :class:`GraphStore` serves a
+* **Epoch swaps under load.**  A :class:`GraphRegistry` serves a
   Poisson stream while timestamped mutation batches swap epochs
   mid-stream, ``verify=True`` throughout.  In-flight batches finish on
   their admitted version, new arrivals see the new epoch.
@@ -41,7 +41,7 @@ from repro.graph import csr_row_indices
 from repro.gpusim import GTX1080
 from repro.gpusim.timing import time_us
 from repro.kernels.costmodel import delta_rewarm_stats
-from repro.serving import GraphStore, MutationBatch, Router, mutation_trace
+from repro.serving import GraphRegistry, MutationBatch, Router, mutation_trace
 from repro.serving.arrivals import multi_graph_poisson_stream
 
 BENCH = "dynamic"
@@ -98,7 +98,7 @@ def _delta_sweep():
 
 
 def _serving_sweep():
-    store = GraphStore(max_batch=32)
+    store = GraphRegistry(max_batch=32)
     for i, seed in enumerate((4, 9)):
         store.add(
             f"g{i}",

@@ -8,7 +8,7 @@ one-server :class:`repro.serving.cluster.Router`):
   deadline slack (minus a contention reserve) allows, urgent lane
   preempts bulk accumulation, mid-flight joins;
 * ``flush`` — launch everything pending whenever the server frees (the
-  online form of the PR 2 flush-everything batcher);
+  online form of the flush-everything batcher);
 * ``fcfs``  — no coalescing, one query per launch.
 
 The artifact reports SLO attainment, mean batch width, queueing, and
@@ -45,11 +45,11 @@ def _solo_service_ceiling(engine, cc_engine):
     return max(times)
 
 
-def _single_server(engine, cc_engine):
+def _single_server(g):
     """A fresh one-graph registry (fresh service estimates) on one
     server: the single-backend online scheduler."""
     registry = GraphRegistry(max_batch=32)
-    registry.add_engines("g", engine, cc_engine=cc_engine)
+    registry.add("g", g, device=GTX1080, tile_dim=32)
     return Router(registry, n_servers=1)
 
 
@@ -66,7 +66,7 @@ def _sweep():
                 g.n, requests=REQUESTS, rate_qps=rate, slo_ms=slo,
                 urgent_slo_ms=urgent_slo, seed=SEED,
             )
-            scheduler = _single_server(engine, cc_engine)
+            scheduler = _single_server(g)
             reports = {
                 # verify=False: policy comparison only needs latencies;
                 # bitwise checks are covered by tests/test_scheduler.py.
@@ -93,7 +93,7 @@ def _sweep():
         g.n, requests=REQUESTS, rate_qps=RATES_QPS[1], slo_ms=SLOS_MS[1],
         urgent_slo_ms=SLOS_MS[1] / 4, seed=SEED,
     )
-    scheduler = _single_server(engine, cc_engine)
+    scheduler = _single_server(g)
     _, verified_rep = scheduler.run(mid, policy="slo", verify=True)
     return cells, verified_rep, solo_ceiling
 

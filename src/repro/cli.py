@@ -10,19 +10,16 @@ without writing Python:
 * ``run``      — execute a graph algorithm on both backends and report
   modeled latencies (a one-matrix Table VII row);
 * ``multi``    — batched multi-source algorithms (one sweep, k queries);
-* ``serve``    — coalesce a synthetic BFS/SSSP/CC request stream into
-  batched launches and report per-query latency vs the k-independent
-  baseline (every answer verified bit-identical);
-* ``schedule`` — simulate a timestamped Poisson arrival stream with
-  per-query latency SLOs and urgent/bulk priority lanes; compare the
-  SLO-aware online scheduler against flush-everything and FCFS;
-* ``cluster``  — register several serving graphs and dispatch one
-  cross-graph Poisson stream across N servers, comparing placement
-  policies (and the single-server scheduler) at equal aggregate rate;
-* ``ingest``   — apply a seeded edge-mutation trace to a versioned
-  graph store, either live (epoch swaps interleaved with a served
-  stream, batches never mixing versions) or offline through the
-  bounded-retry ingestion loop;
+* ``cluster``  — register one or more serving graphs and dispatch a
+  Poisson stream with per-query latency SLOs and urgent/bulk priority
+  lanes across N servers, comparing placement policies (and the
+  single-server scheduler) at equal aggregate rate under one admission
+  ``--policy`` (``slo``, ``flush`` or ``fcfs``); answers are verified
+  bit-identical to their standalone runs unless ``--no-verify``;
+* ``ingest``   — apply a seeded edge-mutation trace to a serving graph,
+  either live (epoch swaps interleaved with a served stream, batches
+  never mixing versions) or offline through the bounded-retry
+  ingestion loop;
 * ``lint``     — the repo-specific invariant linter: per-file AST rules
   plus cross-module call-graph rules (``repro lint --list-rules`` prints
   the registry), with per-rule inline suppressions, ``--baseline``
@@ -346,165 +343,6 @@ def cmd_multi(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.engines import BitEngine
-    from repro.serving import QueryBatcher
-
-    if args.requests < 1:
-        print("error: --requests must be >= 1", file=sys.stderr)
-        return 2
-    g = load_matrix(args.matrix)
-    device = device_by_name(args.device)
-    rng = np.random.default_rng(args.seed)
-
-    engine = BitEngine(g, device=device, tile_dim=args.tile_dim)
-    cc_engine = BitEngine(
-        g.symmetrized(), device=device, tile_dim=args.tile_dim
-    )
-    batcher = QueryBatcher(
-        engine, cc_engine=cc_engine, max_batch=args.max_batch
-    )
-
-    # Synthetic request stream: a weighted mix of query kinds with random
-    # sources (the stand-in for a client frontier).
-    kinds = ("bfs", "sssp", "cc")
-    weights = np.array([0.5, 0.4, 0.1])
-    for _ in range(args.requests):
-        kind = kinds[int(rng.choice(3, p=weights))]
-        if kind == "cc":
-            batcher.submit("cc")
-        else:
-            batcher.submit(kind, int(rng.integers(g.n)))
-    results, reports = batcher.flush(verify=True)
-
-    print(
-        f"matrix: {g.name} (n={g.n}, nnz={g.nnz})  device: {device.name}  "
-        f"requests: {len(results)}  max batch: {args.max_batch}"
-    )
-    rows = []
-    for rep in reports:
-        rows.append(
-            [
-                rep.kind, rep.width, rep.iterations, rep.launches,
-                rep.singles_launches,
-                f"{rep.batched_ms:.4f}", f"{rep.singles_ms:.4f}",
-                f"{rep.speedup:.1f}x",
-            ]
-        )
-    print(
-        format_table(
-            ["kind", "k", "rounds", "batched launches", "single launches",
-             "batched ms", "k-singles ms", "speedup"],
-            rows,
-            title="coalesced query serving (modeled; every answer verified "
-                  "bit-identical to its standalone run)",
-        )
-    )
-    mean_batched = float(
-        np.mean([r.batched_ms for r in results.values()])
-    )
-    mean_single = float(
-        np.mean([r.baseline_ms for r in results.values()])
-    )
-    print(
-        f"\nmean per-query latency: {mean_batched:.4f} ms batched vs "
-        f"{mean_single:.4f} ms standalone "
-        f"(k-independent total {sum(r.baseline_ms for r in results.values()):.4f} ms)"
-    )
-    return 0
-
-
-def cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.engines import BitEngine
-    from repro.serving import POLICIES, GraphRegistry, Router, poisson_stream
-
-    if args.requests < 1:
-        print("error: --requests must be >= 1", file=sys.stderr)
-        return 2
-    if not args.rate > 0:
-        print("error: --rate must be > 0", file=sys.stderr)
-        return 2
-    if not (args.slo > 0 and args.urgent_slo > 0):
-        print("error: --slo/--urgent-slo must be > 0", file=sys.stderr)
-        return 2
-    if not 0 <= args.urgent_fraction <= 1:
-        print("error: --urgent-fraction must be in [0, 1]",
-              file=sys.stderr)
-        return 2
-    if not args.slack_factor >= 1.0:
-        print("error: --slack-factor must be >= 1.0", file=sys.stderr)
-        return 2
-    g = load_matrix(args.matrix)
-    device = device_by_name(args.device)
-
-    registry = GraphRegistry(max_batch=args.max_batch)
-    registry.add_engines(
-        g.name,
-        BitEngine(g, device=device, tile_dim=args.tile_dim),
-        cc_engine=BitEngine(
-            g.symmetrized(), device=device, tile_dim=args.tile_dim
-        ),
-    )
-    # One graph on one server: the single-backend online scheduler.
-    router = Router(
-        registry, n_servers=1, slack_factor=args.slack_factor
-    )
-    stream = poisson_stream(
-        g.n,
-        requests=args.requests,
-        rate_qps=args.rate,
-        slo_ms=args.slo,
-        urgent_slo_ms=args.urgent_slo,
-        urgent_fraction=args.urgent_fraction,
-        seed=args.seed,
-    )
-    policies = (
-        tuple(POLICIES) if args.policy == "all" else (args.policy,)
-    )
-    verify = not args.no_verify
-
-    print(
-        f"matrix: {g.name} (n={g.n}, nnz={g.nnz})  device: {device.name}\n"
-        f"stream: {args.requests} Poisson arrivals @ {args.rate:g} q/s, "
-        f"SLO {args.slo:g} ms bulk / {args.urgent_slo:g} ms urgent "
-        f"({100 * args.urgent_fraction:.0f}% urgent), "
-        f"max batch {args.max_batch}"
-    )
-    rows = []
-    for name in policies:
-        _, rep = router.run(stream, policy=name, verify=verify)
-        lanes = " ".join(
-            f"{lane}={100 * att:.0f}%"
-            for lane, att in sorted(rep.lane_attainment.items())
-        )
-        rows.append(
-            [
-                name,
-                f"{100 * rep.slo_attainment:.1f}%",
-                lanes,
-                rep.batches,
-                f"{rep.mean_batch_width:.1f}",
-                rep.joins,
-                f"{rep.mean_queue_ms:.2f}",
-                f"{rep.p95_queue_ms:.2f}",
-                f"{rep.mean_latency_ms:.2f}",
-                f"{rep.busy_ms:.2f}",
-            ]
-        )
-    title = "online query scheduling (modeled)"
-    if verify:
-        title += "; every answer verified bit-identical to its solo run"
-    print(
-        format_table(
-            ["policy", "SLO att.", "per lane", "batches", "mean k",
-             "joins", "queue ms", "p95 queue", "latency ms", "busy ms"],
-            rows,
-            title=title,
-        )
-    )
-    return 0
-
-
 def cmd_cluster(args: argparse.Namespace) -> int:
     import warnings
 
@@ -714,7 +552,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     from repro.serving import (
-        GraphStore,
+        GraphRegistry,
         Ingester,
         Router,
         mutation_trace,
@@ -740,7 +578,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     device = device_by_name(args.device)
 
     g = load_matrix(args.matrix)
-    store = GraphStore(max_batch=args.max_batch)
+    store = GraphRegistry(max_batch=args.max_batch)
     store.add(g.name, g, device=device, tile_dim=args.tile_dim)
 
     # Spread the mutation batches across the expected stream horizon so
@@ -978,56 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--device", default="pascal")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_multi)
-
-    sp = sub.add_parser(
-        "serve",
-        help="coalesce a stream of BFS/SSSP/CC requests into batched "
-             "launches and report per-query latency vs k singles",
-    )
-    sp.add_argument("matrix")
-    sp.add_argument("--requests", type=int, default=48,
-                    help="number of synthetic client requests")
-    sp.add_argument("--max-batch", type=int, default=64,
-                    help="widest coalesced batch (requests beyond this "
-                         "split into further batches)")
-    sp.add_argument("--tile-dim", type=int, default=32,
-                    choices=list(TILE_DIMS))
-    sp.add_argument("--device", default="pascal")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_serve)
-
-    sp = sub.add_parser(
-        "schedule",
-        help="simulate an online arrival stream with latency SLOs and "
-             "priority lanes; compare the SLO-aware scheduler against "
-             "flush-everything and FCFS baselines",
-    )
-    sp.add_argument("matrix")
-    sp.add_argument("--requests", type=int, default=48,
-                    help="number of Poisson arrivals")
-    sp.add_argument("--rate", type=float, default=2000.0,
-                    help="arrival rate in queries per second "
-                         "(modeled-time domain)")
-    sp.add_argument("--slo", type=float, default=20.0,
-                    help="bulk-lane latency budget in modeled ms")
-    sp.add_argument("--urgent-slo", type=float, default=5.0,
-                    help="urgent-lane latency budget in modeled ms")
-    sp.add_argument("--urgent-fraction", type=float, default=0.1,
-                    help="fraction of requests in the urgent lane")
-    sp.add_argument("--max-batch", type=int, default=32,
-                    help="widest coalesced launch / join capacity")
-    sp.add_argument("--slack-factor", type=float, default=1.5,
-                    help="safety multiplier on service estimates when "
-                         "computing launch deadlines")
-    sp.add_argument("--policy", default="all",
-                    choices=("all", "slo", "flush", "fcfs"))
-    sp.add_argument("--no-verify", action="store_true",
-                    help="skip the standalone bitwise-equality check")
-    sp.add_argument("--tile-dim", type=int, default=32,
-                    choices=list(TILE_DIMS))
-    sp.add_argument("--device", default="pascal")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_schedule)
 
     sp = sub.add_parser(
         "cluster",

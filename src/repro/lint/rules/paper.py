@@ -81,8 +81,8 @@ class PaperFaithfulSkipRule(Rule):
         "artifacts must stay byte-identical)"
     )
     hint = (
-        "pass skip_inactive=False; only serving surfaces (serve/"
-        "schedule/cluster) may take the skip default"
+        "pass skip_inactive=False; only serving surfaces (cluster/"
+        "ingest) may take the skip default"
     )
 
     def applies_to(self, path: str) -> bool:

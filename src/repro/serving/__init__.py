@@ -19,13 +19,17 @@ gap in layers:
 * :class:`Router` + :class:`GraphRegistry` — the online front end:
   consume a timestamped arrival stream (:mod:`repro.serving.arrivals`),
   decide batch-now vs wait-for-riders against per-query latency SLOs
-  (pluggable :data:`POLICIES` admission objects, per-kind
+  (the :data:`POLICIES` admission objects, per-kind
   :class:`ServiceEstimator`), let late arrivals join still-open batches
   mid-flight, run urgent/bulk priority lanes, and dispatch many named
-  serving graphs across N servers by pluggable :data:`PLACEMENTS`
-  policies (graph-affinity sharding, least-loaded,
-  power-of-two-choices).  One graph on ``n_servers=1`` is the
-  single-backend scheduler.
+  serving graphs across N servers by the :data:`PLACEMENTS` policies
+  (graph-affinity sharding, least-loaded, power-of-two-choices,
+  speed-aware).  One graph on ``n_servers=1`` is the single-backend
+  scheduler.  Every registered graph is a chain of epochs:
+  :meth:`GraphRegistry.mutate` (or ``Router.run(mutations=...)``) swaps
+  in the next one while in-flight batches finish on theirs, and
+  :class:`Ingester` (:mod:`~repro.serving.ingest`) applies mutation
+  batches with bounded retry.
 * :class:`DataPlane` (:mod:`~repro.serving.plane`) — where every
   committed batch executes: :class:`InProcessPlane` by default, or a
   :class:`WorkerPool` (:mod:`~repro.serving.parallel`) of worker
@@ -50,7 +54,6 @@ from repro.serving.admission import (
     AdmissionPolicy,
     Batch,
     POLICIES,
-    register_policy,
 )
 from repro.serving.arrivals import (
     LANES,
@@ -79,7 +82,6 @@ from repro.serving.cluster import (
     ScaleRecord,
     StealRecord,
     SwapRecord,
-    register_placement,
 )
 from repro.serving.estimator import ServiceEstimator
 from repro.serving.faults import (
@@ -147,7 +149,5 @@ __all__ = [
     "parse_fail_spec",
     "parse_speed_spec",
     "poisson_stream",
-    "register_placement",
-    "register_policy",
     "trace_stream",
 ]

@@ -1,12 +1,12 @@
-"""Pluggable admission policies for the online serving loop.
+"""Admission policies for the online serving loop.
 
 Admission answers three questions the event loop itself never decides:
 *does a new arrival join an open batch or start its own*, *how long may
 an open batch wait for riders*, and *what does a launching batch absorb
 from the other lanes*.  Each answer is a method on
-:class:`AdmissionPolicy`; the scheduler and the cluster router call the
-policy through this interface only, so a new policy is a subclass plus a
-:func:`register_policy` call — the event loop never changes.
+:class:`AdmissionPolicy`; the router calls the policy through this
+interface only, so a new policy is a subclass plus a :data:`POLICIES`
+entry — the event loop never changes.
 
 Three policies ship in :data:`POLICIES`:
 
@@ -25,8 +25,7 @@ Three policies ship in :data:`POLICIES`:
 
 Batches are compatible only within one serving graph: the coalesced
 kernels answer many queries against *one* matrix, so ``Batch.graph``
-participates in every join/absorb check (the single-graph scheduler
-simply uses one graph name throughout).
+participates in every join/absorb check.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ class Batch:
     ``sid`` is the placement commitment: ``None`` until a router asks a
     placement policy for a server, then pinned (the batch launches when
     *that* server frees).  ``version`` is the graph epoch the batch was
-    admitted against: under a versioned store an epoch swap strands the
-    open batches on their admitted version — later arrivals (which see
+    admitted against: an epoch swap strands the open batches on their
+    admitted version — later arrivals (which see
     the new epoch) open fresh batches instead of joining, so a batch
     never mixes versions.
 
@@ -74,20 +73,15 @@ class AdmissionContext:
     current width (the router routes it to the right graph's
     estimator); ``n_servers`` scales the contention reserve — with N
     servers, the other open batches queue against N slots, not one.
-    ``version_of`` maps a graph name to its *current* serving epoch
-    (``None`` — the unversioned registries — pins everything to epoch
-    0); new batches are stamped with it and joins require it to match.
+    ``version_of`` maps a graph name to its *current* serving epoch; new
+    batches are stamped with it and joins require it to match.
     """
 
     max_batch: int
     slack_factor: float
     estimate: Callable[[Batch], float]
+    version_of: Callable[[str], int]
     n_servers: int = 1
-    version_of: Callable[[str], int] | None = None
-
-    def current_version(self, graph: str) -> int:
-        """The serving epoch a batch opened now would be admitted on."""
-        return 0 if self.version_of is None else self.version_of(graph)
 
 
 class AdmissionPolicy:
@@ -95,7 +89,7 @@ class AdmissionPolicy:
     flags so degenerate policies are declarative subclasses.
 
     Subclasses override the flags (or any method) and set ``name``;
-    instances registered in :data:`POLICIES` are stateless — all mutable
+    the instances in :data:`POLICIES` are stateless — all mutable
     scheduling state lives in the batches and the context.
     """
 
@@ -115,7 +109,7 @@ class AdmissionPolicy:
     ) -> int:
         """Join an open compatible batch (mid-flight) or open a new one.
         Returns 1 when the query joined an existing batch."""
-        version = ctx.current_version(graph)
+        version = ctx.version_of(graph)
         if self.batching:
             for b in open_batches:
                 if (
@@ -238,27 +232,13 @@ class FCFSAdmission(AdmissionPolicy):
 
 
 #: The scheduler policy and its two baselines, by name.
-POLICIES: dict[str, AdmissionPolicy] = {}
+POLICIES: dict[str, AdmissionPolicy] = {
+    p.name: p for p in (SLOAdmission(), FlushAdmission(), FCFSAdmission())
+}
 
 
-def register_policy(policy: AdmissionPolicy) -> AdmissionPolicy:
-    """Add a policy instance to :data:`POLICIES` (keyed by its name);
-    returns it so the call doubles as a declaration."""
-    if not policy.name or policy.name == "base":
-        raise ValueError("admission policies need a distinct name")
-    POLICIES[policy.name] = policy
-    return policy
-
-
-register_policy(SLOAdmission())
-register_policy(FlushAdmission())
-register_policy(FCFSAdmission())
-
-
-def resolve_policy(policy: str | AdmissionPolicy) -> AdmissionPolicy:
-    """Look up a policy by name (instances pass through)."""
-    if isinstance(policy, AdmissionPolicy):
-        return policy
+def resolve_policy(policy: str) -> AdmissionPolicy:
+    """Look up a policy by name."""
     if policy not in POLICIES:
         raise ValueError(
             f"unknown policy {policy!r}; valid: {sorted(POLICIES)}"
@@ -274,6 +254,5 @@ __all__ = [
     "FlushAdmission",
     "POLICIES",
     "SLOAdmission",
-    "register_policy",
     "resolve_policy",
 ]

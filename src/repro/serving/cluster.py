@@ -6,18 +6,20 @@ core (:mod:`repro.serving.events`) over N servers; one graph on one
 server (``Router(registry, n_servers=1)``) is the single-backend online
 scheduler:
 
-* :class:`GraphRegistry` — named serving graphs.  Each entry owns its
-  engines, its :class:`~repro.serving.batcher.QueryBatcher`, its
-  per-kind :class:`~repro.serving.estimator.ServiceEstimator`, and its
-  memoized standalone-run cache, so every graph's service profile and
+* :class:`GraphRegistry` — named serving graphs, each a chain of
+  immutable epochs (:meth:`GraphRegistry.mutate` appends the next one as
+  a copy-on-write delta).  Each epoch owns its engines, its
+  :class:`~repro.serving.batcher.QueryBatcher`, its per-kind
+  :class:`~repro.serving.estimator.ServiceEstimator`, and its memoized
+  standalone-run cache, so every graph's service profile and
   verification state are independent.
 * :class:`Router` — dispatches a cross-graph arrival stream
   (:func:`repro.serving.arrivals.multi_graph_poisson_stream`) over N
-  :class:`~repro.serving.events.Server` slots.  Admission rides the
-  pluggable :data:`~repro.serving.admission.POLICIES`; batches never mix
+  :class:`~repro.serving.events.Server` slots.  Admission rides one of
+  the :data:`~repro.serving.admission.POLICIES`; batches never mix
   graphs (the coalesced kernels answer many queries against one
-  matrix), and *where* a ready batch runs is a pluggable placement
-  policy from :data:`PLACEMENTS`:
+  matrix), and *where* a ready batch runs is a placement policy from
+  :data:`PLACEMENTS`:
 
   - ``"affinity"`` — graph-affinity sharding: every graph has a fixed
     home server (registration order modulo cluster size), so a shard's
@@ -37,14 +39,14 @@ scheduler:
 The cluster is fault-tolerant and elastic (``serving/faults.py``):
 :class:`~repro.serving.faults.FaultPlan` events crash/recover/slow
 servers at modeled times, interleaved deterministically with arrivals
-and epoch swaps through the same due-event cursor the versioned store
-uses.  A mid-flight crash withdraws the victim batch and re-queues it
-through admission with bounded retries (its queries re-land on
-survivors or fail closed with a :class:`QueryOutcome` failure reason);
-committed-but-unstarted batches are stolen off dead, draining, or —
-with ``steal=True`` — merely backed-up servers; an optional
-:class:`Autoscaler` adds or drains servers against observed SLO
-attainment (drain = stop-placing-then-finish).
+and epoch swaps through the same due-event cursor.  A mid-flight crash
+withdraws the victim batch and re-queues it through admission with
+bounded retries (its queries re-land on survivors or fail closed with a
+:class:`QueryOutcome` failure reason); committed-but-unstarted batches
+are stolen off dead, draining, or — with ``steal=True`` — merely
+backed-up servers; an optional :class:`Autoscaler` adds or drains
+servers against observed SLO attainment (drain =
+stop-placing-then-finish).
 
 Every committed batch executes one way: as a
 :class:`~repro.serving.plane.LaunchSpec` handed to a
@@ -61,13 +63,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engines.base import Engine
+from repro.engines.bit import BitEngine
 from repro.formats.delta import DeltaReport, apply_edge_delta, delta_b2sr, edge_diff
 from repro.serving.admission import (
     AdmissionContext,
@@ -104,46 +106,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ----------------------------------------------------------------------
 @dataclass
 class GraphEntry:
-    """One registered serving graph with its private serving state.
+    """One epoch of a registered serving graph with its private serving
+    state.
 
-    Under a versioned :class:`GraphStore`, an entry is one *epoch* of a
-    named graph: ``version`` counts mutations applied since
-    registration, ``graph``/``sym_graph`` retain the source graphs so
-    the next delta can be applied copy-on-write, and ``delta`` records
-    the edit that produced this epoch (``None`` for the seed epoch).
-    Every epoch is fully immutable once built — engines, batcher, warm
-    plans and verification cache all belong to the epoch, which is what
-    lets in-flight batches finish on their admitted version while new
-    arrivals see the next one.
+    ``version`` counts mutations applied since registration,
+    ``graph``/``sym_graph`` retain the source graphs so the next delta
+    can be applied copy-on-write, and ``delta`` records the edit that
+    produced this epoch (``None`` for epoch 0).  Every epoch is fully
+    immutable once built — engines, batcher, warm plans and verification
+    cache all belong to the epoch, which is what lets in-flight batches
+    finish on their admitted version while new arrivals see the next
+    one.
     """
 
     name: str
-    engine: Engine
-    cc_engine: Engine
+    engine: BitEngine
+    cc_engine: BitEngine
     batcher: QueryBatcher
     estimator: ServiceEstimator
+    graph: Graph = field(repr=False)
+    sym_graph: Graph = field(repr=False)
     singles_cache: dict = field(default_factory=dict)
     version: int = 0
-    graph: Graph | None = field(default=None, repr=False)
-    sym_graph: Graph | None = field(default=None, repr=False)
     delta: DeltaReport | None = field(default=None, repr=False)
 
 
 class GraphRegistry:
-    """Named serving graphs behind one router.
+    """Named serving graphs behind one router, each an epoch chain.
+
+    :meth:`add` registers epoch 0 of a graph; :meth:`mutate` applies an
+    edge-mutation batch as a copy-on-write delta
+    (:func:`repro.formats.delta.apply_edge_delta`) and appends the next
+    epoch.  Only touched B2SR tiles are rebuilt, every epoch warms its
+    own kernel plans *before* it becomes servable, and earlier epochs
+    stay in the chain so batches admitted against them finish
+    unchanged.  The lookup surface (``registry[name]``, :meth:`resolve`,
+    :meth:`current_version`) answers with the newest epoch;
+    :meth:`entry_for` resolves any retained one.
 
     ``max_batch`` is the cluster-wide coalescing cap applied to every
     entry's batcher (and the routers' mid-flight-join capacity).
     """
 
-    #: Whether this registry supports epoch swaps (:class:`GraphStore`).
-    versioned: bool = False
+    #: Every registry is versioned; perfbench/ still reads this flag.
+    versioned = True
 
     def __init__(self, *, max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.max_batch = max_batch
-        self._entries: dict[str, GraphEntry] = {}
+        # Epochs are contiguous from 0 and never dropped, so a chain is
+        # indexed by version.
+        self._chains: dict[str, list[GraphEntry]] = {}
 
     # ------------------------------------------------------------------
     def add(
@@ -154,189 +168,20 @@ class GraphRegistry:
         device: DeviceSpec | None = None,
         tile_dim: int = 32,
     ) -> GraphEntry:
-        """Register ``graph`` under ``name`` on the bit backend (plus a
-        symmetrized engine for graph-global CC queries)."""
-        from repro.engines import BitEngine
-
-        kwargs: dict[str, DeviceSpec] = (
-            {} if device is None else {"device": device}
-        )
-        sym = graph.symmetrized()
-        engine = BitEngine(graph, tile_dim=tile_dim, **kwargs)
-        cc_engine = BitEngine(sym, tile_dim=tile_dim, **kwargs)
-        entry = self.add_engines(name, engine, cc_engine=cc_engine)
-        # Retain the source graphs so a versioned store can apply the
-        # next mutation batch as a copy-on-write delta.
-        entry.graph = graph
-        entry.sym_graph = sym
-        return entry
-
-    def add_engines(
-        self,
-        name: str,
-        engine: Engine,
-        *,
-        cc_engine: Engine | None = None,
-    ) -> GraphEntry:
-        """Register a graph from pre-built engines."""
+        """Register ``graph`` under ``name`` as epoch 0, on the bit
+        backend (plus a symmetrized engine for graph-global CC
+        queries)."""
         if not name:
             raise ValueError("serving graphs need a non-empty name")
-        if name in self._entries:
+        if name in self._chains:
             raise ValueError(f"graph {name!r} is already registered")
-        cc = cc_engine if cc_engine is not None else engine
-        entry = GraphEntry(
-            name=name,
-            engine=engine,
-            cc_engine=cc,
-            batcher=QueryBatcher(
-                engine, cc_engine=cc, max_batch=self.max_batch
-            ),
-            estimator=ServiceEstimator(engine, cc_engine=cc),
+        entry = self._epoch(
+            name, graph, graph.symmetrized(), device=device,
+            tile_dim=tile_dim,
         )
-        # A registered serving graph owns warm kernel plans: the chunk
-        # tables and set-bit index its batched launches need are built
-        # now, not on the first query's critical path.
-        entry.batcher.warm()
-        self._entries[name] = entry
-        return entry
-
-    def mutate(
-        self,
-        name: str,
-        inserts: np.ndarray | None = None,
-        deletes: np.ndarray | None = None,
-    ) -> tuple[GraphEntry, DeltaReport]:
-        """Unversioned registries cannot mutate; use :class:`GraphStore`."""
-        raise NotImplementedError(
-            "this registry is unversioned; register the graphs in a "
-            "GraphStore to apply mutations"
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Registered graph names, in registration order."""
-        return tuple(self._entries)
-
-    def index(self, name: str) -> int:
-        """Registration position of ``name`` (the affinity shard key)."""
-        return self.names.index(name)
-
-    def resolve(self, graph: str | None) -> str:
-        """Map an arrival's graph key to a registered name.  ``None``
-        resolves only when exactly one graph is registered."""
-        if graph is None:
-            if len(self._entries) == 1:
-                return next(iter(self._entries))
-            raise ValueError(
-                "arrival names no graph but the registry holds "
-                f"{sorted(self._entries)}; tag arrivals with a graph key"
-            )
-        if graph not in self._entries:
-            raise ValueError(
-                f"unknown serving graph {graph!r}; registered: "
-                f"{sorted(self._entries)}"
-            )
-        return graph
-
-    def current_version(self, name: str) -> int:
-        """The serving epoch new arrivals against ``name`` are admitted
-        on (always 0 for an unversioned registry)."""
-        return self._entries[name].version
-
-    def entry_for(self, name: str, version: int) -> GraphEntry:
-        """The entry serving ``name`` at ``version``.  A plain registry
-        retains only the current epoch; :class:`GraphStore` keeps the
-        whole chain so in-flight batches resolve their admitted epoch
-        across a swap."""
-        entry = self._entries[name]
-        if entry.version != version:
-            raise KeyError(
-                f"graph {name!r} is at version {entry.version}; "
-                f"version {version} is not retained"
-            )
-        return entry
-
-    def estimator_state(self) -> dict[str, dict[str, float]]:
-        """Snapshot every entry's learned service estimates, keyed by
-        graph name (see :meth:`restore_estimator_state`)."""
-        return {
-            name: entry.estimator.snapshot()
-            for name, entry in self._entries.items()
-        }
-
-    def restore_estimator_state(
-        self, state: dict[str, dict[str, float]]
-    ) -> None:
-        """Reset entries' estimators to a snapshot, so repeated runs on
-        one registry (placement/policy comparisons) start from identical
-        estimates instead of state the previous run learned."""
-        for name, est in state.items():
-            self._entries[name].estimator.restore(est)
-
-    def __getitem__(self, name: str) -> GraphEntry:
-        return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[GraphEntry]:
-        return iter(self._entries.values())
-
-
-class GraphStore(GraphRegistry):
-    """A version-aware registry: an epoch chain per named graph.
-
-    :meth:`mutate` applies an edge-mutation batch as a copy-on-write
-    delta (:func:`repro.formats.delta.apply_edge_delta`): only touched
-    B2SR tiles are rebuilt, the new epoch warms its own kernel plans
-    *before* it becomes servable, and the previous epochs stay alive in
-    the chain so batches admitted against them finish unchanged.  The
-    registry lookup surface (``store[name]``, :meth:`resolve`,
-    :meth:`current_version`) always answers with the newest epoch;
-    :meth:`entry_for` resolves any retained one.
-    """
-
-    versioned = True
-
-    def __init__(self, *, max_batch: int = 64) -> None:
-        super().__init__(max_batch=max_batch)
-        self._chains: dict[str, list[GraphEntry]] = {}
-
-    def add_engines(
-        self,
-        name: str,
-        engine: Engine,
-        *,
-        cc_engine: Engine | None = None,
-    ) -> GraphEntry:
-        entry = super().add_engines(name, engine, cc_engine=cc_engine)
         self._chains[name] = [entry]
         return entry
 
-    # ------------------------------------------------------------------
-    def versions(self, name: str) -> tuple[int, ...]:
-        """Retained epoch numbers for ``name``, oldest first."""
-        return tuple(e.version for e in self._chains[name])
-
-    def history(self, name: str) -> tuple[GraphEntry, ...]:
-        """The retained epoch chain for ``name``, oldest first."""
-        return tuple(self._chains[name])
-
-    def entry_for(self, name: str, version: int) -> GraphEntry:
-        for entry in self._chains.get(name, ()):
-            if entry.version == version:
-                return entry
-        raise KeyError(
-            f"graph {name!r} retains versions "
-            f"{[e.version for e in self._chains.get(name, [])]}; "
-            f"version {version} is not among them"
-        )
-
-    # ------------------------------------------------------------------
     def mutate(
         self,
         name: str,
@@ -348,31 +193,24 @@ class GraphStore(GraphRegistry):
 
         The delta path: patch the directed graph's cached B2SR forms
         tile-by-tile, diff-and-patch the symmetrized view the CC engine
-        serves, build fresh engines over the patched forms, warm the new
-        epoch's sweep plans, then append it to the chain and swap the
-        current-epoch pointer.  Everything up to the final swap is off
-        the serving hot path — a router applying a due mutation admits
-        the very next arrival against fully warm plans.  The previous
-        epoch's learned service estimates carry over (the graph changed
-        by one small delta; relearning from scratch would thrash the
-        admission deadlines).
+        serves, build and warm the new epoch, then append it to the
+        chain.  Everything up to the append is off the serving hot path
+        — a router applying a due mutation admits the very next arrival
+        against fully warm plans.  The previous epoch's learned service
+        estimates carry over (the graph changed by one small delta;
+        relearning from scratch would thrash the admission deadlines).
         """
-        if name not in self._entries:
+        if name not in self._chains:
             raise KeyError(
                 f"unknown serving graph {name!r}; registered: "
-                f"{sorted(self._entries)}"
+                f"{sorted(self._chains)}"
             )
-        entry = self._entries[name]
-        if entry.graph is None:
-            raise ValueError(
-                f"graph {name!r} was registered from bare engines; "
-                "mutation needs the source Graph (register via add())"
-            )
-        tile_dim = getattr(entry.engine, "tile_dim", 32)
-        # Patch whatever B2SR forms the old epoch actually built (for a
-        # BitEngine registration that is the transposed pull operand);
-        # forms nobody cached are not force-rebuilt — an engine that
-        # later needs one converts lazily, exactly like the seed epoch.
+        entry = self[name]
+        tile_dim = entry.engine.tile_dim
+        # Patch whatever B2SR forms the old epoch actually built (the
+        # transposed pull operand); forms nobody cached are not
+        # force-rebuilt — an engine that later needs one converts
+        # lazily, exactly like epoch 0.
         new_graph, report = apply_edge_delta(entry.graph, inserts, deletes)
 
         # Patch the symmetrized view (what the CC engine sweeps) by
@@ -380,7 +218,7 @@ class GraphStore(GraphRegistry):
         # small delta is still small, so its B2SR patch is too.
         new_sym = new_graph.symmetrized()
         old_sym = entry.sym_graph
-        if new_sym is not new_graph and old_sym is not None:
+        if new_sym is not new_graph:
             sym_ins, sym_del = edge_diff(old_sym.csr, new_sym.csr)
             base_t = old_sym.cached_b2sr_t(tile_dim)
             if base_t is not None:
@@ -390,17 +228,36 @@ class GraphStore(GraphRegistry):
                 new_sym.adopt_b2sr(tile_dim, mat_t=patched)
                 report.forms[f"Sym_At{tile_dim}"] = sym_stats
 
-        from repro.engines import BitEngine
+        new_entry = self._epoch(
+            name, new_graph, new_sym, device=entry.engine.device,
+            tile_dim=tile_dim, version=entry.version + 1, delta=report,
+        )
+        new_entry.estimator.restore(entry.estimator.snapshot())
+        self._chains[name].append(new_entry)
+        return new_entry, report
 
-        eng_kwargs = {
-            "tile_dim": tile_dim,
-            "skip_inactive": getattr(entry.engine, "skip_inactive", True),
-        }
-        if entry.engine.device is not None:
-            eng_kwargs["device"] = entry.engine.device
-        engine = BitEngine(new_graph, **eng_kwargs)
-        cc_engine = BitEngine(new_sym, **eng_kwargs)
-        new_entry = GraphEntry(
+    def _epoch(
+        self,
+        name: str,
+        graph: Graph,
+        sym: Graph,
+        *,
+        device: DeviceSpec | None,
+        tile_dim: int,
+        version: int = 0,
+        delta: DeltaReport | None = None,
+    ) -> GraphEntry:
+        """Build one servable epoch: engines over ``graph`` and its
+        symmetrized view ``sym``, its batcher and estimator, and warm
+        kernel plans — the chunk tables and set-bit index its batched
+        launches need are built now, not on the first query's critical
+        path."""
+        kwargs: dict[str, DeviceSpec] = (
+            {} if device is None else {"device": device}
+        )
+        engine = BitEngine(graph, tile_dim=tile_dim, **kwargs)
+        cc_engine = BitEngine(sym, tile_dim=tile_dim, **kwargs)
+        entry = GraphEntry(
             name=name,
             engine=engine,
             cc_engine=cc_engine,
@@ -408,141 +265,164 @@ class GraphStore(GraphRegistry):
                 engine, cc_engine=cc_engine, max_batch=self.max_batch
             ),
             estimator=ServiceEstimator(engine, cc_engine=cc_engine),
-            version=entry.version + 1,
-            graph=new_graph,
-            sym_graph=new_sym,
-            delta=report,
+            graph=graph,
+            sym_graph=sym,
+            version=version,
+            delta=delta,
         )
-        new_entry.estimator.restore(entry.estimator.snapshot())
-        # Warm the new epoch's plans BEFORE the swap: the first query
-        # after the epoch flips must not pay plan construction.
-        new_entry.batcher.warm()
-        self._chains[name].append(new_entry)
-        self._entries[name] = new_entry
-        return new_entry, report
+        entry.batcher.warm()
+        return entry
+
+    # ------------------------------------------------------------------
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Registered graph names, in registration order."""
+        return tuple(self._chains)
+
+    def index(self, name: str) -> int:
+        """Registration position of ``name`` (the affinity shard key)."""
+        return self.names.index(name)
+
+    def resolve(self, graph: str | None) -> str:
+        """Map an arrival's graph key to a registered name.  ``None``
+        resolves only when exactly one graph is registered."""
+        if graph is None:
+            if len(self._chains) == 1:
+                return next(iter(self._chains))
+            raise ValueError(
+                "arrival names no graph but the registry holds "
+                f"{sorted(self._chains)}; tag arrivals with a graph key"
+            )
+        if graph not in self._chains:
+            raise ValueError(
+                f"unknown serving graph {graph!r}; registered: "
+                f"{sorted(self._chains)}"
+            )
+        return graph
+
+    def current_version(self, name: str) -> int:
+        """The serving epoch new arrivals against ``name`` are admitted
+        on."""
+        return len(self._chains[name]) - 1
+
+    def versions(self, name: str) -> tuple[int, ...]:
+        """Retained epoch numbers for ``name``, oldest first."""
+        return tuple(e.version for e in self._chains[name])
+
+    def entry_for(self, name: str, version: int) -> GraphEntry:
+        """The entry serving ``name`` at ``version`` — any retained
+        epoch, so in-flight batches resolve their admitted epoch across
+        a swap."""
+        chain = self._chains[name]
+        if 0 <= version < len(chain):
+            return chain[version]
+        raise KeyError(
+            f"graph {name!r} retains versions 0..{len(chain) - 1}; "
+            f"version {version} is not among them"
+        )
+
+    def estimator_state(self) -> dict[str, dict[str, float]]:
+        """Snapshot every graph's learned service estimates (current
+        epoch), keyed by graph name (see :meth:`restore_estimator_state`)."""
+        return {entry.name: entry.estimator.snapshot() for entry in self}
+
+    def restore_estimator_state(
+        self, state: dict[str, dict[str, float]]
+    ) -> None:
+        """Reset current epochs' estimators to a snapshot, so repeated
+        runs on one registry (placement/policy comparisons) start from
+        identical estimates instead of state the previous run learned."""
+        for name, est in state.items():
+            self[name].estimator.restore(est)
+
+    def __getitem__(self, name: str) -> GraphEntry:
+        return self._chains[name][-1]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._chains
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    def __iter__(self) -> Iterator[GraphEntry]:
+        return (chain[-1] for chain in self._chains.values())
+
+
+#: Former name of the versioned registry; perfbench/ still imports it.
+GraphStore = GraphRegistry
 
 
 # ----------------------------------------------------------------------
 # Placement policies
 # ----------------------------------------------------------------------
-class PlacementPolicy:
-    """Decide which server a ready batch runs on.
-
-    ``place`` is called once per batch, the first time the batch is
-    dispatchable; the returned server becomes the batch's commitment
-    (it launches when that server frees).  Policies are stateless —
-    randomized ones draw from the router's per-run RNG.
-    """
-
-    name: str = "base"
-
-    def place(
-        self,
-        batch: Batch,
-        servers: list[Server],
-        registry: GraphRegistry,
-        rng: np.random.Generator,
-    ) -> Server:
-        raise NotImplementedError
+#: Decide which server a ready batch runs on.  Called once per batch,
+#: the first time the batch is dispatchable; the returned server becomes
+#: the batch's commitment (it launches when that server frees).
+#: Placements are stateless — randomized ones draw from the router's
+#: per-run RNG.
+PlacementPolicy = Callable[
+    [Batch, list[Server], GraphRegistry, np.random.Generator], Server
+]
 
 
-class AffinityPlacement(PlacementPolicy):
+def _affinity(
+    batch: Batch, servers: list[Server], registry: GraphRegistry,
+    rng: np.random.Generator,
+) -> Server:
     """Graph-affinity sharding: a fixed home server per graph."""
-
-    name = "affinity"
-
-    def place(
-        self,
-        batch: Batch,
-        servers: list[Server],
-        registry: GraphRegistry,
-        rng: np.random.Generator,
-    ) -> Server:
-        return servers[registry.index(batch.graph) % len(servers)]
+    return servers[registry.index(batch.graph) % len(servers)]
 
 
-class LeastLoadedPlacement(PlacementPolicy):
+def _least_loaded(
+    batch: Batch, servers: list[Server], registry: GraphRegistry,
+    rng: np.random.Generator,
+) -> Server:
     """Commit to the earliest-available server (global knowledge)."""
-
-    name = "least-loaded"
-
-    def place(
-        self,
-        batch: Batch,
-        servers: list[Server],
-        registry: GraphRegistry,
-        rng: np.random.Generator,
-    ) -> Server:
-        return min(servers, key=lambda s: (s.free_at, s.busy_ms, s.sid))
+    return min(servers, key=lambda s: (s.free_at, s.busy_ms, s.sid))
 
 
-class PowerOfTwoPlacement(PlacementPolicy):
+def _power_of_two(
+    batch: Batch, servers: list[Server], registry: GraphRegistry,
+    rng: np.random.Generator,
+) -> Server:
     """Sample two servers, take the less loaded (no global state)."""
-
-    name = "p2c"
-
-    def place(
-        self,
-        batch: Batch,
-        servers: list[Server],
-        registry: GraphRegistry,
-        rng: np.random.Generator,
-    ) -> Server:
-        if len(servers) == 1:
-            return servers[0]
-        picks = rng.choice(len(servers), size=2, replace=False)
-        return min(
-            (servers[int(i)] for i in picks),
-            key=lambda s: (s.free_at, s.busy_ms, s.sid),
-        )
+    if len(servers) == 1:
+        return servers[0]
+    picks = rng.choice(len(servers), size=2, replace=False)
+    return min(
+        (servers[int(i)] for i in picks),
+        key=lambda s: (s.free_at, s.busy_ms, s.sid),
+    )
 
 
-class SpeedAwarePlacement(PlacementPolicy):
+def _speed_aware(
+    batch: Batch, servers: list[Server], registry: GraphRegistry,
+    rng: np.random.Generator,
+) -> Server:
     """Earliest speed-scaled completion: score each candidate by when
     it would *finish* this batch — current availability plus the
     batch's service estimate divided by the server's speed factor — so
     a fast server keeps winning placements even while a slow one idles.
     On a homogeneous fleet this degenerates to least-loaded."""
-
-    name = "speed-aware"
-
-    def place(
-        self,
-        batch: Batch,
-        servers: list[Server],
-        registry: GraphRegistry,
-        rng: np.random.Generator,
-    ) -> Server:
-        entry = registry.entry_for(batch.graph, batch.version)
-        est = entry.estimator.estimate_ms(batch.kind, len(batch.members))
-        return min(
-            servers,
-            key=lambda s: (s.free_at + est / s.speed, s.busy_ms, s.sid),
-        )
+    entry = registry.entry_for(batch.graph, batch.version)
+    est = entry.estimator.estimate_ms(batch.kind, len(batch.members))
+    return min(
+        servers,
+        key=lambda s: (s.free_at + est / s.speed, s.busy_ms, s.sid),
+    )
 
 
 #: Placement policies, by name.
-PLACEMENTS: dict[str, PlacementPolicy] = {}
+PLACEMENTS: dict[str, PlacementPolicy] = {
+    "affinity": _affinity,
+    "least-loaded": _least_loaded,
+    "p2c": _power_of_two,
+    "speed-aware": _speed_aware,
+}
 
 
-def register_placement(placement: PlacementPolicy) -> PlacementPolicy:
-    """Add a placement instance to :data:`PLACEMENTS` (keyed by name)."""
-    if not placement.name or placement.name == "base":
-        raise ValueError("placement policies need a distinct name")
-    PLACEMENTS[placement.name] = placement
-    return placement
-
-
-register_placement(AffinityPlacement())
-register_placement(LeastLoadedPlacement())
-register_placement(PowerOfTwoPlacement())
-register_placement(SpeedAwarePlacement())
-
-
-def resolve_placement(placement: str | PlacementPolicy) -> PlacementPolicy:
-    """Look up a placement by name (instances pass through)."""
-    if isinstance(placement, PlacementPolicy):
-        return placement
+def resolve_placement(placement: str) -> PlacementPolicy:
+    """Look up a placement by name."""
     if placement not in PLACEMENTS:
         raise ValueError(
             f"unknown placement {placement!r}; valid: {sorted(PLACEMENTS)}"
@@ -1156,7 +1036,7 @@ class _RouterController:
                 candidates = available
                 if reason == "backed-up":
                     candidates = [s for s in available if s.idle(now)]
-                batch.sid = self.placement.place(
+                batch.sid = self.placement(
                     batch, candidates, self.registry, self.rng
                 ).sid
                 if stolen_from is not None and batch.sid != stolen_from:
@@ -1383,7 +1263,7 @@ class Router:
         *,
         n_servers: int = 2,
         slack_factor: float = 1.5,
-        placement: str | PlacementPolicy = "affinity",
+        placement: str = "affinity",
         seed: int = 0,
     ) -> None:
         if len(registry) == 0:
@@ -1397,7 +1277,8 @@ class Router:
         self.registry = registry
         self.n_servers = n_servers
         self.slack_factor = slack_factor
-        self.placement = resolve_placement(placement)
+        resolve_placement(placement)  # an unknown name fails here
+        self.placement = placement
         self.seed = seed
 
     # ------------------------------------------------------------------
@@ -1405,13 +1286,13 @@ class Router:
         self,
         arrivals: StreamLike,
         *,
-        policy: str | AdmissionPolicy = "slo",
-        placement: str | PlacementPolicy | None = None,
+        policy: str = "slo",
+        placement: str | None = None,
         verify: bool = False,
         mutations: list[MutationBatch] | None = None,
         data_plane: DataPlane | None = None,
         faults: FaultPlan | None = None,
-        speeds: dict[int, float] | list[float] | None = None,
+        speeds: dict[int, float] | None = None,
         autoscaler: Autoscaler | None = None,
         steal: bool = False,
         max_requeues: int = 2,
@@ -1433,8 +1314,7 @@ class Router:
         ``report.extra["data_plane"]``.
 
         ``mutations`` interleaves timestamped edge-mutation batches with
-        the arrival stream (the registry must be a versioned
-        :class:`GraphStore`): each one swaps the target graph's serving
+        the arrival stream: each one swaps the target graph's serving
         epoch at its timestamp — batches already open finish on the
         epoch they were admitted against, arrivals from the swap instant
         on are served on the new one, and no batch ever mixes epochs.
@@ -1443,8 +1323,8 @@ class Router:
         ``faults`` replays a :class:`~repro.serving.faults.FaultPlan`
         against the fleet (crash / recover / slow at modeled times; in
         real mode a crash SIGKILLs the pinned worker).  ``speeds`` sets
-        initial per-server speed factors (dict keyed by sid, or one
-        factor per server); ``autoscaler`` enables elasticity;
+        initial per-server speed factors, keyed by sid; ``autoscaler``
+        enables elasticity;
         ``steal`` additionally re-places committed batches off merely
         backed-up servers (dead/draining servers are always stolen
         from); ``max_requeues`` bounds crash-driven re-queues per batch
@@ -1452,19 +1332,12 @@ class Router:
         land in ``report.extra``.
         """
         pol = resolve_policy(policy)
-        placer = resolve_placement(
-            self.placement if placement is None else placement
-        )
+        placement = self.placement if placement is None else placement
+        placer = resolve_placement(placement)
         muts: list[MutationBatch] = list(mutations or [])
-        if muts:
-            if not self.registry.versioned:
-                raise ValueError(
-                    "mutations need a versioned GraphStore registry; "
-                    f"got {type(self.registry).__name__}"
-                )
-            for m in muts:
-                m.validate()
-                self.registry.resolve(m.graph)
+        for m in muts:
+            m.validate()
+            self.registry.resolve(m.graph)
         if autoscaler is not None:
             autoscaler.validate()
         if faults is not None:
@@ -1494,45 +1367,36 @@ class Router:
         plane_extra = controller.collect()
         ordered = [controller.outcomes[j] for j in range(len(stream))]
         report = self._report(
-            pol.name, placer.name, ordered, controller, servers, verify
+            pol.name, placement, ordered, controller, servers, verify
         )
         if plane_extra is not None:
             report.extra["data_plane"] = plane_extra
         return ordered, report
 
     def _normalize_speeds(
-        self, speeds: dict[int, float] | list[float] | None
+        self, speeds: dict[int, float] | None
     ) -> dict[int, float]:
         """Validate a speed config against the fleet size."""
         if speeds is None:
             return {}
-        if isinstance(speeds, dict):
-            items = dict(speeds)
-        else:
-            if len(speeds) != self.n_servers:
-                raise ValueError(
-                    f"speed list has {len(speeds)} entries for "
-                    f"{self.n_servers} servers"
-                )
-            items = dict(enumerate(speeds))
-        for sid, factor in items.items():
+        for sid, factor in speeds.items():
             if not 0 <= sid < self.n_servers:
                 raise ValueError(
                     f"speed config names server {sid}; fleet has "
                     f"sids 0..{self.n_servers - 1}"
                 )
-            if not factor > 0.0:
+            if not (math.isfinite(factor) and factor > 0.0):
                 raise ValueError(
-                    f"speed factor for server {sid} must be > 0, "
-                    f"got {factor}"
+                    f"speed factor for server {sid} must be finite and "
+                    f"> 0, got {factor}"
                 )
-        return {sid: float(f) for sid, f in items.items()}
+        return {sid: float(f) for sid, f in speeds.items()}
 
     def compare_placements(
         self,
         arrivals: StreamLike,
         *,
-        policy: str | AdmissionPolicy = "slo",
+        policy: str = "slo",
         verify: bool = False,
         placements: list[str] | None = None,
     ) -> dict[str, tuple[list[QueryOutcome], ClusterReport]]:
@@ -1637,22 +1501,17 @@ class Router:
         )
 
 __all__ = [
-    "AffinityPlacement",
     "Autoscaler",
     "ClusterReport",
     "FaultRecord",
     "GraphEntry",
     "GraphRegistry",
     "GraphStore",
-    "LeastLoadedPlacement",
     "PLACEMENTS",
     "PlacementPolicy",
-    "PowerOfTwoPlacement",
     "Router",
     "ScaleRecord",
-    "SpeedAwarePlacement",
     "StealRecord",
     "SwapRecord",
-    "register_placement",
     "resolve_placement",
 ]

@@ -8,7 +8,7 @@ calibration solo run on first use, and scaled by how batched service
 grows with width on the backend at hand (per word plane on the bit
 backend, per query otherwise; graph-global kinds dedup onto one run).
 
-Each :class:`repro.serving.cluster.GraphRegistry` entry owns one
+Each :class:`repro.serving.cluster.GraphRegistry` epoch owns one
 estimator, so a cluster learns each graph's service profile
 independently — a small road network and a dense social graph behind the
 same router keep separate books.
@@ -36,18 +36,14 @@ class ServiceEstimator:
         self._est_ms: dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    def estimate_ms(self, kind: str, width: int, speed: float = 1.0) -> float:
-        """Estimated service ms for a ``width``-wide batch of ``kind``.
-
-        ``speed`` is a per-server speed factor: the estimator's books
-        are kept in speed-1 units (so heterogeneous fleets share one
-        learned profile per graph), and a placement policy scoring a
-        concrete server divides by that server's factor here.
-        """
+    def estimate_ms(self, kind: str, width: int) -> float:
+        """Estimated service ms for a ``width``-wide batch of ``kind``,
+        in speed-1 units (heterogeneous fleets share one learned profile
+        per graph; a server's speed factor scales its occupancy)."""
         per_plane = self._est_ms.get(kind)
         if per_plane is None:
             per_plane = self._calibrate(kind)
-        return per_plane * self.width_scale(kind, width) / speed
+        return per_plane * self.width_scale(kind, width)
 
     def observe(self, kind: str, width: int, service_ms: float) -> None:
         """Fold one launch's observed service time into the estimate."""

@@ -196,9 +196,9 @@ class EventLoop:
 class QueryOutcome:
     """One served query: its answer plus the full latency decomposition.
 
-    ``version`` is the graph epoch the query was admitted against — under
-    a versioned store, every member of a batch shares it (batches never
-    mix versions across an epoch swap).
+    ``version`` is the graph epoch the query was admitted against —
+    every member of a batch shares it (batches never mix versions across
+    an epoch swap).
 
     Under fault injection a query can *fail closed*: ``result`` is then
     ``None`` and ``failure`` carries the reason (retry budget exhausted,

@@ -3,10 +3,10 @@
 A :class:`FaultPlan` is a time-sorted list of :class:`FaultEvent`\\ s in
 the modeled-millisecond domain of the event loop.  The plan is *data*,
 not behaviour: :class:`repro.serving.cluster.Router` replays it through
-the same due-event cursor pattern the versioned store uses for epoch
-swaps, so fault events interleave deterministically with arrivals,
-launches, and mutations — two runs with the same stream, seed, and plan
-produce bitwise-identical reports.
+the same due-event cursor pattern it uses for epoch swaps, so fault
+events interleave deterministically with arrivals, launches, and
+mutations — two runs with the same stream, seed, and plan produce
+bitwise-identical reports.
 
 Three event kinds:
 
@@ -31,6 +31,7 @@ comes from :func:`chaos_plan`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,8 @@ class FaultEvent:
     """One scheduled fault: ``kind`` hits server ``sid`` at ``time_ms``.
 
     ``speed`` is only meaningful for ``slow`` events (the new speed
-    factor; must be > 0).
+    factor; must be finite and > 0).  ``time_ms`` must be finite: a NaN
+    time would sort anywhere and stall the replay cursor.
     """
 
     time_ms: float
@@ -58,13 +60,17 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r} (expected one of "
                 f"{', '.join(FAULT_KINDS)})"
             )
-        if self.time_ms < 0.0:
-            raise ValueError(f"fault time must be >= 0, got {self.time_ms}")
+        if not (math.isfinite(self.time_ms) and self.time_ms >= 0.0):
+            raise ValueError(
+                f"fault time must be finite and >= 0, got {self.time_ms}"
+            )
         if self.sid < 0:
             raise ValueError(f"fault sid must be >= 0, got {self.sid}")
-        if self.kind == "slow" and not self.speed > 0.0:
+        if self.kind == "slow" and not (
+            math.isfinite(self.speed) and self.speed > 0.0
+        ):
             raise ValueError(
-                f"slow-event speed must be > 0, got {self.speed}"
+                f"slow-event speed must be finite and > 0, got {self.speed}"
             )
 
 
@@ -145,8 +151,11 @@ def parse_fail_spec(spec: str) -> tuple[int, float]:
         raise ValueError(
             f"bad fault spec {spec!r}: expected SID@T_MS (e.g. 1@3.5)"
         ) from None
-    if sid < 0 or t < 0.0:
-        raise ValueError(f"bad fault spec {spec!r}: sid and time must be >= 0")
+    if sid < 0 or not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(
+            f"bad fault spec {spec!r}: sid must be >= 0 and time finite "
+            "and >= 0"
+        )
     return sid, t
 
 
@@ -163,9 +172,10 @@ def parse_speed_spec(spec: str) -> tuple[int, float]:
         raise ValueError(
             f"bad speed spec {spec!r}: expected SID=FACTOR (e.g. 2=0.5)"
         ) from None
-    if sid < 0 or not speed > 0.0:
+    if sid < 0 or not (math.isfinite(speed) and speed > 0.0):
         raise ValueError(
-            f"bad speed spec {spec!r}: sid must be >= 0 and factor > 0"
+            f"bad speed spec {spec!r}: sid must be >= 0 and factor finite "
+            "and > 0"
         )
     return sid, speed
 

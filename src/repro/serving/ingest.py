@@ -1,4 +1,4 @@
-"""Ingestion front end for the versioned graph store.
+"""Ingestion front end for the serving graph registry.
 
 Mutation batches arrive from outside the serving loop — a change-data
 stream, a crawler, a write API.  This module provides the two pieces the
@@ -7,7 +7,7 @@ dynamic-graph harnesses need:
 * :func:`mutation_trace` — a seeded, self-consistent mutation workload:
   each batch deletes edges that exist *at that point of the trace* and
   inserts edges that do not, so replaying the trace through
-  :meth:`~repro.serving.cluster.GraphStore.mutate` (or a router's
+  :meth:`~repro.serving.cluster.GraphRegistry.mutate` (or a router's
   ``mutations=`` hook) always applies effective edits.
 * :class:`Ingester` — applies batches **in order** with bounded retry:
   a failed batch is re-attempted up to ``max_retries`` times before it
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.graph import Graph, csr_row_indices
 from repro.serving.arrivals import MutationBatch
-from repro.serving.cluster import GraphStore
+from repro.serving.cluster import GraphRegistry
 
 
 def mutation_trace(
@@ -165,7 +165,7 @@ class Ingester:
 
     def __init__(
         self,
-        store: GraphStore,
+        store: GraphRegistry,
         *,
         max_retries: int = 2,
         backoff_base_ms: float = 1.0,
@@ -173,11 +173,6 @@ class Ingester:
         retry_deadline_ms: float | None = None,
         seed: int = 0,
     ) -> None:
-        if not getattr(store, "versioned", False):
-            raise ValueError(
-                "the ingester needs a versioned GraphStore, got "
-                f"{type(store).__name__}"
-            )
         if max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {max_retries}"

@@ -26,10 +26,9 @@ Discipline (enforced by the ``worker-queue-discipline`` lint rule):
   segments are unlinked only after their last in-flight batch drains —
   the PR 7 epoch discipline, extended across processes.
 
-A pool always means worker processes: it needs ``processes >= 1``,
-POSIX shared memory and B2SR-backed registry entries, and raises
-otherwise.  Without them, serve in-process (``Router.run`` with no
-``data_plane``).
+A pool always means worker processes: it needs ``processes >= 1`` and
+POSIX shared memory, and raises otherwise.  Without them, serve
+in-process (``Router.run`` with no ``data_plane``).
 """
 
 from __future__ import annotations
@@ -285,19 +284,6 @@ class _Export:
     retired: bool = False
 
 
-def _b2sr_operands(entry: "GraphEntry") -> tuple[B2SRMatrix, B2SRMatrix]:
-    """The entry's exportable B2SR operands (bfs/sssp, then cc)."""
-    At = getattr(entry.engine, "_At", None)
-    cc_At = getattr(entry.cc_engine, "_At", None)
-    if not isinstance(At, B2SRMatrix) or not isinstance(cc_At, B2SRMatrix):
-        raise ValueError(
-            f"graph {entry.name!r} v{entry.version} has no B2SR operand "
-            "to export; WorkerPool serves BitEngine registrations only "
-            "(serve other engines in-process)"
-        )
-    return At, cc_At
-
-
 class WorkerPool:
     """A pool of worker processes executing cluster launches for real.
 
@@ -306,15 +292,14 @@ class WorkerPool:
     registry:
         The serving graphs; every current entry is published (exported
         to shared memory and attached by every worker) at construction,
-        and epoch swaps publish new versions via :meth:`publish`.  Every
-        entry must be B2SR-backed (a :class:`BitEngine` registration).
+        and epoch swaps publish new versions via :meth:`publish`.
     processes:
         Worker count, at least 1 (default: one fewer than the CPUs).
     timeout_s:
         Drain gives up on a batch after this long without progress.
 
-    Raises ``ValueError`` for ``processes < 1`` or a non-B2SR entry and
-    ``RuntimeError`` on a host without POSIX shared memory.
+    Raises ``ValueError`` for ``processes < 1`` and ``RuntimeError`` on
+    a host without POSIX shared memory.
     """
 
     def __init__(
@@ -336,8 +321,6 @@ class WorkerPool:
                 "WorkerPool needs POSIX shared memory, which this host "
                 "lacks; serve in-process by passing no data plane"
             )
-        for name in registry.names:
-            _b2sr_operands(registry[name])
         self.processes = processes
         self.timeout_s = float(timeout_s)
         self._exports: dict[tuple[str, int], _Export] = {}
@@ -393,14 +376,13 @@ class WorkerPool:
         key = (entry.name, entry.version)
         if key in self._exports or self._closed:
             return
-        At, cc_At = _b2sr_operands(entry)
-        exp, cc_exp = ShmGraphExport(At), ShmGraphExport(cc_At)
+        engine, cc_engine = entry.engine, entry.cc_engine
+        exp, cc_exp = ShmGraphExport(engine._At), ShmGraphExport(cc_engine._At)
         payload = GraphPayload(
-            n=entry.engine.n, device=entry.engine.device,
-            skip_inactive=getattr(entry.engine, "skip_inactive", True),
+            n=engine.n, device=engine.device,
+            skip_inactive=engine.skip_inactive,
             manifest=exp.manifest, cc_manifest=cc_exp.manifest,
-            locality=float(getattr(entry.engine, "_locality", 0.0)),
-            cc_locality=float(getattr(entry.cc_engine, "_locality", 0.0)),
+            locality=engine._locality, cc_locality=cc_engine._locality,
         )
         self._exports[key] = _Export(payload=payload, exports=(exp, cc_exp))
         for tq in self._task_qs:

@@ -99,49 +99,6 @@ class TestCommands:
         assert "batch k=40" in captured.out
         assert "disagree" not in captured.err
 
-    def test_serve(self, capsys):
-        assert main(["serve", "gen:hybrid:200:1", "--requests", "12"]) == 0
-        out = capsys.readouterr().out
-        assert "coalesced query serving" in out
-        assert "mean per-query latency" in out
-        assert "speedup" in out
-
-    def test_serve_max_batch_split(self, capsys):
-        assert main(
-            ["serve", "gen:hybrid:200:1", "--requests", "10",
-             "--max-batch", "3"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "max batch: 3" in out
-
-    def test_serve_rejects_bad_requests(self, capsys):
-        assert main(["serve", "gen:hybrid:64:1", "--requests", "0"]) == 2
-
-    def test_schedule(self, capsys):
-        assert main(
-            ["schedule", "gen:hybrid:200:1", "--requests", "12",
-             "--rate", "2000"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "online query scheduling" in out
-        assert "verified bit-identical" in out
-        for policy in ("slo", "flush", "fcfs"):
-            assert policy in out
-
-    def test_schedule_seed_reproducible(self, capsys):
-        """--seed threads through to poisson_stream: equal seeds replay
-        the identical arrival stream, different seeds do not."""
-        args = ["schedule", "gen:hybrid:200:1", "--requests", "10",
-                "--rate", "3000", "--policy", "slo", "--no-verify"]
-        assert main(args + ["--seed", "7"]) == 0
-        first = capsys.readouterr().out
-        assert main(args + ["--seed", "7"]) == 0
-        second = capsys.readouterr().out
-        assert main(args + ["--seed", "8"]) == 0
-        third = capsys.readouterr().out
-        assert first == second
-        assert first != third
-
     def test_cluster(self, capsys):
         assert main(
             ["cluster", "gen:hybrid:200:1", "gen:road:200:1",
@@ -167,15 +124,17 @@ class TestCommands:
         assert first == second
         assert first != third
 
-    def test_cluster_single_server_still_reports(self, capsys):
+    @pytest.mark.parametrize("policy", ["slo", "flush", "fcfs"])
+    def test_cluster_single_server_still_reports(self, capsys, policy):
         """--servers 1 must produce the single-server row, not an
-        empty table."""
+        empty table, under every admission policy."""
         assert main(
             ["cluster", "gen:hybrid:200:1", "gen:road:200:1",
              "--servers", "1", "--requests", "8", "--rate", "2000",
-             "--no-verify"]
+             "--policy", policy, "--no-verify"]
         ) == 0
         out = capsys.readouterr().out
+        assert f"policy {policy})" in out
         assert "single" in out
         assert "100.0%" in out or "%" in out.split("single", 1)[1]
 
@@ -197,6 +156,8 @@ class TestCommands:
         assert main(
             ["cluster", "gen:hybrid:64:1", "--rate", "0"]
         ) == 2
+        for spec in (["--fail", "1@nan"], ["--speed", "1=inf"]):
+            assert main(["cluster", "gen:hybrid:64:1", *spec]) == 2
 
     def test_ingest_live(self, capsys):
         assert main(

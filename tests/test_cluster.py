@@ -1,6 +1,6 @@
 """Tests for the sharded serving cluster (repro.serving.cluster), the
-extracted discrete-event core (repro.serving.events), the pluggable
-admission registry (repro.serving.admission), and the multi-graph
+extracted discrete-event core (repro.serving.events), the admission
+policies (repro.serving.admission), and the multi-graph
 arrival streams (repro.serving.arrivals)."""
 
 import numpy as np
@@ -18,12 +18,10 @@ from repro.serving import (
     Server,
     multi_graph_poisson_stream,
     poisson_stream,
-    register_placement,
-    register_policy,
     trace_stream,
 )
 from repro.serving.admission import AdmissionPolicy, resolve_policy
-from repro.serving.cluster import PlacementPolicy, resolve_placement
+from repro.serving.cluster import resolve_placement
 from repro.serving.events import EventLoop
 
 
@@ -70,37 +68,10 @@ class TestAdmissionRegistry:
         for pol in POLICIES.values():
             assert isinstance(pol, AdmissionPolicy)
 
-    def test_register_requires_distinct_name(self):
-        with pytest.raises(ValueError, match="name"):
-            register_policy(AdmissionPolicy())
-
     def test_resolve_policy(self):
         assert resolve_policy("slo") is POLICIES["slo"]
-        assert resolve_policy(POLICIES["fcfs"]) is POLICIES["fcfs"]
         with pytest.raises(ValueError, match="unknown policy"):
             resolve_policy("edf")
-
-    def test_custom_policy_rides_the_loop_untouched(self):
-        """A new policy is a subclass + registration — the event loop
-        and router never change."""
-
-        class EagerAdmission(AdmissionPolicy):
-            name = "eager-test"
-            slo_aware = False  # launch everything as soon as possible
-
-        register_policy(EagerAdmission())
-        try:
-            reg = make_registry(sizes=(120,))
-            router = Router(reg, n_servers=1)
-            stream = [(float(i), "bfs", i, 50.0, "bulk", "g0")
-                      for i in range(4)]
-            outcomes, rep = router.run(
-                stream, policy="eager-test", verify=True
-            )
-            assert rep.policy == "eager-test"
-            assert rep.served == 4 and rep.verified
-        finally:
-            del POLICIES["eager-test"]
 
 
 # ----------------------------------------------------------------------
@@ -457,29 +428,6 @@ class TestPlacements:
             assert [o.launch_ms for o in outcomes] == [
                 o.launch_ms for o in solo_out
             ], name
-
-    def test_custom_placement_registration(self):
-        class FirstServer(PlacementPolicy):
-            name = "first-test"
-
-            def place(self, batch, servers, registry, rng):
-                return servers[0]
-
-        register_placement(FirstServer())
-        try:
-            reg = make_registry(sizes=(120,))
-            router = Router(reg, n_servers=2, placement="first-test")
-            outcomes, rep = router.run(
-                [(0.0, "bfs", 1, 50.0), (5.0, "sssp", 2, 50.0)]
-            )
-            assert all(o.server == 0 for o in outcomes)
-            assert rep.server_launches[1] == 0
-        finally:
-            del PLACEMENTS["first-test"]
-
-    def test_register_placement_requires_distinct_name(self):
-        with pytest.raises(ValueError, match="name"):
-            register_placement(PlacementPolicy())
 
 
 class TestClusterScaling:

@@ -1,4 +1,4 @@
-"""Tests for versioned serving: the epoch-chained GraphStore, epoch
+"""Tests for versioned serving: the epoch-chained GraphRegistry, epoch
 swaps under load (repro.serving.cluster), the ingestion loop
 (repro.serving.ingest), and estimator-state hygiene in comparison
 sweeps.
@@ -31,8 +31,8 @@ from repro.serving import (
 
 
 def make_store(sizes=(200, 160), tile_dim=16, max_batch=32):
-    """A versioned store of named graphs with distinct structure."""
-    store = GraphStore(max_batch=max_batch)
+    """A registry of named graphs with distinct structure."""
+    store = GraphRegistry(max_batch=max_batch)
     builders = (hybrid_pattern, road_pattern)
     for i, n in enumerate(sizes):
         g = builders[i % len(builders)](n, seed=3 + i)
@@ -51,7 +51,7 @@ def delta_for(store, name, seed=0, inserts=6, deletes=4):
 
 
 # ----------------------------------------------------------------------
-# GraphStore epochs
+# Registry epochs
 # ----------------------------------------------------------------------
 class TestGraphStore:
     def test_mutate_appends_an_epoch(self):
@@ -106,11 +106,36 @@ class TestGraphStore:
         tile_dim = entry.engine.tile_dim
         assert entry.graph.cached_b2sr_t(tile_dim) is not None
 
-    def test_unversioned_registry_cannot_mutate(self):
-        reg = GraphRegistry()
-        reg.add("g0", hybrid_pattern(100, seed=1), tile_dim=16)
-        with pytest.raises(NotImplementedError, match="unversioned"):
-            reg.mutate("g0", np.array([[0, 1]]), None)
+    def test_every_registry_is_versioned(self):
+        """A plain registry is an epoch chain from registration on: it
+        mutates directly, serves a verified swap, and feeds the
+        ingester.  The old subclass name is the same class."""
+        assert GraphStore is GraphRegistry
+        reg = GraphRegistry(max_batch=32)
+        reg.add("g0", hybrid_pattern(120, seed=1), tile_dim=16)
+        assert reg.versions("g0") == (0,)
+        assert reg.current_version("g0") == 0
+        v0 = reg["g0"]
+        entry, _ = reg.mutate("g0", *delta_for(reg, "g0"))
+        assert entry.version == 1 and reg.versions("g0") == (0, 1)
+        assert reg.entry_for("g0", 0) is v0
+
+        stream = poisson_stream(
+            120, requests=16, rate_qps=2000, seed=0, graph="g0"
+        )
+        muts = [MutationBatch(4.0, "g0", *delta_for(reg, "g0", seed=1))]
+        outcomes, rep = Router(reg, n_servers=1).run(
+            stream, mutations=muts, verify=True
+        )
+        assert rep.swaps == 1 and rep.verified and rep.served == 16
+        assert {o.version for o in outcomes} == {1, 2}
+
+        trace = mutation_trace(
+            reg["g0"].graph, batches=2, batch_size=4, seed=3, name="g0"
+        )
+        report = Ingester(reg).run(trace)
+        assert report.applied == 2
+        assert reg.versions("g0") == (0, 1, 2, 3, 4)
 
     def test_mutate_unknown_graph(self):
         store = make_store(sizes=(100,))
@@ -204,15 +229,6 @@ class TestEpochSwapUnderLoad:
         assert [s.version for s in swaps] == [1, 2]
         assert all(s.graph == "g0" for s in swaps)
         assert all(0.0 <= s.rebuilt_fraction <= 1.0 for s in swaps)
-
-    def test_unversioned_registry_rejects_mutations(self):
-        reg = GraphRegistry()
-        reg.add("g0", hybrid_pattern(120, seed=1), tile_dim=16)
-        router = Router(reg, n_servers=1)
-        stream = poisson_stream(120, requests=4, seed=0, graph="g0")
-        muts = [MutationBatch(1.0, "g0", np.array([[0, 1]]), None)]
-        with pytest.raises(ValueError, match="versioned"):
-            router.run(stream, mutations=muts)
 
     def test_mutation_against_unknown_graph_rejected(self):
         store = make_store(sizes=(120,))
@@ -329,9 +345,3 @@ class TestIngest:
         assert "RuntimeError" in bad[0].error
         # The failed batch was skipped, the next one still landed.
         assert store.current_version("g0") == 1
-
-    def test_ingester_requires_versioned_store(self):
-        reg = GraphRegistry()
-        reg.add("g0", hybrid_pattern(100, seed=1), tile_dim=16)
-        with pytest.raises(ValueError, match="versioned"):
-            Ingester(reg)

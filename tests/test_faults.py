@@ -4,6 +4,8 @@ with bitwise verification, fail-closed accounting, work stealing,
 speed-aware placement over heterogeneous fleets, and attainment-driven
 autoscaling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,9 @@ class TestFaultPlan:
         assert parse_fail_spec("1@3.5") == (1, 3.5)
         assert parse_fail_spec("0@0") == (0, 0.0)
 
-    @pytest.mark.parametrize("spec", ["1", "x@y", "1@", "@2", "-1@3", "1@-3"])
+    @pytest.mark.parametrize(
+        "spec", ["1", "x@y", "1@", "@2", "-1@3", "1@-3", "1@nan", "1@inf"]
+    )
     def test_parse_fail_spec_rejects(self, spec):
         with pytest.raises(ValueError, match="spec"):
             parse_fail_spec(spec)
@@ -87,7 +91,9 @@ class TestFaultPlan:
     def test_parse_speed_spec(self):
         assert parse_speed_spec("2=0.5") == (2, 0.5)
 
-    @pytest.mark.parametrize("spec", ["2", "a=b", "2=0", "2=-1", "-1=0.5"])
+    @pytest.mark.parametrize(
+        "spec", ["2", "a=b", "2=0", "2=-1", "-1=0.5", "2=inf"]
+    )
     def test_parse_speed_spec_rejects(self, spec):
         with pytest.raises(ValueError, match="spec"):
             parse_speed_spec(spec)
@@ -95,12 +101,23 @@ class TestFaultPlan:
     def test_event_validation(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultEvent(time_ms=0.0, kind="melt", sid=0).validate()
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="time"):
+                FaultEvent(time_ms=t, kind="crash", sid=0).validate()
+        for speed in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="speed"):
+                FaultEvent(
+                    time_ms=0.0, kind="slow", sid=0, speed=speed
+                ).validate()
+        # A NaN crash would sort first and stall the replay cursor, so
+        # the real crash behind it would never apply: the router
+        # refuses the plan instead.
+        reg = make_registry()
+        plan = FaultPlan().crash(1, at=math.nan).crash(0, at=1.0)
         with pytest.raises(ValueError, match="time"):
-            FaultEvent(time_ms=-1.0, kind="crash", sid=0).validate()
-        with pytest.raises(ValueError, match="speed"):
-            FaultEvent(
-                time_ms=0.0, kind="slow", sid=0, speed=0.0
-            ).validate()
+            Router(reg, n_servers=2).run(
+                make_stream(reg, requests=8), faults=plan, verify=False
+            )
 
     def test_plan_validate_fleet_bound(self):
         plan = FaultPlan().crash(5, at=1.0)
@@ -346,8 +363,9 @@ class TestSpeedAwarePlacement:
         reg = make_registry()
         router = Router(reg, n_servers=2, seed=0)
         stream = make_stream(reg, requests=8)
-        with pytest.raises(ValueError, match="speed"):
-            router.run(stream, speeds={0: 0.0})
+        for factor in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="speed"):
+                router.run(stream, speeds={0: factor})
         with pytest.raises(ValueError, match="server"):
             router.run(stream, speeds={5: 1.0})
 

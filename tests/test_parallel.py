@@ -17,7 +17,7 @@ from repro.cli import main
 from repro.formats.shm import list_segments, shm_available
 from repro.graph import Graph
 from repro.serving import (
-    GraphStore,
+    GraphRegistry,
     InProcessPlane,
     LaunchSpec,
     Router,
@@ -27,7 +27,6 @@ from repro.serving import (
     mutation_trace,
 )
 from repro.serving.arrivals import MutationBatch
-from repro.serving.cluster import GraphRegistry
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -43,7 +42,7 @@ def random_graph(seed=0, n=120, m=520):
 
 
 def make_store(n=120):
-    store = GraphStore()
+    store = GraphRegistry()
     store.add("alpha", random_graph(1, n=n))
     store.add("beta", random_graph(2, n=n))
     return store

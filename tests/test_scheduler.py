@@ -7,7 +7,6 @@ import pytest
 
 from repro.algorithms import bfs, connected_components, sssp
 from repro.datasets.generators import hybrid_pattern
-from repro.engines import BitEngine
 from repro.serving import (
     POLICIES,
     Arrival,
@@ -23,12 +22,10 @@ def make_scheduler(
 ):
     """One graph on one server: the single-backend online scheduler."""
     g = hybrid_pattern(n, seed=seed)
-    engine = BitEngine(g, tile_dim=tile_dim)
-    cc_engine = BitEngine(g.symmetrized(), tile_dim=tile_dim)
     registry = GraphRegistry(max_batch=max_batch)
-    registry.add_engines("g", engine, cc_engine=cc_engine)
+    entry = registry.add("g", g, tile_dim=tile_dim)
     router = Router(registry, n_servers=1, slack_factor=slack_factor)
-    return g, engine, cc_engine, router
+    return g, entry.engine, entry.cc_engine, router
 
 
 def run_policies(router, stream, *, verify=False):
