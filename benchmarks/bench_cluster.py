@@ -55,6 +55,7 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.analysis.report import format_table
 from repro.datasets.generators import hybrid_pattern, road_pattern
+from repro.engines import BitEngine
 from repro.formats.b2sr import B2SRMatrix
 from repro.formats.shm import shm_available
 from repro.gpusim import GTX1080
@@ -70,7 +71,7 @@ from repro.serving import (
     WorkerPool,
     multi_graph_poisson_stream,
 )
-from repro.serving.parallel import ShmBitEngine, _execute_spec
+from repro.serving.parallel import _execute_spec
 
 GRAPH_SEEDS = (4, 9, 14)
 N_VERTICES = 512
@@ -289,7 +290,12 @@ def _pickle_worker(task_q, result_q) -> None:
             for a in arrays:
                 a.flags.writeable = False
             mat = B2SRMatrix.from_shared_views(n, n, tile_dim, *arrays)
-            engines.append(ShmBitEngine(mat, n, device, locality, skip))
+            engines.append(
+                BitEngine.from_operand(
+                    mat, n=n, device=device, locality=locality,
+                    skip_inactive=skip,
+                )
+            )
         out, iters, wall = _execute_spec(*engines, spec)
         result_q.put(
             LaunchResult(

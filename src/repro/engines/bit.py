@@ -16,6 +16,7 @@ from repro.bitops.packing import (
     unpack_bitmatrix,
     unpack_bitvector,
 )
+from repro.formats.b2sr import B2SRMatrix
 from repro.formats.stats import bandwidth_profile
 from repro.graph import Graph
 from repro.gpusim.device import GTX1080, DeviceSpec
@@ -27,12 +28,7 @@ from repro.kernels.bmv import (
     bmv_bin_full_full,
     bmv_bin_full_full_multi,
 )
-from repro.kernels.costmodel import (
-    bmm_stats,
-    bmv_skip_crossover,
-    bmv_stats,
-    ewise_dense_stats,
-)
+from repro.kernels.costmodel import bmm_stats, bmv_stats, ewise_dense_stats
 from repro.semiring import Semiring, value_dtype
 
 
@@ -49,50 +45,77 @@ class BitEngine(Engine):
     tile_dim:
         B2SR variant; the paper sweeps 4–32 and so do the ablation benches.
     skip_inactive:
-        Active-tile skip mode: ``True`` runs every sweep in skip mode
-        (consult the packed frontier / value operand and elide tiles
-        whose input is the add identity), ``False`` sweeps every stored
-        tile, and ``"auto"`` (the default) decides per round: skip,
-        unless the *previous* round's counter-reported active fraction
-        reached the :func:`~repro.kernels.costmodel.bmv_skip_crossover`
-        **and** the current operand certifies every tile column active —
-        in which case the round is provably fully active and the dense
-        sweep skips the host-side activity scan for free.  Results are
-        bitwise identical in all three modes (the kernels' elision is
-        exact — :mod:`repro.kernels.plan`) and auto's modeled cost is
-        never above always-on skip (dense rounds only run at a certified
-        active fraction of exactly 1, where the modeled costs agree).
-        The paper's kernels sweep every stored tile, so reproduction
-        harnesses pass ``skip_inactive=False`` for paper-faithful costs.
+        ``True`` (the default, the serving stack's mode) runs every sweep
+        with the exact active-tile skip: the kernels consult the packed
+        frontier / value operand, elide tiles whose input is the add
+        identity and report the active count the cost model charges.
+        ``False`` sweeps every stored tile, as the paper's kernels do;
+        the reproduction harnesses pin it for paper-faithful costs.
+        Results are bitwise identical in both modes (the elision is
+        exact — :mod:`repro.kernels.plan`), and a fully active round
+        models the same cost in both.
+
+    :meth:`from_operand` builds the same engine over an already-built
+    operand, for worker processes that hold no :class:`Graph`.
     """
 
     backend_name = "bit"
+    #: No round picks a dense sweep on its own; perfbench/ still reads
+    #: this count around every engine call.
+    auto_dense_rounds = 0
 
     def __init__(
         self,
         graph: Graph,
         device: DeviceSpec = GTX1080,
         tile_dim: int = 32,
-        skip_inactive: bool | str = "auto",
+        skip_inactive: bool = True,
     ) -> None:
         super().__init__(graph, device)
-        self.tile_dim = tile_dim
-        if skip_inactive not in (True, False, "auto"):
+        self._bind(
+            graph.b2sr_t(tile_dim),
+            graph.n,
+            np.clip(bandwidth_profile(graph.csr_t)["diag_fraction"], 0, 1),
+            skip_inactive,
+        )
+
+    @classmethod
+    def from_operand(
+        cls,
+        At: B2SRMatrix,
+        *,
+        n: int,
+        device: DeviceSpec,
+        locality: float,
+        skip_inactive: bool = True,
+    ) -> BitEngine:
+        """An engine over a prebuilt transposed B2SR operand ``At`` (a
+        worker's attached shared-memory view) with the exporting
+        engine's ``n`` and ``locality``.  It has no source graph
+        (``graph`` is ``None``): the expands and pulls BFS, SSSP and CC
+        run exactly as on the graph-built engine, but :meth:`tc_count`
+        and the algorithms that read the graph itself do not."""
+        engine = cls.__new__(cls)
+        Engine.__init__(engine, None, device)
+        engine._bind(At, n, locality, skip_inactive)
+        return engine
+
+    def _bind(
+        self, At: B2SRMatrix, n: int, locality: float, skip_inactive: bool
+    ) -> None:
+        if not isinstance(skip_inactive, bool):
             raise ValueError(
-                "skip_inactive must be True, False or 'auto', "
-                f"got {skip_inactive!r}"
+                f"skip_inactive must be True or False, got {skip_inactive!r}"
             )
         self.skip_inactive = skip_inactive
-        self._At = graph.b2sr_t(tile_dim)
-        self._locality = float(
-            np.clip(bandwidth_profile(graph.csr_t)["diag_fraction"], 0, 1)
-        )
-        # Adaptive-skip state: last observed active fraction per op and
-        # the memoized model crossover per (scheme, value_bytes).
-        self._last_frac: dict[str, float] = {}
-        self._crossover_cache: dict[tuple[str, float], float] = {}
-        #: Rounds the auto policy ran dense (introspection/tests).
-        self.auto_dense_rounds = 0
+        self.tile_dim = At.tile_dim
+        self._At = At
+        self._n = int(n)
+        self._locality = float(locality)
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     # ------------------------------------------------------------------
     def warm_plans(self, widths: tuple[int, ...] = (1,)) -> None:
@@ -104,86 +127,10 @@ class BitEngine(Engine):
         """
         self._At.plan().warm(tuple(widths))
 
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self._last_frac.clear()
-
-    # ------------------------------------------------------------------
-    # Adaptive per-round skip
-    # ------------------------------------------------------------------
-    def _crossover(self, scheme: str, value_bytes: float = 4.0) -> float:
-        key = (scheme, value_bytes)
-        if key not in self._crossover_cache:
-            self._crossover_cache[key] = bmv_skip_crossover(
-                self._At, scheme, self.device,
-                locality=self._locality, value_bytes=value_bytes,
-            )
-        return self._crossover_cache[key]
-
-    def _round_skip(self, op, scheme, certify, value_bytes=4.0):
-        """Per-round mode decision: ``True`` → skip, ``False`` → dense.
-
-        Dense needs both the *prediction* (last round's active fraction
-        at/above the model crossover) and the *certificate* (``certify``
-        proving the current operand activates every tile column, i.e.
-        the true fraction is exactly 1.0).  The certificate is what
-        makes auto safe: a mispredicted dense round cannot exist, so
-        auto's modeled cost never exceeds always-on skip.
-        """
-        mode = self.skip_inactive
-        if mode != "auto":
-            return bool(mode)
-        prev = self._last_frac.get(op)
-        if (
-            prev is not None
-            and prev >= self._crossover(scheme, value_bytes) - 1e-12
-            and certify()
-        ):
-            self.auto_dense_rounds += 1
-            return False
-        return True
-
-    def _note_round(self, op: str, used_skip: bool, counters: dict) -> None:
-        """Feed this round's observed active fraction to the predictor."""
-        if self.skip_inactive != "auto":
-            return
-        if not used_skip:
-            # Dense rounds only run certified fully active.
-            self._last_frac[op] = 1.0
-            return
-        visits = counters.get("tile_visits", 0.0)
-        if visits > 0:
-            self._last_frac[op] = (
-                counters.get("active_tiles", 0.0) / visits
-            )
-
-    @staticmethod
-    def _words_all_active(fw: np.ndarray):
-        """Certificate for the binary schemes: every packed word
-        non-zero ⇒ every (tile column, word plane) visit is active."""
-        return lambda: bool(fw.all())
-
-    @staticmethod
-    def _values_all_active(X: np.ndarray, zero: float):
-        """Certificate for the semiring schemes: every value
-        bit-different from the add identity ⇒ every column block active
-        (same bit-identity test as :func:`repro.kernels.plan
-        .value_activity`, signed-zero aware)."""
-
-        def certify() -> bool:
-            z = np.asarray(zero, dtype=X.dtype)
-            active = X != z
-            if X.dtype.kind == "f":
-                active |= np.signbit(X) != np.signbit(z)
-            return bool(active.all())
-
-        return certify
-
-    def _bmv_active(self, used_skip: bool, counters: dict) -> float | None:
-        """Active-tile count for :func:`bmv_stats` (``None`` → dense;
-        auto's dense rounds are certified fully active, so ``None`` is
-        exact for them too)."""
-        if not used_skip:
+    def _bmv_active(self, counters: dict) -> float | None:
+        """Active-tile count for :func:`bmv_stats`: the kernel's count
+        under skip, ``None`` (every stored tile) for the full sweep."""
+        if not self.skip_inactive:
             return None
         return counters.get("active_tiles", 0.0)
 
@@ -196,21 +143,17 @@ class BitEngine(Engine):
         # dtype, so no float32 round-trip copy is needed.
         fw = pack_bitvector(frontier, d)
         counters: dict = {}
-        use_skip = self._round_skip(
-            "expand", "bin_bin_bin_masked", self._words_all_active(fw)
-        )
         yw = bmv_bin_bin_bin_masked(
             self._At, fw, visited, complement=True,
-            skip=use_skip, counters=counters,
+            skip=self.skip_inactive, counters=counters,
         )
         self.add_kernel(
             bmv_stats(
                 self._At, "bin_bin_bin_masked", self.device,
                 locality=self._locality,
-                active_tiles=self._bmv_active(use_skip, counters),
+                active_tiles=self._bmv_active(counters),
             )
         )
-        self._note_round("expand", use_skip, counters)
         # The visited/depth update is fused into the masked BMV's output
         # store (§V: the bitmask is applied right before the store), so the
         # iteration costs a single launch plus an amortized emptiness check.
@@ -223,22 +166,16 @@ class BitEngine(Engine):
         dt = value_dtype(x)
         X = np.asarray(x).astype(dt, copy=False)
         counters: dict = {}
-        use_skip = self._round_skip(
-            "pull", "bin_full_full",
-            self._values_all_active(X, semiring.zero),
-            value_bytes=float(dt.itemsize),
-        )
         y = bmv_bin_full_full(
             self._At, X, semiring,
-            skip=use_skip, counters=counters,
+            skip=self.skip_inactive, counters=counters,
         )
         stats = bmv_stats(
             self._At, "bin_full_full", self.device,
             locality=self._locality, value_bytes=float(dt.itemsize),
-            active_tiles=self._bmv_active(use_skip, counters),
+            active_tiles=self._bmv_active(counters),
         )
         self.add_kernel(stats)
-        self._note_round("pull", use_skip, counters)
         self.note_ewise(vectors=2)
         # Convergence read-back once per iteration (a single flag memcpy —
         # far lighter than GraphBLAST's frontier machinery but not free).
@@ -260,22 +197,17 @@ class BitEngine(Engine):
         d = self.tile_dim
         fw = pack_bitmatrix(F, d)
         counters: dict = {}
-        use_skip = self._round_skip(
-            "expand_multi", "bin_bin_bin_masked",
-            self._words_all_active(fw),
-        )
         yw = bmv_bin_bin_bin_multi_masked(
             self._At, fw, V, complement=True,
-            skip=use_skip, counters=counters,
+            skip=self.skip_inactive, counters=counters,
         )
         self.add_kernel(
             bmv_stats(
                 self._At, "bin_bin_bin_masked", self.device,
                 locality=self._locality, k=F.shape[1],
-                active_tiles=self._bmv_active(use_skip, counters),
+                active_tiles=self._bmv_active(counters),
             )
         )
-        self._note_round("expand_multi", use_skip, counters)
         self.algorithm_stats.host_us += 0.5
         return unpack_bitmatrix(yw, d, self.n).astype(bool)
 
@@ -292,24 +224,18 @@ class BitEngine(Engine):
             )
         k = X.shape[1]
         counters: dict = {}
-        use_skip = self._round_skip(
-            "pull_multi", "bin_full_full",
-            self._values_all_active(X, semiring.zero),
-            value_bytes=float(dt.itemsize),
-        )
         Y = bmv_bin_full_full_multi(
             self._At, X, semiring,
-            skip=use_skip, counters=counters,
+            skip=self.skip_inactive, counters=counters,
         )
         self.add_kernel(
             bmv_stats(
                 self._At, "bin_full_full", self.device,
                 locality=self._locality, k=k,
                 value_bytes=float(dt.itemsize),
-                active_tiles=self._bmv_active(use_skip, counters),
+                active_tiles=self._bmv_active(counters),
             )
         )
-        self._note_round("pull_multi", use_skip, counters)
         # One elementwise update over all k columns, one convergence
         # read-back for the whole batch (cf. :meth:`pull`).
         self.add_aux(ewise_dense_stats(self.n * k, self.device, vectors=2))

@@ -259,53 +259,6 @@ def bmv_stats(
     return stats
 
 
-def bmv_skip_crossover(
-    A: B2SRMatrix,
-    scheme: str,
-    device: DeviceSpec,
-    *,
-    locality: float = 0.5,
-    k: int = 1,
-    value_bytes: float = 4.0,
-) -> float:
-    """Active-tile fraction at which a dense sweep stops losing to skip.
-
-    Skip mode's modeled cost grows linearly in the active fraction
-    ``f`` (every ``frac``-scaled term of :func:`bmv_stats`), while the
-    dense sweep's cost is the ``f = 1`` point of the same line shifted
-    by whatever the model charges skip *alone* — today nothing: the
-    per-plane fixed term covers the word test for both modes, so the
-    crossover sits exactly at ``1.0`` and an adaptive engine may only
-    go dense on provably fully-active rounds.  The helper solves for
-    the crossover from the modeled times rather than hard-coding that
-    fact, so a future skip-only charge (scan setup, subset compaction)
-    moves it below 1.0 without touching the engines.
-    """
-    from repro.gpusim.timing import time_us
-
-    visits = float(A.n_tiles * plane_count(max(k, 1), A.tile_dim))
-    if visits <= 0:
-        return 1.0
-
-    def modeled(active: float | None) -> float:
-        return time_us(
-            bmv_stats(
-                A, scheme, device,
-                locality=locality, k=k, value_bytes=value_bytes,
-                active_tiles=active,
-            ),
-            device,
-        )
-
-    dense = modeled(None)
-    skip_empty = modeled(0.0)
-    skip_full = modeled(visits)
-    slope = skip_full - skip_empty
-    if slope <= 0.0:  # pragma: no cover - degenerate model
-        return 1.0
-    return float(np.clip((dense - skip_empty) / slope, 0.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # B2SR delta build + plan re-warm (dynamic graphs)
 # ---------------------------------------------------------------------------

@@ -663,7 +663,6 @@ class _RouterController:
         self.steal_records: list[StealRecord] = []
         self.max_requeues = max_requeues
         self.requeues = 0
-        self.failed = 0
         # sid -> (batch, batch id) for the launch occupying that
         # server; entries go stale once the launch finishes (the crash
         # path checks free_at before trusting one).
@@ -843,7 +842,6 @@ class _RouterController:
         self._write_outcomes(
             batch, sid, launch_ms, finish_ms, retries, failure=reason
         )
-        self.failed += len(batch.members)
 
     def _refresh_capacity(self) -> None:
         """Re-point admission's contention reserve at the surviving
@@ -1463,11 +1461,12 @@ class Router:
             ]
             if hits:
                 graph_attainment[name] = mean(hits)
+        served = sum(o.failure is None for o in outcomes)
         return ClusterReport(
             policy=policy,
             placement=placement,
             n_servers=len(servers),
-            served=sum(o.failure is None for o in outcomes),
+            served=served,
             batches=len(controller.widths),
             joins=controller.joins,
             mean_batch_width=mean(controller.widths),
@@ -1486,7 +1485,7 @@ class Router:
             server_launches=[s.launches for s in servers],
             verified=verified,
             swaps=len(controller.swaps),
-            failed=controller.failed,
+            failed=len(outcomes) - served,
             requeues=controller.requeues,
             steals=len(controller.steal_records),
             scale_events=len(controller.scale_records),

@@ -9,7 +9,10 @@ executing committed batches as **real kernel launches** against B2SR
 tiles and set-bit indices shared zero-copy through
 :mod:`repro.formats.shm`.  It is one of the two
 :class:`~repro.serving.plane.DataPlane` implementations; the other
-serves in-process.
+serves in-process.  A worker serves each attached graph version through
+:meth:`BitEngine.from_operand <repro.engines.bit.BitEngine.from_operand>`
+engines over the shared views, with the exporting engine's locality and
+skip mode, so its launches sweep exactly as the in-process ones do.
 
 Discipline (enforced by the ``worker-queue-discipline`` lint rule):
 
@@ -51,7 +54,6 @@ from repro.algorithms import (
 )
 from repro.engines.base import Engine
 from repro.engines.bit import BitEngine
-from repro.formats.b2sr import B2SRMatrix
 from repro.formats.shm import (
     AttachedGraph,
     ShmGraphExport,
@@ -60,7 +62,6 @@ from repro.formats.shm import (
     list_segments,
     shm_available,
 )
-from repro.gpusim.counters import KernelStats
 from repro.gpusim.device import DeviceSpec
 from repro.serving.plane import LaunchResult, LaunchSpec
 
@@ -87,63 +88,11 @@ class GraphPayload:
 
     n: int
     device: DeviceSpec
-    skip_inactive: bool | str
+    skip_inactive: bool
     manifest: ShmManifest
     cc_manifest: ShmManifest
     locality: float
     cc_locality: float
-
-
-# ----------------------------------------------------------------------
-# Worker-side engine over attached shared memory
-# ----------------------------------------------------------------------
-class ShmBitEngine(BitEngine):
-    """A :class:`BitEngine` whose B2SR operand is an attached
-    shared-memory view instead of a Graph-built matrix.
-
-    Workers have no :class:`~repro.graph.Graph` — only the exported
-    arrays — so this bypasses ``BitEngine.__init__`` and installs the
-    attached matrix plus the exporter-computed locality directly.
-    Everything else (kernel dispatch, adaptive skip, modeled stats) is
-    inherited unchanged.
-    """
-
-    def __init__(
-        self,
-        At: B2SRMatrix,
-        n: int,
-        device: DeviceSpec,
-        locality: float,
-        skip_inactive: bool | str,
-    ) -> None:
-        # Engine.__init__ wants a Graph; replicate its state instead.
-        self.graph = None  # type: ignore[assignment]
-        self.device = device
-        self.algorithm_stats = KernelStats()
-        self.kernel_stats = KernelStats()
-        self._iterations = 0
-        self.tile_dim = At.tile_dim
-        if skip_inactive not in (True, False, "auto"):
-            raise ValueError(
-                f"skip_inactive must be True, False or 'auto', "
-                f"got {skip_inactive!r}"
-            )
-        self.skip_inactive = skip_inactive
-        self._At = At
-        self._locality = float(locality)
-        self._last_frac = {}
-        self._crossover_cache = {}
-        self.auto_dense_rounds = 0
-        self._n = int(n)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def tc_count(self) -> float:  # pragma: no cover - not a query kind
-        raise NotImplementedError(
-            "tc_count needs the source Graph; workers serve bfs/sssp/cc"
-        )
 
 
 @dataclass
@@ -170,13 +119,13 @@ def _engines_from_payload(payload: GraphPayload) -> _WorkerGraph:
     resource-tracker-unregistered)."""
     att = attach(payload.manifest, verify=True)
     cc_att = attach(payload.cc_manifest, verify=True)
-    engine = ShmBitEngine(
-        att.matrix, payload.n, payload.device,
-        payload.locality, payload.skip_inactive,
+    engine = BitEngine.from_operand(
+        att.matrix, n=payload.n, device=payload.device,
+        locality=payload.locality, skip_inactive=payload.skip_inactive,
     )
-    cc_engine = ShmBitEngine(
-        cc_att.matrix, payload.n, payload.device,
-        payload.cc_locality, payload.skip_inactive,
+    cc_engine = BitEngine.from_operand(
+        cc_att.matrix, n=payload.n, device=payload.device,
+        locality=payload.cc_locality, skip_inactive=payload.skip_inactive,
     )
     return _WorkerGraph(engine, cc_engine, (att, cc_att))
 
@@ -617,7 +566,6 @@ class WorkerPool:
 __all__ = [
     "TIMING_HOOKS",
     "GraphPayload",
-    "ShmBitEngine",
     "WorkerPool",
     "worker_main",
 ]

@@ -7,6 +7,8 @@ dims × batch widths; plans are memoized per matrix and can never go
 stale because B2SR is immutable.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ import repro.bitops.packing as packing_mod
 from repro.bitops.packing import (
     pack_bitmatrix,
     pack_bitvector,
+    plane_count,
     plane_slices,
 )
 from repro.bitops.segreduce import (
@@ -25,7 +28,7 @@ from repro.engines import BitEngine
 from repro.formats.b2sr import TILE_DIMS
 from repro.formats.convert import b2sr_from_dense
 from repro.kernels import bmv, planless
-from repro.kernels.costmodel import bmv_stats
+from repro.kernels.costmodel import BMV_SCHEMES, bmv_stats
 from repro.kernels.plan import SweepPlan, value_activity, word_activity
 from repro.gpusim.device import GTX1080
 from repro.semiring import ARITHMETIC, MIN_PLUS, SEMIRINGS
@@ -509,16 +512,21 @@ class TestEngineIntegration:
 # Cost model
 # ----------------------------------------------------------------------
 class TestActiveTileStats:
-    def test_none_matches_full_visits(self):
-        g = diagonal_pattern(256, bandwidth=2, seed=1)
-        A = g.b2sr(32)
-        base = bmv_stats(A, "bin_bin_bin", GTX1080)
+    @pytest.mark.parametrize("value_bytes", [4.0, 8.0])
+    @pytest.mark.parametrize("d", [8, 32])
+    @pytest.mark.parametrize("k", [1, 8, 40])
+    @pytest.mark.parametrize("scheme", BMV_SCHEMES)
+    def test_none_matches_full_visits(self, scheme, k, d, value_bytes):
+        # A fully active skip sweep charges exactly the full sweep: the
+        # serving engines' skip mode relies on it for fully active rounds.
+        A = diagonal_pattern(256, bandwidth=2, seed=1).b2sr(d)
+        kw = dict(k=k, value_bytes=value_bytes)
+        base = bmv_stats(A, scheme, GTX1080, **kw)
         full = bmv_stats(
-            A, "bin_bin_bin", GTX1080, active_tiles=float(A.n_tiles)
+            A, scheme, GTX1080,
+            active_tiles=float(A.n_tiles * plane_count(k, d)), **kw,
         )
-        assert base.dram_bytes == full.dram_bytes
-        assert base.warp_instructions == full.warp_instructions
-        assert base.flops == full.flops
+        assert dataclasses.asdict(full) == dataclasses.asdict(base)
 
     def test_fewer_active_tiles_cost_less(self):
         g = diagonal_pattern(256, bandwidth=2, seed=1)

@@ -72,8 +72,10 @@ class TestRoundTrip:
         want = engine.frontier_expand(frontier, visited)
         with ShmGraphExport(g.b2sr_t(32)) as exp:
             att = attach(exp.manifest)
-            shadow = BitEngine(g)
-            shadow._At = att.matrix
+            shadow = BitEngine.from_operand(
+                att.matrix, n=g.n, device=engine.device,
+                locality=engine._locality,
+            )
             got = shadow.frontier_expand(frontier, visited)
             assert np.array_equal(got, want)
             # The SSSP pull reads the adopted set-bit index.
