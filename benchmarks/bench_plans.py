@@ -12,9 +12,10 @@ Three experiments, all best-of-3 wall-clock and all *bitwise verified*
 level against the planless seed kernel before its timing counts):
 
 * **warm-plan repeated launches** — the Figures 6/7 BMV workloads (the
-  stratified evaluation-suite subset, swept over every tile dim) plus
-  the E14 wallclock workloads; acceptance: the suite-aggregate warm
-  speedup is ≥ 2× at every tile dim;
+  stratified evaluation-suite subset, swept over every tile dim), the
+  same suite's batched arithmetic pulls at ``k = d`` and ``2d + 3``
+  (reported, not gated), plus the E14 wallclock workloads; acceptance:
+  the suite-aggregate warm vector speedup is ≥ 2× at every tile dim;
 * **sparse-frontier sweeps** — BFS-round (masked boolean) and
   SSSP-round (min-plus) launches with empty / single-bit / 1% / full
   frontiers, dense sweep vs active-tile skip; acceptance: the sparse
@@ -115,6 +116,42 @@ def test_warm_plan_repeated_launches(results_dir, json_report):
              "tile_dim": d},
             "speedup", speedup,
         )
+
+    # Warm batched arithmetic pulls (batched PageRank's kernel) at one
+    # full value plane and at two planes plus a partial one: the dense
+    # sweep both semiring kernels share.
+    for d in TILE_DIMS:
+        for k in (d, 2 * d + 3):
+            cold_s = warm_s = 0.0
+            for g in graphs:
+                A = g.b2sr(d)
+                X = rng.random((g.n, k)).astype(np.float32)
+                _assert_bitwise(
+                    bmv.bmv_bin_full_full_multi(A, X, ARITHMETIC),
+                    planless.bmv_bin_full_full_multi(A, X, ARITHMETIC),
+                    f"fffm/arith d={d} k={k} {g.name}",
+                )
+                cold_s += best_of(
+                    lambda: planless.bmv_bin_full_full_multi(
+                        A, X, ARITHMETIC
+                    )
+                )
+                warm_s += best_of(
+                    lambda: bmv.bmv_bin_full_full_multi(A, X, ARITHMETIC)
+                )
+            lines.append(
+                f"{'fig6/7 suite (20 mats)':>26s} "
+                f"{f'fffm/k{k} d{d}':>12s} "
+                f"{cold_s * 1e3:10.2f} ms {warm_s * 1e3:10.2f} ms "
+                f"{cold_s / warm_s:7.2f}x"
+            )
+            json_report.emit(
+                BENCH,
+                {"case": "warm_repeated", "workload": "fig67_suite",
+                 "scheme": "bin_full_full_multi", "semiring": "arithmetic",
+                 "tile_dim": d, "k": k},
+                "speedup", cold_s / warm_s,
+            )
 
     # The E14 wallclock workloads, for continuity with the kernel bench.
     extra = [

@@ -10,10 +10,10 @@ runs as ``k`` concurrent BMV calls — the quantised-network trick the paper
 cites [APNN-TC] transplanted to graphs.  Storage is ``k`` bits per stored
 weight instead of 32, and the kernels stay the bit kernels.
 
-The min-plus semiring also lifts: for SSSP over small integer weights,
-``mult(a, x) = x + a`` decomposes per entry because each nonzero's weight
-is reconstructed from its plane bits before the min-reduction; we provide
-the arithmetic case (the common one) plus a generic slow path.
+Only the arithmetic product is provided (:func:`bitplane_spmv`).  The
+min-plus semiring would lift too — for SSSP over small integer weights,
+``mult(a, x) = x + a`` needs each nonzero's weight reconstructed from its
+plane bits before the min-reduction — but no such path exists here.
 """
 
 from __future__ import annotations

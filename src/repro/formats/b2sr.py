@@ -297,7 +297,7 @@ class B2SRMatrix:
     def plan(self) -> "object":
         """The memoized :class:`repro.kernels.plan.SweepPlan` for this
         matrix — every launch-invariant precomputation the BMV/BMM
-        kernels need (chunk tables, set-bit index, cached bit masks,
+        kernels need (chunk tables, set-bit index, masked-gather index,
         scratch).  Built lazily on first use; valid forever because the
         matrix is immutable.
         """

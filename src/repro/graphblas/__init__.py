@@ -7,8 +7,10 @@ either the Bit-GraphBLAS (B2SR) kernels or the CSR baseline kernels, under
 any Table IV semiring.
 
 This is the layer the paper's "graph programs can be implemented upon the
-core operations" section (§V) refers to; the algorithms in
-:mod:`repro.algorithms` are written against it.
+core operations" section (§V) refers to.  The algorithms in
+:mod:`repro.algorithms` are not written against it: they run on the
+:class:`repro.engines.base.Engine` interface, which each backend
+implements directly.
 """
 
 from repro.graphblas.descriptor import Descriptor

@@ -12,9 +12,9 @@
 * :mod:`repro.kernels.simt` — the paper's Listings 1–2 ported to the SIMT
   simulator for validation;
 * :mod:`repro.kernels.plan` — memoized sweep plans (launch-invariant
-  chunk tables, the set-bit index of the min/max/OR pulls, gather
-  indices, cached bit masks) every BMV/BMM launch executes against, plus
-  the exact active-tile skip helpers;
+  chunk tables, the set-bit index of the min/max/OR pulls, and the
+  masked-gather index of the one dense semiring sweep) every BMV/BMM
+  launch executes against, plus the exact active-tile skip helpers;
 * :mod:`repro.kernels.planless` — the seed per-launch kernels, kept as
   the bitwise reference and cold-path baseline.
 """

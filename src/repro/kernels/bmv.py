@@ -62,9 +62,9 @@ exit, which the paper rejects because of warp divergence (§V BFS).
 **Sweep plans.**  Every scheme executes against the matrix's memoized
 :class:`repro.kernels.plan.SweepPlan`: the tile-row expansion, chunk
 tables (boundaries, run starts, output rows), the set-bit index,
-value-gather indices, zero-padded operand scratch and — under a byte
-budget — the unpacked per-tile bit masks of the dense semiring sweep are
-computed once per matrix instead of once per launch.  Pass ``plan=`` to
+zero-padded operand scratch and — under a byte budget — the
+masked-gather index of the dense semiring sweep are computed once per
+matrix instead of once per launch.  Pass ``plan=`` to
 supply a custom plan (e.g. a different bits budget); results are bitwise
 independent of plan warmth.
 
@@ -80,6 +80,10 @@ operand holds no NaN and no ``-0.0``; launches that fail that check, and
 every arithmetic launch (whose float sums are order-dependent), keep the
 dense sweep that replays the seed's fold order.
 
+The vector and batched semiring kernels share one body and one dense
+sweep (:func:`_dense_sweep`), which folds every value plane through the
+plan's cached masked-gather index.
+
 **Active-tile skip (``skip=True``).**  The sweep consults the input
 operand and elides stored tiles whose input word / value segment is the
 add identity — the frontier-sparsity the serving BFS/SSSP rounds have in
@@ -93,7 +97,7 @@ bitwise-identical results with skip on or off; ``counters=`` receives
 ``active_tiles`` / ``tile_visits`` — the same counts on every host path
 — so the cost model can charge only the work actually done.
 
-The only Python-level loops are the tile-chunk loops bounding dense-unpack
+The only Python-level loops are the tile-chunk loops bounding dense
 scratch (``_CHUNK_TILES`` elements across all ``k`` columns).
 """
 
@@ -117,7 +121,7 @@ from repro.kernels.plan import (
 )
 from repro.semiring import ARITHMETIC, Semiring, value_dtype
 
-#: Dense-unpack scratch budget per chunk, in tile-row elements; the chunk
+#: Dense scratch budget per chunk, in tile-row elements; the chunk
 #: loops divide this by the *plane width* ``min(k, d)`` — wider batches
 #: stripe plane-by-plane over each resident chunk — so peak scratch stays
 #: at roughly chunk × d² floats regardless of the batch size.
@@ -593,6 +597,138 @@ def _set_bit_pull(
         out[rows] = semiring.add_reduceat(m[icol], starts)
 
 
+def _semiring_pull(
+    A: B2SRMatrix,
+    xv: np.ndarray,
+    semiring: Semiring,
+    plan: SweepPlan | None,
+    skip: bool,
+    counters: dict | None,
+) -> np.ndarray:
+    """The body of both semiring kernels.
+
+    ``xv`` is the validated operand in its value dtype, ``(ncols,)`` or
+    ``(ncols, k)``; the result has shape ``(nrows,)`` or ``(nrows, k)``.
+    The padded operand is multiplied once; an idempotent semiring over
+    an order-free product takes the set-bit gather, everything else the
+    dense sweep.
+    """
+    dt = xv.dtype
+    d = A.tile_dim
+    k = 1 if xv.ndim == 1 else xv.shape[1]
+    y = semiring.empty_output(A.n_tile_rows * d * k, dtype=dt).reshape(
+        (A.n_tile_rows * d,) + xv.shape[1:]
+    )
+    if A.n_tiles == 0 or k == 0:
+        note_active(counters, 0, 0)
+        return y[: A.nrows]
+
+    pl = _resolve_plan(A, plan)
+    # Pad x to whole tiles; padded entries are never selected because the
+    # corresponding matrix bits are structurally absent.
+    xpad = pl.value_scratch(dt, None if xv.ndim == 1 else k)
+    xpad[: A.ncols] = xv
+    # Each value plane as an index into the trailing column axis: a
+    # vector is one plane, a batch stripes across planes of at most d
+    # columns.
+    planes = [()] if xv.ndim == 1 else [(sl,) for sl in plane_slices(k, d)]
+    act_planes = None
+    if skip:
+        act_planes = [
+            value_activity(xpad[(slice(None),) + p], d, semiring.zero)
+            for p in planes
+        ]
+    m = semiring.mult_matrix_one(xpad)
+    if semiring.idempotent and _order_free(m):
+        _set_bit_pull(
+            A, pl, semiring, m, act_planes, len(planes), y, counters
+        )
+    else:
+        _dense_sweep(
+            A, pl, semiring, m, planes, act_planes,
+            y.reshape((A.n_tile_rows, d) + xv.shape[1:]), counters,
+        )
+    return y[: A.nrows]
+
+
+def _dense_sweep(
+    A: B2SRMatrix,
+    pl: SweepPlan,
+    semiring: Semiring,
+    m: np.ndarray,
+    planes: list[tuple[slice, ...]],
+    act_planes: list[np.ndarray] | None,
+    y: np.ndarray,
+    counters: dict | None,
+) -> None:
+    """The dense semiring sweep, replaying the seed's fold order.
+
+    ``m`` is the multiplied padded operand and ``y`` the identity-filled
+    output, ``(n_tile_rows, d[, k])``.  Each value plane folds its tiles
+    as ``ext[G]`` (:meth:`SweepPlan.masked_gather`), where ``ext`` is
+    ``m`` plus the identity sentinel slot, one row per batch column.
+    In skip mode a plane's inactive tiles are compute-elided: their
+    slots keep the identity.  Row-aligned chunks fold each output row
+    exactly once.
+    """
+    d = A.tile_dim
+    zero = y.dtype.type(semiring.zero)
+    ext = pl.mult_scratch(y.dtype, None if m.ndim == 1 else m.shape[1])
+    ext[..., :-1] = m.T
+    ext[..., -1] = zero
+    width = 1 if m.ndim == 1 else min(m.shape[1], d)
+    for ch in pl.chunks(width, row_aligned=True):
+        G = None
+        for p, plane in enumerate(planes):
+            e = ext[plane]
+            sub = None
+            if act_planes is None:
+                note_active(counters, ch.size, ch.size)
+            else:
+                sub = np.flatnonzero(act_planes[p][A.indices[ch.lo:ch.hi]])
+                note_active(counters, sub.size, ch.size)
+                if sub.size == 0:
+                    # Every contribution is the add identity; folding it
+                    # into the identity-initialised output is a no-op.
+                    continue
+                if sub.size == ch.size:
+                    sub = None
+            if sub is None:
+                if G is None:
+                    G = pl.masked_gather(ch)
+                vals = _tile_rows(semiring, e, G)
+            else:
+                vals = np.full(
+                    (ch.size, d) + e.shape[:-1], zero, dtype=y.dtype
+                )
+                vals[sub] = _tile_rows(
+                    semiring, e, pl.masked_gather(ch, sub)
+                )
+            out = (ch.rows, slice(None)) + plane
+            y[out] = semiring.add(y[out], pl.fold_runs(semiring, vals, ch))
+
+
+def _tile_rows(
+    semiring: Semiring, ext: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """Each gathered tile row folded over its columns: ``(m, d)`` from a
+    vector's ``ext``, or ``(m, d, kp)`` from a plane's ``ext`` rows
+    ``(kp, n_tile_cols·d + 1)``.
+
+    A plane gathers with ``np.take`` into a C-contiguous
+    ``(kp, m, d, d)`` array — plain ``ext[:, G]`` is strided, and a
+    reduction over a strided axis groups float sums differently — and
+    then moves its columns last.
+    """
+    if ext.ndim == 1:
+        vals = semiring.add_reduce(ext[G], axis=-1)
+    else:
+        vals = np.moveaxis(
+            semiring.add_reduce(np.take(ext, G, axis=1), axis=-1), 0, -1
+        )
+    return vals.astype(ext.dtype, copy=False)
+
+
 def bmv_bin_full_full(
     A: B2SRMatrix,
     x: np.ndarray,
@@ -616,80 +752,19 @@ def bmv_bin_full_full(
     Min/max/OR semirings pull through the plan's set-bit gather when
     the multiplied operand holds no NaN and no ``-0.0`` (module
     docstring); arithmetic, and operands failing that check, take the
-    dense sweep over the plan's chunk tables, masked-gather index and
-    operand scratch.  With ``skip=True`` tiles whose value segment is
-    bit-identical to the semiring identity are elided — dropped from
-    the gather, or compute-elided in the dense sweep (their slots
-    pre-filled with the identity it would produce) — so the result is
-    bit-for-bit unchanged (SSSP's +∞-heavy early rounds included).
+    dense sweep through the plan's masked-gather index.  With
+    ``skip=True`` tiles whose value segment is bit-identical to the
+    semiring identity are elided — dropped from the gather, or
+    compute-elided in the dense sweep (their slots pre-filled with the
+    identity it would produce) — so the result is bit-for-bit unchanged
+    (SSSP's +∞-heavy early rounds included).
     """
-    dt = value_dtype(x)
-    xv = np.asarray(x).astype(dt, copy=False)
+    xv = np.asarray(x).astype(value_dtype(x), copy=False)
     if xv.shape != (A.ncols,):
         raise ValueError(
             f"vector must have shape ({A.ncols},), got {xv.shape}"
         )
-    d = A.tile_dim
-    y = semiring.empty_output(A.n_tile_rows * d, dtype=dt).reshape(
-        A.n_tile_rows, d
-    )
-    if A.n_tiles == 0:
-        note_active(counters, 0, 0)
-        return y.reshape(-1)[: A.nrows]
-
-    pl = _resolve_plan(A, plan)
-    # Pad x to whole tiles; padded entries are never selected because the
-    # corresponding matrix bits are structurally absent.
-    xpad = pl.value_scratch(dt)
-    xpad[: A.ncols] = xv
-    zero = dt.type(semiring.zero)
-    col_act = value_activity(xpad, d, semiring.zero) if skip else None
-    m = semiring.mult_matrix_one(xpad)
-    if semiring.idempotent and _order_free(m):
-        _set_bit_pull(
-            A, pl, semiring, m, None if col_act is None else [col_act], 1,
-            y.reshape(-1), counters,
-        )
-        return y.reshape(-1)[: A.nrows]
-    # The multiplied operand plus the identity sentinel the masked
-    # gather points elided cells at.  ``ext[G]`` is element-for-element
-    # the array the seed builds via broadcast + np.where (same shape,
-    # contiguity and values), so the reduction below is bit-identical —
-    # mult is elementwise, hence applying it before the gather instead
-    # of after changes nothing.
-    ext = pl.mult_scratch(dt)
-    ext[:-1] = m
-    ext[-1] = zero
-
-    for ch in pl.chunks(1, row_aligned=True):
-        if skip:
-            active = col_act[A.indices[ch.lo:ch.hi]]
-            sub = np.nonzero(active)[0]
-            note_active(counters, sub.size, ch.size)
-            if sub.size == 0:
-                # Every contribution is the add identity; folding it into
-                # the identity-initialised output is a no-op for every
-                # semiring (row-aligned chunks touch each row once).
-                continue
-            if sub.size < ch.size:
-                vals = np.full((ch.size, d), zero, dtype=dt)
-                filled = ext[pl.masked_gather(ch, sub)]  # (ms, d, d)
-                vals[sub] = semiring.add_reduce(filled, axis=-1).astype(
-                    dt, copy=False
-                )
-                y[ch.rows] = semiring.add(
-                    y[ch.rows], pl.fold_runs(semiring, vals, ch)
-                )
-                continue
-        else:
-            note_active(counters, ch.size, ch.size)
-        filled = ext[pl.masked_gather(ch)]  # (m, d, d)
-        vals = semiring.add_reduce(filled, axis=-1).astype(dt, copy=False)
-        # Chunks are row-aligned, so each output row is folded exactly once.
-        y[ch.rows] = semiring.add(
-            y[ch.rows], pl.fold_runs(semiring, vals, ch)
-        )
-    return y.reshape(-1)[: A.nrows]
+    return _semiring_pull(A, xv, semiring, plan, skip, counters)
 
 
 def bmv_bin_full_full_masked(
@@ -735,93 +810,12 @@ def bmv_bin_full_full_multi(
     bit-identical to the semiring identity; the gather keeps the
     entries of tiles active in any plane.
     """
-    dt = value_dtype(x)
-    xv = np.asarray(x).astype(dt, copy=False)
+    xv = np.asarray(x).astype(value_dtype(x), copy=False)
     if xv.ndim != 2 or xv.shape[0] != A.ncols:
         raise ValueError(
             f"vectors must have shape ({A.ncols}, k), got {xv.shape}"
         )
-    k = xv.shape[1]
-    d = A.tile_dim
-    y = semiring.empty_output(A.n_tile_rows * d * k, dtype=dt).reshape(
-        A.n_tile_rows, d, k
-    )
-    if A.n_tiles == 0 or k == 0:
-        note_active(counters, 0, 0)
-        return y.reshape(-1, k)[: A.nrows]
-
-    pl = _resolve_plan(A, plan)
-    xpad = pl.value_scratch(dt, k)
-    xpad[: A.ncols] = xv
-    stripes = plane_slices(k, d)
-    zero = dt.type(semiring.zero)
-    act_plane = (
-        [value_activity(xpad[:, sl], d, semiring.zero) for sl in stripes]
-        if skip
-        else None
-    )
-    if semiring.idempotent:
-        m_all = semiring.mult_matrix_one(xpad)
-        if _order_free(m_all):
-            _set_bit_pull(
-                A, pl, semiring, m_all, act_plane, len(stripes),
-                y.reshape(-1, k), counters,
-            )
-            return y.reshape(-1, k)[: A.nrows]
-
-    gather = pl.gather_index
-    for ch in pl.chunks(min(k, d), row_aligned=True):
-        idx = gather[ch.lo:ch.hi]
-        cols = A.indices[ch.lo:ch.hi]
-        bits_full = None
-        for p, sl in enumerate(stripes):
-            if skip:
-                active = act_plane[p][cols]
-                sub = np.nonzero(active)[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    continue
-                if sub.size < ch.size:
-                    vals = np.full(
-                        (ch.size, d, sl.stop - sl.start), zero, dtype=dt
-                    )
-                    bits = pl.bits(ch, sub)
-                    seg = xpad[:, sl][idx[sub]]  # (ms, d, kp)
-                    m = semiring.mult_matrix_one(seg)
-                    mt = np.swapaxes(m, 1, 2)  # (ms, kp, d)
-                    filled = np.ascontiguousarray(
-                        np.where(bits[:, :, None, :], mt[:, None, :, :], zero)
-                    )
-                    vals[sub] = semiring.add_reduce(filled, axis=-1).astype(
-                        dt
-                    )
-                    y[ch.rows, :, sl] = semiring.add(
-                        y[ch.rows, :, sl],
-                        pl.fold_runs(semiring, vals, ch),
-                    )
-                    continue
-            else:
-                note_active(counters, ch.size, ch.size)
-            if bits_full is None:
-                bits_full = pl.bits(ch)
-            seg = xpad[:, sl][idx]  # (m, d, kp)
-            m = semiring.mult_matrix_one(seg)  # (m, d, kp)
-            # Reduce over the tile-column axis kept *last*, on a
-            # C-contiguous buffer, so the float summation tree matches the
-            # single-vector kernel's exactly (np.where's broadcast output
-            # can come back strided, which changes the reduction's
-            # pairwise chunking).
-            mt = np.swapaxes(m, 1, 2)  # (m, kp, d)
-            filled = np.ascontiguousarray(
-                np.where(bits_full[:, :, None, :], mt[:, None, :, :], zero)
-            )
-            vals = semiring.add_reduce(filled, axis=-1).astype(
-                dt
-            )  # (m, d, kp)
-            y[ch.rows, :, sl] = semiring.add(
-                y[ch.rows, :, sl], pl.fold_runs(semiring, vals, ch)
-            )
-    return y.reshape(-1, k)[: A.nrows]
+    return _semiring_pull(A, xv, semiring, plan, skip, counters)
 
 
 # ---------------------------------------------------------------------------

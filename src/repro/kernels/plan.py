@@ -21,15 +21,15 @@ overhead dominates the host wall-clock.
   semirings (min-plus, min-second, max-times, boolean) pull through it:
   ``out[rows] = add_reduceat(m[icol], starts)`` touches only the stored
   bits, O(nnz·k) instead of the dense tile expansion's O(tiles·d²·k);
-* **gather index** — the full ``indices[:, None]·d + arange(d)`` array,
-  sliced per chunk (dense sweeps only);
-* **bit masks / masked gather** — the unpacked per-chunk tiles of the
-  dense semiring sweep, cached under a byte budget
-  (:data:`DEFAULT_BITS_BUDGET_BYTES`).  Only arithmetic launches (and
-  idempotent launches whose operand carries NaN or ``-0.0``) read them;
-  they build lazily on first use;
+* **masked gather** — the dense semiring sweep's one cache: per chunk,
+  each tile cell's padded-operand position where its bit is set, else
+  an identity sentinel (:meth:`SweepPlan.masked_gather`), under a byte
+  budget (:data:`DEFAULT_BITS_BUDGET_BYTES`).  Only arithmetic launches
+  (and idempotent launches whose operand carries NaN or ``-0.0``), vector
+  and batched alike, read it; it builds lazily on first use;
 * **value scratch** — zero-padded operand buffers per ``(dtype, k)``
-  (the pad tail past ``ncols`` is written once and never dirtied);
+  (the pad tail past ``ncols`` is written once and never dirtied), and
+  the multiplied operand with its sentinel slot, one row per column;
 
 (The BMM contraction operand — the column-major tile repacking — is
 memoized on the matrix itself, :meth:`B2SRMatrix.colmajor_tiles`.)
@@ -95,10 +95,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.b2sr import B2SRMatrix
     from repro.semiring import Semiring
 
-#: Default byte budget for cached unpacked bit masks per plan.  A chunk's
-#: mask costs ``(hi - lo) · d²`` bytes (bool); chunks past the budget are
-#: unpacked on the fly instead of cached.  Serving deployments that pin
-#: many large graphs can lower this per plan via ``SweepPlan(bits_budget=…)``.
+#: Default byte budget for the cached masked-gather index per plan.  A
+#: chunk's index costs ``(hi - lo) · d² · 8`` bytes (``intp``); chunks past
+#: the budget are built on the fly instead of cached.  Serving deployments
+#: that pin many large graphs can lower this per plan via
+#: ``SweepPlan(bits_budget=…)``.
 DEFAULT_BITS_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -258,11 +259,10 @@ class SweepPlan:
         self.matrix = matrix
         self.bits_budget = int(bits_budget)
         self._chunk_tables: dict[tuple[int, bool], tuple[SweepChunk, ...]] = {}
-        self._gather: np.ndarray | None = None
         self._bit_index: SetBitIndex | None = None
-        self._bits: dict[tuple, np.ndarray] = {}
+        self._gathers: dict[tuple[int, int], np.ndarray] = {}
         self._bits_bytes = 0
-        self._scratch: dict[tuple[str, int | None], np.ndarray] = {}
+        self._scratch: dict[tuple, np.ndarray] = {}
         self._folds: dict[tuple, SequentialFoldPlan] = {}
 
     # ------------------------------------------------------------------
@@ -338,105 +338,55 @@ class SweepPlan:
         self._bit_index = SetBitIndex.adopt(self.matrix, arrays)
 
     # ------------------------------------------------------------------
-    # Gather index and bit masks (dense semiring sweep)
+    # Gather indices (dense semiring sweep)
     # ------------------------------------------------------------------
     @property
-    def gather_index(self) -> np.ndarray:
-        """``indices[:, None] * d + arange(d)`` — the value-vector gather
-        of the dense semiring sweep, precomputed once for all launches."""
-        if self._gather is None:
-            A = self.matrix
-            d = A.tile_dim
-            self._gather = _freeze(
-                A.indices[:, None] * d + np.arange(d, dtype=np.int64)
-            )
-        return self._gather
-
-    def bits(
-        self, chunk: SweepChunk, subset: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Boolean bit masks of the chunk's tiles (``(m, d, d)``).
-
-        Cached per chunk under :attr:`bits_budget`; with ``subset`` (an
-        index array into the chunk) only those tiles are returned — and
-        when the chunk is not cached, only they are unpacked.
-        """
-        A = self.matrix
-        d = A.tile_dim
-        key = (chunk.lo, chunk.hi)
-        cached = self._bits.get(key)
-        if cached is None:
-            cost = chunk.size * d * d
-            if self._bits_bytes + cost <= self.bits_budget:
-                cached = _freeze(
-                    unpack_bits_rowmajor(
-                        A.tiles[chunk.lo:chunk.hi], d
-                    ).astype(bool)
-                )
-                self._bits[key] = cached
-                self._bits_bytes += cost
-        if cached is not None:
-            return cached if subset is None else cached[subset]
-        tiles = A.tiles[chunk.lo:chunk.hi]
-        if subset is not None:
-            tiles = tiles[subset]
-        return unpack_bits_rowmajor(tiles, d).astype(bool)
-
-    @property
     def bits_cached_bytes(self) -> int:
-        """Bytes currently held by the bit-mask / masked-gather caches."""
+        """Bytes currently held by the masked-gather cache."""
         return self._bits_bytes
 
     def masked_gather(
         self, chunk: SweepChunk, subset: np.ndarray | None = None
     ) -> np.ndarray:
-        """Fused gather index for the single-vector semiring sweep.
+        """Fused gather index of the dense semiring sweep (``(m, d, d)``).
 
         ``G[t, r, c]`` is the padded-operand position of tile ``t``'s
         column ``c`` where bit ``(r, c)`` is set, else the sentinel slot
         ``n_tile_cols · d`` (which :meth:`mult_scratch` keeps loaded with
         the semiring identity).  ``ext[G]`` therefore materialises *the
-        exact array* the seed kernel builds with
-        ``np.where(bits, broadcast(mult(seg)), zero)`` — same shape,
-        same C-contiguity, same values — in one fancy-index gather, so
-        the subsequent reduction tree (and every float bit) is
-        unchanged while the per-launch broadcast/where work disappears.
+        exact array* the seed kernels build with
+        ``np.where(bits, broadcast(mult(seg)), zero)`` — same values,
+        reduced along the same contiguous last axis — in one gather, so
+        every float bit is unchanged while the per-launch unpack and
+        broadcast/where work disappears.
 
-        Cached per chunk under the same byte budget as :meth:`bits`
-        (``intp`` entries: 8 bytes per bit cell).
+        Cached per chunk under :attr:`bits_budget` (``intp`` entries: 8
+        bytes per bit cell).  With ``subset`` (an index array into the
+        chunk) only those tiles are returned — and when the chunk is
+        over budget, only they are unpacked.
         """
-        A = self.matrix
-        d = A.tile_dim
-        key = ("gather", chunk.lo, chunk.hi)
-        cached = self._bits.get(key)
-        if cached is not None:
-            return cached if subset is None else cached[subset]
-        # Native index width: narrower dtypes would halve the cache
-        # cost but numpy re-casts non-intp fancy indices on *every*
-        # launch, which costs more than the memory saves.
-        cost = chunk.size * d * d * np.dtype(np.intp).itemsize
-        build = self._bits_bytes + cost <= self.bits_budget
-        sentinel = np.intp(A.n_tile_cols * d)
-        if not build and subset is not None:
-            # Over budget: restrict the transient unpack + index build
-            # to the requested tiles (mirrors :meth:`bits`).
-            bits = unpack_bits_rowmajor(
-                A.tiles[chunk.lo:chunk.hi][subset], d
-            ).astype(bool)
-            idx = self.gather_index[chunk.lo:chunk.hi][subset]
-            return np.where(
-                bits, idx[:, None, :].astype(np.intp), sentinel
+        key = (chunk.lo, chunk.hi)
+        G = self._gathers.get(key)
+        if G is None:
+            A = self.matrix
+            d = A.tile_dim
+            # Native index width: narrower dtypes would halve the cache
+            # cost but numpy re-casts non-intp fancy indices on *every*
+            # launch, which costs more than the memory saves.
+            cost = chunk.size * d * d * np.dtype(np.intp).itemsize
+            cache = self._bits_bytes + cost <= self.bits_budget
+            tiles = A.tiles[chunk.lo:chunk.hi]
+            cols = A.indices[chunk.lo:chunk.hi].astype(np.intp)
+            if not cache and subset is not None:
+                tiles, cols, subset = tiles[subset], cols[subset], None
+            G = np.where(
+                unpack_bits_rowmajor(tiles, d).astype(bool),
+                (cols[:, None] * d + np.arange(d, dtype=np.intp))[:, None],
+                np.intp(A.n_tile_cols * d),
             )
-        # Transient unpack — cache the fused index, not the masks.
-        bits = unpack_bits_rowmajor(
-            A.tiles[chunk.lo:chunk.hi], d
-        ).astype(bool)
-        idx = self.gather_index[chunk.lo:chunk.hi]
-        G = np.where(bits, idx[:, None, :].astype(np.intp), sentinel)
-        if build:
-            G = _freeze(G)
-            self._bits[key] = G
-            self._bits_bytes += cost
+            if cache:
+                self._gathers[key] = _freeze(G)
+                self._bits_bytes += cost
         return G if subset is None else G[subset]
 
     def seq_fold(self, chunk: SweepChunk) -> SequentialFoldPlan:
@@ -465,17 +415,20 @@ class SweepPlan:
             return self.seq_fold(chunk)(values)
         return semiring.add_reduceat(values, chunk.starts)
 
-    def mult_scratch(self, dtype: np.dtype) -> np.ndarray:
+    def mult_scratch(
+        self, dtype: np.dtype, k: int | None = None
+    ) -> np.ndarray:
         """Reusable buffer for the multiplied padded operand plus the
-        identity sentinel slot :meth:`masked_gather` points elided cells
-        at: shape ``(n_tile_cols · d + 1,)``.  The caller refills
-        ``[:-1]`` and the sentinel every launch."""
-        dt = np.dtype(dtype)
-        key = (dt.str, -1)
+        identity sentinel slot :meth:`masked_gather` points unset bits
+        at: shape ``(n_tile_cols · d + 1,)`` for a vector, or one row per
+        column, ``(k, n_tile_cols · d + 1)``, for a batch.  The caller
+        refills it every launch."""
+        key = ("mult", np.dtype(dtype).str, k)
         buf = self._scratch.get(key)
         if buf is None:
             A = self.matrix
-            buf = np.zeros(A.n_tile_cols * A.tile_dim + 1, dtype=dt)
+            n = A.n_tile_cols * A.tile_dim + 1
+            buf = np.zeros(n if k is None else (k, n), dtype=dtype)
             self._scratch[key] = buf
         return buf
 
@@ -510,10 +463,10 @@ class SweepPlan:
         """Eagerly build the launch-invariant state serving launches
         read — both chunk-table flavours per plane width and the
         set-bit index — so the first BFS/SSSP/CC launch runs at warm
-        speed.  The dense sweep's bit-mask and masked-gather caches are
-        left to build lazily (under :attr:`bits_budget`) on the first
-        launch that needs them: arithmetic pulls, and min/max pulls
-        whose operand carries NaN or ``-0.0``."""
+        speed.  The dense sweep's masked-gather cache is left to build
+        lazily (under :attr:`bits_budget`) on the first launch that needs
+        it: arithmetic pulls, and min/max pulls whose operand carries NaN
+        or ``-0.0``."""
         d = self.matrix.tile_dim
         _ = self.matrix.tile_row_of()
         for width in plane_widths:
@@ -531,9 +484,8 @@ class SweepPlan:
             "bit_index_cached": float(ix is not None),
             "bit_index_bytes": float(0 if ix is None else ix.nbytes),
             "bits_cached_bytes": float(self._bits_bytes),
-            "bits_cached_chunks": float(len(self._bits)),
+            "bits_cached_chunks": float(len(self._gathers)),
             "scratch_buffers": float(len(self._scratch)),
-            "gather_cached": float(self._gather is not None),
         }
 
 

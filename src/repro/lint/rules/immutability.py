@@ -2,7 +2,7 @@
 
 PR 5 froze every B2SR array at construction: that freeze is the *whole*
 safety argument for memoized :class:`~repro.kernels.plan.SweepPlan`\\ s
-(chunk tables, set-bit index, cached bit masks) never going stale, and
+(chunk tables, set-bit index, masked-gather index) never going stale, and
 for the serving registry sharing warm plans across thousands of
 launches.  One ``setflags(write=True)`` anywhere outside the format
 module silently re-opens the door to stale-plan wrong answers — the

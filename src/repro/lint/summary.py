@@ -6,14 +6,13 @@ module-global mutations, plus the module's classes and its module-level
 mutable bindings.  Summaries are plain data, and the cross-module layer
 (:mod:`repro.lint.project`) is a pure function of them.
 
-Direct effects tagged here (transitive closure is the fixpoint's job):
+Direct effects tagged here — exactly the ones a project rule reads
+(transitive closure is the fixpoint's job; unseeded RNG draws and writes
+to frozen B2SR arrays are per-file rules, ``seeded-rng`` and
+``b2sr-immutability``):
 
 * :data:`WALL_CLOCK` — ``time.time`` / ``perf_counter`` / ``monotonic``
   (and ``_ns`` variants), argless ``datetime.now`` / ``today``;
-* :data:`UNSEEDED_RNG` — legacy global-state ``np.random.*`` draws,
-  argless ``default_rng()``, stdlib ``random.*`` module-level draws;
-* :data:`MUTATES_B2SR` — ``setflags(write=True)`` or in-place writes
-  through the frozen B2SR field names;
 * :data:`CALLS_DISPATCH` — any call whose callee is named ``dispatch``
   (the EventLoop contract name, resolved or not);
 * :data:`VERIFY_EXPLICIT` — any call carrying an explicit ``verify=``
@@ -38,16 +37,12 @@ from repro.lint.resolve import AliasResolver
 
 # -- effect names ------------------------------------------------------
 WALL_CLOCK = "reads-wall-clock"
-UNSEEDED_RNG = "consumes-unseeded-rng"
-MUTATES_B2SR = "mutates-frozen-b2sr"
 CALLS_DISPATCH = "calls-dispatch"
 VERIFY_EXPLICIT = "flushes-verify-explicit"
 
 #: Every effect the fixpoint propagates, in reporting order.
 ALL_EFFECTS = (
     WALL_CLOCK,
-    UNSEEDED_RNG,
-    MUTATES_B2SR,
     CALLS_DISPATCH,
     VERIFY_EXPLICIT,
 )
@@ -75,54 +70,6 @@ _WALL_CLOCK_ARGLESS = frozenset(
         "datetime.datetime.utcnow",
         "datetime.date.today",
     }
-)
-
-#: Seedable constructors — the sanctioned ways into numpy.random
-#: (mirrors :data:`repro.lint.rules.rng.ALLOWED_RANDOM_ATTRS`).
-_NP_RANDOM_ALLOWED = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "MT19937",
-        "SFC64",
-    }
-)
-#: stdlib ``random`` module-level draws share one hidden global state.
-_STDLIB_RANDOM_GLOBAL = frozenset(
-    {
-        "random",
-        "randint",
-        "randrange",
-        "randbytes",
-        "getrandbits",
-        "choice",
-        "choices",
-        "sample",
-        "shuffle",
-        "uniform",
-        "triangular",
-        "betavariate",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "normalvariate",
-        "lognormvariate",
-        "vonmisesvariate",
-        "paretovariate",
-        "weibullvariate",
-        "seed",
-    }
-)
-
-#: B2SR field names frozen at construction (mirrors
-#: :data:`repro.lint.rules.immutability.GUARDED_ATTRS`).
-_FROZEN_B2SR_ATTRS = frozenset(
-    {"tiles", "indices", "indptr", "trows", "gather_index", "icol", "irow"}
 )
 
 #: Mutating container methods: calling one of these on a module-level
@@ -426,7 +373,6 @@ class _FunctionCollector(ast.NodeVisitor):
                 base = base.value
             if isinstance(base, ast.Name):
                 self._record_mutation(base.id, node, "item assignment")
-            self._check_b2sr_write(target, node)
         elif isinstance(target, ast.Tuple | ast.List):
             for elt in target.elts:
                 self._assign_target(elt, node)
@@ -460,7 +406,6 @@ class _FunctionCollector(ast.NodeVisitor):
                 base = base.value
             if isinstance(base, ast.Name):
                 self._record_mutation(base.id, node, "item assignment")
-            self._check_b2sr_write(target, node)
 
     def visit_Delete(self, node: ast.Delete) -> None:
         for target in node.targets:
@@ -471,18 +416,6 @@ class _FunctionCollector(ast.NodeVisitor):
                     target.value.id, node, "item deletion"
                 )
         self.generic_visit(node)
-
-    def _check_b2sr_write(self, target: ast.Subscript, node: ast.AST) -> None:
-        base: ast.AST = target
-        while isinstance(base, ast.Subscript):
-            base = base.value
-        if (
-            isinstance(base, ast.Attribute)
-            and base.attr in _FROZEN_B2SR_ATTRS
-        ):
-            self._effect(
-                MUTATES_B2SR, node, f"writes through .{base.attr}"
-            )
 
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -579,17 +512,6 @@ class _FunctionCollector(ast.NodeVisitor):
                     VERIFY_EXPLICIT, node, f"{callee}(..., verify=...)"
                 )
                 break
-        # setflags(write=True) — frozen-array re-enable.
-        if isinstance(func, ast.Attribute) and func.attr == "setflags":
-            for kw in node.keywords:
-                if (
-                    kw.arg == "write"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value
-                ):
-                    self._effect(
-                        MUTATES_B2SR, node, "setflags(write=True)"
-                    )
         if dotted is None:
             return
         if dotted in _WALL_CLOCK_CALLS:
@@ -600,20 +522,6 @@ class _FunctionCollector(ast.NodeVisitor):
             and not node.keywords
         ):
             self._effect(WALL_CLOCK, node, f"{dotted}()")
-        if dotted.startswith("numpy.random."):
-            attr = dotted[len("numpy.random.") :]
-            if "." not in attr and attr not in _NP_RANDOM_ALLOWED:
-                self._effect(UNSEEDED_RNG, node, f"np.random.{attr}()")
-            elif (
-                attr == "default_rng"
-                and not node.args
-                and not node.keywords
-            ):
-                self._effect(UNSEEDED_RNG, node, "default_rng()")
-        elif dotted.startswith("random."):
-            attr = dotted[len("random.") :]
-            if attr in _STDLIB_RANDOM_GLOBAL:
-                self._effect(UNSEEDED_RNG, node, f"random.{attr}()")
 
     # -- nested scopes -------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -800,10 +708,8 @@ __all__ = [
     "FunctionSummary",
     "GlobalBinding",
     "GlobalMutation",
-    "MUTATES_B2SR",
     "MUTATING_METHODS",
     "ModuleSummary",
-    "UNSEEDED_RNG",
     "VERIFY_EXPLICIT",
     "WALL_CLOCK",
     "module_name",

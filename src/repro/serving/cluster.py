@@ -109,14 +109,12 @@ class GraphEntry:
     """One epoch of a registered serving graph with its private serving
     state.
 
-    ``version`` counts mutations applied since registration,
+    ``version`` counts mutations applied since registration, and
     ``graph``/``sym_graph`` retain the source graphs so the next delta
-    can be applied copy-on-write, and ``delta`` records the edit that
-    produced this epoch (``None`` for epoch 0).  Every epoch is fully
-    immutable once built — engines, batcher, warm plans and verification
-    cache all belong to the epoch, which is what lets in-flight batches
-    finish on their admitted version while new arrivals see the next
-    one.
+    can be applied copy-on-write.  Every epoch is fully immutable once
+    built — engines, batcher, warm plans and verification cache all
+    belong to the epoch, which is what lets in-flight batches finish on
+    their admitted version while new arrivals see the next one.
     """
 
     name: str
@@ -128,7 +126,6 @@ class GraphEntry:
     sym_graph: Graph = field(repr=False)
     singles_cache: dict = field(default_factory=dict)
     version: int = 0
-    delta: DeltaReport | None = field(default=None, repr=False)
 
 
 class GraphRegistry:
@@ -230,7 +227,7 @@ class GraphRegistry:
 
         new_entry = self._epoch(
             name, new_graph, new_sym, device=entry.engine.device,
-            tile_dim=tile_dim, version=entry.version + 1, delta=report,
+            tile_dim=tile_dim, version=entry.version + 1,
         )
         new_entry.estimator.restore(entry.estimator.snapshot())
         self._chains[name].append(new_entry)
@@ -245,7 +242,6 @@ class GraphRegistry:
         device: DeviceSpec | None,
         tile_dim: int,
         version: int = 0,
-        delta: DeltaReport | None = None,
     ) -> GraphEntry:
         """Build one servable epoch: engines over ``graph`` and its
         symmetrized view ``sym``, its batcher and estimator, and warm
@@ -268,7 +264,6 @@ class GraphRegistry:
             graph=graph,
             sym_graph=sym,
             version=version,
-            delta=delta,
         )
         entry.batcher.warm()
         return entry
@@ -826,7 +821,6 @@ class _RouterController:
                 launch_ms=launch_ms,
                 finish_ms=finish_ms,
                 batch_width=width,
-                joined=width > 1,
                 server=sid,
                 version=batch.version,
                 failure=failure,

@@ -13,9 +13,6 @@ dynamic-graph harnesses need:
   a failed batch is re-attempted up to ``max_retries`` times before it
   is recorded as permanently failed and skipped (later batches still
   apply — an ingest pipeline does not wedge on one poison batch).
-  Retries back off exponentially with seeded full jitter (modeled
-  delays, recorded per attempt, never slept), capped per attempt and
-  bounded by an optional cumulative retry deadline.
 
 Application is synchronous and ordered because deltas compose: batch
 *k*'s deletes are meaningful only against the graph batch *k−1*
@@ -123,19 +120,29 @@ class IngestRecord:
     deletes: int = 0
     rebuilt_fraction: float = 0.0
     error: str | None = None
-    #: Modeled backoff delay before each *retry* (so ``len`` is
-    #: ``attempts - 1`` unless the deadline cut retries short).
-    attempt_delays_ms: list[float] = field(default_factory=list)
 
 
 @dataclass
 class IngestReport:
-    """Aggregate accounting for one ingest run."""
+    """Aggregate accounting for one ingest run, derived from its
+    per-batch records."""
 
-    applied: int
-    retried: int
-    failed: int
     records: list[IngestRecord] = field(default_factory=list)
+
+    @property
+    def applied(self) -> int:
+        """Batches that landed."""
+        return sum(r.ok for r in self.records)
+
+    @property
+    def retried(self) -> int:
+        """Re-attempts across all batches (attempts past the first)."""
+        return sum(r.attempts - 1 for r in self.records)
+
+    @property
+    def failed(self) -> int:
+        """Batches recorded as permanently failed and skipped."""
+        return len(self.records) - self.applied
 
     @property
     def mean_rebuilt_fraction(self) -> float:
@@ -151,58 +158,15 @@ class Ingester:
     ``max_retries`` bounds the re-attempts *after* the first try; a
     batch that still fails is recorded (``ok=False`` with the last
     error) and skipped so the rest of the stream keeps flowing.
-
-    Each retry waits out an exponential backoff with seeded *full
-    jitter*: the delay before retry *k* is drawn uniformly from ``(0,
-    min(backoff_cap_ms, backoff_base_ms * 2**(k-1)))``.  Delays are
-    modeled — recorded in :attr:`IngestRecord.attempt_delays_ms`, never
-    slept — so the retry schedule is deterministic per ``seed`` and free
-    to simulate.  ``retry_deadline_ms`` bounds the *cumulative* backoff
-    per batch: a retry whose delay would push the total past the
-    deadline is abandoned and the batch fails closed with the deadline
-    noted alongside the last error.
     """
 
-    def __init__(
-        self,
-        store: GraphRegistry,
-        *,
-        max_retries: int = 2,
-        backoff_base_ms: float = 1.0,
-        backoff_cap_ms: float = 64.0,
-        retry_deadline_ms: float | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, store: GraphRegistry, *, max_retries: int = 2) -> None:
         if max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if not backoff_base_ms > 0.0:
-            raise ValueError(
-                f"backoff_base_ms must be > 0, got {backoff_base_ms}"
-            )
-        if backoff_cap_ms < backoff_base_ms:
-            raise ValueError(
-                f"backoff_cap_ms ({backoff_cap_ms}) must be >= "
-                f"backoff_base_ms ({backoff_base_ms})"
-            )
-        if retry_deadline_ms is not None and not retry_deadline_ms > 0.0:
-            raise ValueError(
-                f"retry_deadline_ms must be > 0, got {retry_deadline_ms}"
-            )
         self.store = store
         self.max_retries = max_retries
-        self.backoff_base_ms = backoff_base_ms
-        self.backoff_cap_ms = backoff_cap_ms
-        self.retry_deadline_ms = retry_deadline_ms
-        self._rng = np.random.default_rng(seed)
-
-    def _backoff_ms(self, retry: int) -> float:
-        """The jittered delay before retry ``retry`` (1-based)."""
-        ceiling = min(
-            self.backoff_cap_ms, self.backoff_base_ms * 2.0 ** (retry - 1)
-        )
-        return float(self._rng.uniform(0.0, ceiling))
 
     def run(
         self,
@@ -217,7 +181,6 @@ class Ingester:
         as that attempt's failure — the test harness uses it to inject
         transient faults and exercise the retry path.
         """
-        applied = retried = failed = 0
         records: list[IngestRecord] = []
         for mut in sorted(batches, key=lambda m: m.time_ms):
             mut.validate()
@@ -225,20 +188,6 @@ class Ingester:
                 graph=mut.graph, time_ms=mut.time_ms, attempts=0, ok=False
             )
             for attempt in range(self.max_retries + 1):
-                if attempt > 0:
-                    delay = self._backoff_ms(attempt)
-                    waited = sum(record.attempt_delays_ms)
-                    if (
-                        self.retry_deadline_ms is not None
-                        and waited + delay > self.retry_deadline_ms
-                    ):
-                        record.error = (
-                            f"{record.error}; retry deadline "
-                            f"({self.retry_deadline_ms} ms) exhausted after "
-                            f"{waited:.3f} ms of backoff"
-                        )
-                        break
-                    record.attempt_delays_ms.append(delay)
                 record.attempts = attempt + 1
                 try:
                     if fault_hook is not None:
@@ -256,15 +205,8 @@ class Ingester:
                 record.deletes = report.n_deletes
                 record.rebuilt_fraction = report.rebuilt_fraction
                 break
-            retried += max(0, record.attempts - 1)
-            if record.ok:
-                applied += 1
-            else:
-                failed += 1
             records.append(record)
-        return IngestReport(
-            applied=applied, retried=retried, failed=failed, records=records
-        )
+        return IngestReport(records=records)
 
 
 __all__ = [

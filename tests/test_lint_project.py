@@ -18,7 +18,7 @@ from repro.lint import (
     rule_ids,
 )
 from repro.lint.project import ProjectIndex, analyze_file
-from repro.lint.summary import UNSEEDED_RNG, WALL_CLOCK, module_name
+from repro.lint.summary import WALL_CLOCK, module_name
 
 
 def active(violations):
@@ -115,13 +115,13 @@ class TestCallGraph:
                     "    return h()\n"
                 ),
                 "src/repro/x/b.py": (
-                    "import random\n"
+                    "import time\n"
                     "def helper():\n"
-                    "    return random.random()\n"
+                    "    return time.monotonic()\n"
                 ),
             }
         )
-        assert UNSEEDED_RNG in idx.effects["repro.x.a.f"]
+        assert WALL_CLOCK in idx.effects["repro.x.a.f"]
 
     def test_self_method_call_resolves(self):
         idx = index_of(

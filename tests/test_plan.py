@@ -85,6 +85,38 @@ def expected_counters(A, X, s, skip):
     return {"active_tiles": active, "tile_visits": visits}
 
 
+#: Operands the plan-reuse tests send through the dense sweep: an
+#: arithmetic one, and a min-plus one with mixed signed zeros and a NaN,
+#: which fails the set-bit gather's order-free check.
+DENSE_OPERANDS = ("arithmetic", "min_plus_signed")
+
+#: Semiring kernel shapes: the vector kernel, and the batched kernel at
+#: one full word plane and at two planes plus a partial one.
+KERNEL_WIDTHS = ("vector", "k=d", "k=2d+3")
+
+
+def dense_launch(A, width, family, rng):
+    """``(launch, want)``: a closure running one semiring kernel on a
+    fixed dense-sweep operand (keywords pass through), and its planless
+    result.  Tile columns 1–4 carry only the identity, so skip mode
+    elides some of every chunk's tiles."""
+    d = A.tile_dim
+    s = ARITHMETIC if family == "arithmetic" else MIN_PLUS
+    k = {"vector": (), "k=d": (d,), "k=2d+3": (2 * d + 3,)}[width]
+    X = rng.random((A.ncols,) + k).astype(np.float32)
+    if family == "min_plus_signed":
+        X[rng.random(X.shape) < 0.3] = 0.0
+        X[rng.random(X.shape) < 0.3] = -0.0
+        X[0] = np.nan
+    X[d:5 * d] = s.zero
+    if width == "vector":
+        kernel, ref = bmv.bmv_bin_full_full, planless.bmv_bin_full_full
+    else:
+        kernel = bmv.bmv_bin_full_full_multi
+        ref = planless.bmv_bin_full_full_multi
+    return (lambda **kw: kernel(A, X, s, **kw)), ref(A, X, s)
+
+
 # ----------------------------------------------------------------------
 # Bitwise plan-vs-planless equality
 # ----------------------------------------------------------------------
@@ -226,13 +258,16 @@ class TestPlanReuse:
                 plan=B.plan(),
             )
 
-    def test_warm_launch_does_not_reunpack(self, monkeypatch):
-        """After one launch (or an explicit warm()), repeated launches
-        never call unpack_bits_rowmajor again — the per-launch unpack was
-        the seed kernels' dominant cost."""
+    @pytest.mark.parametrize("family", DENSE_OPERANDS)
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_warm_launch_does_not_reunpack(self, monkeypatch, width, family):
+        """After one launch, repeated launches — vector or batched, dense
+        or skip — never call unpack_bits_rowmajor again: the per-launch
+        unpack was the seed kernels' dominant cost."""
         A, dense, rng = build(n=100, d=8, seed=3)
-        x = rng.random(100).astype(np.float32)
-        y0 = bmv.bmv_bin_full_full(A, x, ARITHMETIC)  # builds the plan
+        launch, want = dense_launch(A, width, family, rng)
+        y0 = {skip: launch(skip=skip) for skip in (False, True)}
+        assert A.plan().bits_cached_bytes > 0  # the dense sweep ran
 
         calls = {"n": 0}
         real = packing_mod.unpack_bits_rowmajor
@@ -244,25 +279,26 @@ class TestPlanReuse:
         import repro.kernels.plan as plan_mod
 
         monkeypatch.setattr(plan_mod, "unpack_bits_rowmajor", counting)
-        y1 = bmv.bmv_bin_full_full(A, x, ARITHMETIC)
+        for skip in (False, True):
+            y1 = launch(skip=skip)
+            assert bitwise_equal(y0[skip], y1)
+            assert bitwise_equal(y1, want)
         assert calls["n"] == 0
-        assert bitwise_equal(y0, y1)
 
-    def test_zero_budget_plan_still_bitwise(self):
+    @pytest.mark.parametrize("family", DENSE_OPERANDS)
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    def test_zero_budget_plan_still_bitwise(self, width, family):
         A, dense, rng = build(n=100, d=16, seed=4)
         plan = SweepPlan(A, bits_budget=0)
-        x = rng.random(100).astype(np.float32)
+        launch, want = dense_launch(A, width, family, rng)
         for skip in (False, True):
-            got = bmv.bmv_bin_full_full(
-                A, x, ARITHMETIC, plan=plan, skip=skip
-            )
-            assert bitwise_equal(got, planless.bmv_bin_full_full(A, x))
+            assert bitwise_equal(launch(plan=plan, skip=skip), want)
         assert plan.bits_cached_bytes == 0
 
     def test_warm_builds_state(self):
         """warm() builds what serving launches read — the chunk tables
-        and the set-bit index; the dense sweep's bit-mask caches stay
-        empty until the first arithmetic launch fills them."""
+        and the set-bit index; the dense sweep's masked-gather cache
+        stays empty until the first arithmetic launch fills it."""
         A, _, rng = build(n=100, d=8, seed=6)
         plan = SweepPlan(A)
         st = plan.stats()
