@@ -18,11 +18,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.bitops.packing import pack_bitvector
+from repro.bitops.packing import pack_bitmatrix, pack_bitvector
 from repro.datasets.generators import block_pattern, diagonal_pattern
 from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
-from repro.kernels.bmv import bmv_bin_bin_bin, bmv_bin_bin_full, bmv_bin_full_full
+from repro.kernels.bmv import (
+    bmv_bin_bin_bin,
+    bmv_bin_bin_bin_multi_masked,
+    bmv_bin_bin_full,
+    bmv_bin_full_full,
+)
 from repro.kernels.csr_spmv import csr_spmv
 from repro.semiring import ARITHMETIC
 
@@ -69,6 +74,30 @@ def test_wallclock_bmv_bin_bin_full(benchmark, banded, json_report):
     xw = pack_bitvector(x, 32)
     benchmark(bmv_bin_bin_full, A, xw)
     emit_benchmark(json_report, benchmark, "bmv_bin_bin_full")
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("k", [8, 32])
+def test_wallclock_bmv_bin_bin_bin_multi_masked(
+    benchmark, banded, json_report, k, skip
+):
+    """Multi-source BFS's batched kernel on a warm plan: a 0.2% frontier
+    (about 8 vertices) per source, masked by a half-visited complement,
+    so skip mode drops part of every word plane's tiles."""
+    g, _ = banded
+    A = g.b2sr(32)
+    A.plan().warm((k,))
+    rng = np.random.default_rng(k)
+    xw = pack_bitmatrix(rng.random((g.n, k)) < 0.002, 32)
+    visited = rng.random((g.n, k)) < 0.5
+    benchmark(
+        bmv_bin_bin_bin_multi_masked, A, xw, visited,
+        complement=True, skip=skip,
+    )
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_bin_bin_multi_masked",
+        k=k, skip=skip,
+    )
 
 
 def test_wallclock_bmv_bin_full_full(benchmark, banded, json_report):

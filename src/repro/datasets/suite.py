@@ -14,7 +14,6 @@ matrices in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -136,12 +135,3 @@ def evaluation_suite(
             idx += 1
     return entries
 
-
-def iter_suite_graphs(
-    entries: list[SuiteEntry] | None = None,
-) -> Iterator[Graph]:
-    """Stream the materialised suite graphs."""
-    if entries is None:
-        entries = evaluation_suite()
-    for e in entries:
-        yield e.build()

@@ -102,30 +102,16 @@ class B2SRMatrix:
     )
 
     def __post_init__(self) -> None:
-        if self.tile_dim not in TILE_DIMS:
-            raise ValueError(f"tile_dim must be one of {TILE_DIMS}")
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        want_dtype = dtype_for_width(self.tile_dim)
-        self.tiles = np.asarray(self.tiles, dtype=want_dtype)
-        if self.indptr.shape != (self.n_tile_rows + 1,):
-            raise ValueError(
-                f"indptr must have length {self.n_tile_rows + 1}, "
-                f"got {self.indptr.shape}"
-            )
-        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing from 0")
-        if self.indptr[-1] != self.indices.shape[0]:
-            raise ValueError("indptr[-1] must equal number of tiles")
-        if self.tiles.shape != (self.indices.shape[0], self.tile_dim):
-            raise ValueError(
-                f"tiles must have shape (n_tiles, {self.tile_dim}), "
-                f"got {self.tiles.shape}"
-            )
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.n_tile_cols
-        ):
-            raise ValueError("tile column index out of range")
+        self.tiles = np.asarray(self.tiles)
+        self._check_geometry(
+            self.nrows, self.ncols, self.tile_dim,
+            self.indptr, self.indices, self.tiles,
+        )
+        self.tiles = np.asarray(
+            self.tiles, dtype=dtype_for_width(self.tile_dim)
+        )
         # Freeze the stored arrays: the memoized derived structures
         # (tile_row_of, the sweep plan) rely on them never changing.
         # A view is copied first — freezing a view leaves its base
@@ -136,6 +122,42 @@ class B2SRMatrix:
         self.indptr = self._own(self.indptr)
         self.indices = self._own(self.indices)
         self.tiles = self._own(self.tiles)
+
+    @staticmethod
+    def _check_geometry(
+        nrows: int,
+        ncols: int,
+        tile_dim: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        tiles: np.ndarray,
+    ) -> None:
+        """The geometry both constructors validate: a supported tile
+        dim, ``indptr`` delimiting every tile row's run from 0, one
+        ``tile_dim``-word tile per stored index, every tile column in
+        range."""
+        if tile_dim not in TILE_DIMS:
+            raise ValueError(f"tile_dim must be one of {TILE_DIMS}")
+        n_tile_rows = (nrows + tile_dim - 1) // tile_dim
+        n_tile_cols = (ncols + tile_dim - 1) // tile_dim
+        if indptr.shape != (n_tile_rows + 1,):
+            raise ValueError(
+                f"indptr must have length {n_tile_rows + 1}, "
+                f"got {indptr.shape}"
+            )
+        if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr must be non-decreasing from 0")
+        if indptr[-1] != indices.shape[0]:
+            raise ValueError("indptr[-1] must equal number of tiles")
+        if tiles.shape != (indices.shape[0], tile_dim):
+            raise ValueError(
+                f"tiles must have shape (n_tiles, {tile_dim}), "
+                f"got {tiles.shape}"
+            )
+        if indices.size and (
+            indices.min() < 0 or indices.max() >= n_tile_cols
+        ):
+            raise ValueError("tile column index out of range")
 
     @staticmethod
     def _own(arr: np.ndarray) -> np.ndarray:
@@ -166,38 +188,16 @@ class B2SRMatrix:
         runs the same geometry validation as ``__post_init__``, and
         adopts the views as-is.
         """
-        if tile_dim not in TILE_DIMS:
-            raise ValueError(f"tile_dim must be one of {TILE_DIMS}")
-        want_dtype = dtype_for_width(tile_dim)
+        cls._check_geometry(nrows, ncols, tile_dim, indptr, indices, tiles)
         for name, arr, dtype in (
             ("indptr", indptr, np.dtype(np.int64)),
             ("indices", indices, np.dtype(np.int64)),
-            ("tiles", tiles, want_dtype),
+            ("tiles", tiles, dtype_for_width(tile_dim)),
         ):
             if arr.dtype != dtype:
                 raise ValueError(f"{name} must be {dtype}, got {arr.dtype}")
             if arr.flags.writeable:
                 raise ValueError(f"{name} must be read-only to be adopted")
-        n_tile_rows = (nrows + tile_dim - 1) // tile_dim
-        n_tile_cols = (ncols + tile_dim - 1) // tile_dim
-        if indptr.shape != (n_tile_rows + 1,):
-            raise ValueError(
-                f"indptr must have length {n_tile_rows + 1}, "
-                f"got {indptr.shape}"
-            )
-        if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-            raise ValueError("indptr must be non-decreasing from 0")
-        if indptr[-1] != indices.shape[0]:
-            raise ValueError("indptr[-1] must equal number of tiles")
-        if tiles.shape != (indices.shape[0], tile_dim):
-            raise ValueError(
-                f"tiles must have shape (n_tiles, {tile_dim}), "
-                f"got {tiles.shape}"
-            )
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= n_tile_cols
-        ):
-            raise ValueError("tile column index out of range")
         mat = cls.__new__(cls)
         mat.nrows = nrows
         mat.ncols = ncols

@@ -9,8 +9,8 @@ launch); instead this module flattens the frozen arrays of a
 (:class:`~repro.kernels.plan.SetBitIndex`, which every SSSP/CC pull
 reads) into **one** named POSIX shared-memory segment.  Workers
 ``attach()`` by name and reconstruct read-only views over the same
-physical pages: zero copies, bitwise-identical arrays (asserted via
-per-array CRCs carried in the manifest).
+physical pages: zero copies, bitwise-identical arrays (every attach
+checks every array against the CRC its manifest carries).
 
 B2SR immutability is the safety argument: every exported array is frozen
 at construction and no API mutates it, so read-only cross-process
@@ -27,11 +27,9 @@ to every child), and the tracker's cache is a *set* — so a worker's
 attach-time registration is a no-op and the segment stays owned by the
 one shared daemon.  That daemon is the crash guarantee: if the whole
 process tree dies without ``unlink()``, the tracker unlinks every
-registered segment at teardown, so ``/dev/shm`` cannot leak.  Attaching
-from a *foreign* process tree (its own tracker daemon) is the one case
-that needs ``attach(..., untrack=True)``: otherwise that tree's exit
-would unlink pages the exporter still serves.  ``close()`` and
-``unlink()`` are both idempotent.
+registered segment at teardown, so ``/dev/shm`` cannot leak.  Segment
+names are generated per exporter process.  ``close()`` and ``unlink()``
+are both idempotent.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import SetBitIndex
 
 try:  # pragma: no cover - exercised via shm_available()
-    from multiprocessing import resource_tracker, shared_memory
+    from multiprocessing import shared_memory
 
     _HAVE_SHM_MODULE = True
 except ImportError:  # pragma: no cover - no POSIX shm on this platform
@@ -95,26 +93,6 @@ def list_segments(prefix: str = SEGMENT_PREFIX) -> list[str] | None:
     return sorted(n for n in os.listdir(root) if n.startswith(prefix))
 
 
-def _untrack(shm: object) -> None:
-    """Drop ``shm`` from this process's resource tracker.
-
-    Only needed when attaching from a process tree that does *not*
-    share the exporter's tracker daemon: there, attach registers the
-    segment with the foreign tracker, which would unlink it when that
-    tree exits — yanking pages out from under the exporter.  Inside the
-    exporter's own tree (spawned workers, same-process attaches) the
-    registration is a set-level no-op and unregistering here would
-    instead delete the *exporter's* entry, breaking its crash cleanup.
-    """
-    name = getattr(shm, "_name", None) or getattr(shm, "name", None)
-    if name is None:  # pragma: no cover - defensive
-        return
-    try:
-        resource_tracker.unregister(name, "shared_memory")
-    except (KeyError, ValueError, OSError):  # pragma: no cover
-        pass
-
-
 @dataclass(frozen=True)
 class ArraySpec:
     """Placement and checksum of one array inside a segment."""
@@ -154,53 +132,29 @@ class ShmManifest:
                 return s
         raise KeyError(key)
 
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(s.key for s in self.arrays)
 
-
-def _fresh_name(token: str | None) -> str:
-    if token is not None:
-        return SEGMENT_PREFIX + token
+def _fresh_name() -> str:
     return f"{SEGMENT_PREFIX}{os.getpid():x}-{next(_counter):x}"
 
 
 class ShmGraphExport:
-    """Flatten a :class:`B2SRMatrix` (+ warmed plan) into one shared
-    segment.
-
-    Parameters
-    ----------
-    matrix:
-        The frozen matrix to export.
-    token:
-        Optional explicit segment suffix (``repro-b2sr-<token>``); by
-        default a pid-unique name is generated.
-    with_plan:
-        Also export the plan's set-bit index (forces its one-time
-        construction) so worker SSSP/CC pulls start warm.
+    """Flatten a frozen :class:`B2SRMatrix` and its plan's set-bit index
+    (built here if still cold, so worker SSSP/CC pulls start warm) into
+    one shared segment under a generated ``repro-b2sr-<pid>-<n>`` name.
     """
 
-    def __init__(
-        self,
-        matrix: B2SRMatrix,
-        *,
-        token: str | None = None,
-        with_plan: bool = True,
-    ) -> None:
+    def __init__(self, matrix: B2SRMatrix) -> None:
         if not shm_available():
             raise OSError("POSIX shared memory is not available")
+        index = matrix.plan().bit_index
         arrays: list[tuple[str, np.ndarray]] = [
             ("indptr", matrix.indptr),
             ("indices", matrix.indices),
             ("tiles", matrix.tiles),
+        ] + [
+            (_BIT_INDEX + name, getattr(index, name))
+            for name in SetBitIndex.FIELDS
         ]
-        if with_plan:
-            index = matrix.plan().bit_index
-            arrays.extend(
-                (_BIT_INDEX + name, getattr(index, name))
-                for name in SetBitIndex.FIELDS
-            )
 
         offset = 0
         placed: list[tuple[str, np.ndarray, int]] = []
@@ -211,16 +165,14 @@ class ShmGraphExport:
         total = max(offset, 1)
 
         self._shm = None
-        for attempt in range(8):
-            name = _fresh_name(token if attempt == 0 else None)
+        for _ in range(8):
             try:
                 self._shm = shared_memory.SharedMemory(
-                    create=True, size=total, name=name
+                    create=True, size=total, name=_fresh_name()
                 )
                 break
             except FileExistsError:
-                if token is not None and attempt == 0:
-                    raise
+                continue
         if self._shm is None:  # pragma: no cover - 8 collisions
             raise OSError("could not allocate a fresh shm segment name")
 
@@ -324,38 +276,28 @@ class AttachedGraph:
         self.close()
 
 
-def attach(
-    manifest: ShmManifest, *, verify: bool = True, untrack: bool = False
-) -> AttachedGraph:
+def attach(manifest: ShmManifest) -> AttachedGraph:
     """Map an exported graph back into this process, zero-copy.
 
-    With ``verify=True`` (default) every array's CRC is re-computed over
-    the mapped bytes and asserted against the manifest — the worker-side
-    proof that what it serves is bitwise-identical to what the exporter
-    published.  ``untrack=True`` removes the segment from this process's
-    resource tracker; pass it only when attaching from a process tree
-    that does not share the exporter's tracker daemon (see module
-    docstring) — inside the exporter's tree the registration is shared
-    and must be left alone.
+    Every array's CRC is re-computed over the mapped bytes and asserted
+    against the manifest — the worker-side proof that what it serves is
+    bitwise-identical to what the exporter published.
     """
     if not shm_available():
         raise OSError("POSIX shared memory is not available")
     shm = shared_memory.SharedMemory(name=manifest.segment)
-    if untrack:
-        _untrack(shm)
     views: dict[str, np.ndarray] = {}
     view = None
     try:
         buf = shm.buf
         for spec in manifest.arrays:
-            if verify:
-                crc = zlib.crc32(buf[spec.offset : spec.offset + spec.nbytes])
-                if crc != spec.crc32:
-                    raise ValueError(
-                        f"shm attach: array {spec.key!r} of segment "
-                        f"{manifest.segment!r} failed its bitwise check "
-                        f"(crc {crc:#x} != {spec.crc32:#x})"
-                    )
+            crc = zlib.crc32(buf[spec.offset : spec.offset + spec.nbytes])
+            if crc != spec.crc32:
+                raise ValueError(
+                    f"shm attach: array {spec.key!r} of segment "
+                    f"{manifest.segment!r} failed its bitwise check "
+                    f"(crc {crc:#x} != {spec.crc32:#x})"
+                )
             dtype = np.dtype(spec.dtype)
             count = 1
             for dim in spec.shape:
@@ -374,12 +316,9 @@ def attach(
             views["tiles"],
         )
         index = {
-            key[len(_BIT_INDEX):]: arr
-            for key, arr in views.items()
-            if key.startswith(_BIT_INDEX)
+            name: views[_BIT_INDEX + name] for name in SetBitIndex.FIELDS
         }
-        if index:
-            matrix.plan().adopt_bit_index(index)
+        matrix.plan().adopt_bit_index(index)
     except BaseException:
         # Drop every buffer reference this frame created (it stays
         # alive while the exception propagates) so the unmap succeeds

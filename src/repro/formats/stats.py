@@ -57,10 +57,6 @@ class FormatStats:
             return 0.0
         return self.nnz / (self.n_tiles * self.tile_dim ** 2)
 
-    @property
-    def avg_nnz_per_tile(self) -> float:
-        return self.nnz / self.n_tiles if self.n_tiles else 0.0
-
 
 def b2sr_stats(
     mat: B2SRMatrix, csr_bytes: int | None = None
@@ -100,13 +96,6 @@ def optimal_tile_dim(csr: CSRMatrix) -> int:
     """Tile size minimising B2SR bytes (Figure 5b's "optimal")."""
     stats = stats_for_all_tile_dims(csr)
     return min(TILE_DIMS, key=lambda d: stats[d].b2sr_bytes)
-
-
-def compressed_tile_dims(csr: CSRMatrix) -> list[int]:
-    """Tile sizes achieving compression ratio < 1 (Figure 5b's
-    "compressed")."""
-    stats = stats_for_all_tile_dims(csr)
-    return [d for d in TILE_DIMS if stats[d].compression_ratio < 1.0]
 
 
 def bandwidth_profile(csr: CSRMatrix) -> dict[str, float]:

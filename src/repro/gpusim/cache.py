@@ -98,10 +98,6 @@ class SetAssociativeCache:
             ways.pop(0)
         return False
 
-    def access_many(self, addrs: np.ndarray) -> int:
-        """Touch several addresses; returns the number of hits."""
-        return sum(self.access(int(a)) for a in np.asarray(addrs).ravel())
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

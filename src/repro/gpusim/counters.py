@@ -143,12 +143,9 @@ class Counters:
     global_store_transactions: int = 0
     global_load_bytes: int = 0
     global_store_bytes: int = 0
-    shared_load_bytes: int = 0
-    shared_store_bytes: int = 0
     instructions: int = 0
     sync_intrinsics: int = 0
     atomics: int = 0
-    divergent_branches: int = 0
     extra: dict = field(default_factory=dict)
 
     def to_kernel_stats(
@@ -163,7 +160,7 @@ class Counters:
             launches=launches,
             dram_bytes=bytes_moved,
             l2_bytes=0.0,
-            l1_bytes=float(self.shared_load_bytes + self.shared_store_bytes),
+            l1_bytes=0.0,
             warp_instructions=float(self.instructions),
             sync_intrinsics=float(self.sync_intrinsics),
             atomics=float(self.atomics),

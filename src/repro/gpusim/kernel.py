@@ -19,7 +19,7 @@ from repro.gpusim.cache import SetAssociativeCache
 from repro.gpusim.counters import Counters, KernelStats
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import GlobalMemory
-from repro.gpusim.warp import SharedMemory, WarpContext
+from repro.gpusim.warp import WarpContext
 
 
 @dataclass
@@ -71,10 +71,8 @@ def launch_kernel(
         gmem.l1 = SetAssociativeCache(device.l1_bytes, ways=4)
         gmem.l2 = SetAssociativeCache(device.l2_bytes, ways=16)
     for bx in range(grid):
-        smem = SharedMemory(counters)  # shared memory is per-block
         for w in range(warps_per_block):
-            ctx = WarpContext(bx, w, gmem, smem, counters)
-            kernel(ctx)
+            kernel(WarpContext(bx, w, gmem, counters))
     stats = counters.to_kernel_stats(launches=1, tag=tag)
     return KernelLaunch(
         counters=counters,

@@ -2,7 +2,7 @@
 
 A :class:`WarpContext` is what a kernel function receives per warp: the lane
 vector, block/warp coordinates, the warp intrinsics (ballot/shfl/popc/brev)
-with instruction accounting, and handles to global/shared memory.  Kernels
+with instruction accounting, and a handle to global memory.  Kernels
 written against it read like the paper's CUDA listings, with per-lane
 registers represented as length-32 NumPy vectors.
 """
@@ -16,33 +16,6 @@ from repro.gpusim.counters import Counters
 from repro.gpusim.memory import GlobalMemory
 
 WARP_SIZE = _intr.WARP_SIZE
-
-
-class SharedMemory:
-    """Per-block scratchpad (named arrays, byte accounting only)."""
-
-    def __init__(self, counters: Counters) -> None:
-        self._counters = counters
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def alloc(self, name: str, shape, dtype) -> np.ndarray:
-        if name not in self._arrays:
-            self._arrays[name] = np.zeros(shape, dtype=dtype)
-        return self._arrays[name]
-
-    def load(self, name: str, index: np.ndarray) -> np.ndarray:
-        arr = self._arrays[name]
-        idx = np.asarray(index, dtype=np.int64)
-        self._counters.shared_load_bytes += int(idx.size) * arr.itemsize
-        self._counters.instructions += 1
-        return arr[idx]
-
-    def store(self, name: str, index: np.ndarray, values: np.ndarray) -> None:
-        arr = self._arrays[name]
-        idx = np.asarray(index, dtype=np.int64)
-        arr[idx] = np.asarray(values).astype(arr.dtype)
-        self._counters.shared_store_bytes += int(idx.size) * arr.itemsize
-        self._counters.instructions += 1
 
 
 class WarpContext:
@@ -59,8 +32,6 @@ class WarpContext:
         ``int64`` vector ``[0..31]``.
     gmem:
         The transaction-counting :class:`GlobalMemory`.
-    smem:
-        Block-shared scratchpad.
     """
 
     def __init__(
@@ -68,14 +39,12 @@ class WarpContext:
         bx: int,
         warp_in_block: int,
         gmem: GlobalMemory,
-        smem: SharedMemory,
         counters: Counters,
     ) -> None:
         self.bx = bx
         self.warp_in_block = warp_in_block
         self.laneid = np.arange(WARP_SIZE, dtype=np.int64)
         self.gmem = gmem
-        self.smem = smem
         self.counters = counters
 
     # ------------------------------------------------------------------
@@ -108,11 +77,3 @@ class WarpContext:
         """Charge ``n`` generic warp ALU instructions (adds, ANDs, address
         arithmetic) that the vectorised kernel body performs implicitly."""
         self.counters.instructions += int(n)
-
-    def branch_divergence(self, pred: np.ndarray) -> None:
-        """Record a potentially divergent branch (both paths execute when
-        lanes disagree — the §V early-exit penalty)."""
-        p = np.asarray(pred, dtype=bool)
-        if p.any() and not p.all():
-            self.counters.divergent_branches += 1
-            self.counters.instructions += 1

@@ -52,21 +52,30 @@ vertex ids that overflow ``float32``'s exact-integer range at 2²⁴, while
 the stored tiles are already sorted by output tile row and ``indptr``
 delimits each row's run.  Every scheme therefore computes a per-tile
 contribution array (a packed word, a popcount row, or a semiring-reduced
-value row) and folds contributions into the output with one
-``ufunc.reduceat`` over the ``indptr`` boundaries
-(:func:`repro.bitops.segreduce.segment_reduce`) — a buffered, contiguous,
+value row) and folds each output row's run with one ``ufunc.reduceat``
+over the run starts of a row-aligned chunk — a buffered, contiguous,
 word-parallel pass, exactly the access pattern Listing 1 exploits on the
-GPU.  Masking is applied right before the output store — *not* via early
-exit, which the paper rejects because of warp divergence (§V BFS).
+GPU.  A chunk holds whole tile rows, so every output row is folded by
+exactly one chunk and its result is assigned, never merged.  Masking is
+applied right before the output store — *not* via early exit, which the
+paper rejects because of warp divergence (§V BFS).
 
 **Sweep plans.**  Every scheme executes against the matrix's memoized
-:class:`repro.kernels.plan.SweepPlan`: the tile-row expansion, chunk
-tables (boundaries, run starts, output rows), the set-bit index,
-zero-padded operand scratch and — under a byte budget — the
-masked-gather index of the dense semiring sweep are computed once per
-matrix instead of once per launch.  Pass ``plan=`` to
-supply a custom plan (e.g. a different bits budget); results are bitwise
-independent of plan warmth.
+:class:`repro.kernels.plan.SweepPlan`: the tile-row expansion, the
+row-aligned chunk tables (boundaries, run starts, output rows), the
+set-bit index, zero-padded operand scratch and — under a byte budget —
+the masked-gather index of the dense semiring sweep are computed once
+per matrix instead of once per launch.  Pass ``plan=`` to supply a
+custom plan (e.g. a different bits budget); every kernel rejects a plan
+built for another matrix, and results are bitwise independent of plan
+warmth.
+
+**One packed sweep.**  The four unmasked packed kernels
+(``bin_bin_bin`` and ``bin_bin_full``, vector and batched) share one
+body (:func:`_packed_sweep`): each tile row ANDs against its column's
+word per batch column, and the hits are either OR-balloted into one
+output word or popcount-summed.  A vector is the one word plane ``()``;
+a batch stripes across planes of at most ``d`` columns.
 
 **Set-bit gather (min/max/OR semirings).**  For the idempotent
 semirings (min-plus, min-second, max-times, boolean — SSSP's, CC's,
@@ -87,18 +96,20 @@ plan's cached masked-gather index.
 **Active-tile skip (``skip=True``).**  The sweep consults the input
 operand and elides stored tiles whose input word / value segment is the
 add identity — the frontier-sparsity the serving BFS/SSSP rounds have in
-abundance.  Exactness is structural, not approximate: OR folds drop
-inactive tiles outright (bitwise OR is exact and order-independent), the
+abundance.  Exactness is structural, not approximate: the OR and
+popcount folds drop inactive tiles outright (bitwise OR is exact in any
+order, and a popcount sum is an integer no larger than its row's
+degree, which ``float32`` adds exactly in any order below 2²⁴), the
 set-bit gather drops the entries of tiles inactive in every plane, and
-the dense float sums keep their fold shape and pre-fill the elided slots
-with the identity the dense sweep would have computed (compute elision)
-— see :mod:`repro.kernels.plan` for the argument.  Every kernel returns
+the dense semiring sweep keeps its fold shape and pre-fills the elided
+slots with the identity it would have computed (compute elision) — see
+:mod:`repro.kernels.plan` for the argument.  Every kernel returns
 bitwise-identical results with skip on or off; ``counters=`` receives
 ``active_tiles`` / ``tile_visits`` — the same counts on every host path
 — so the cost model can charge only the work actually done.
 
-The only Python-level loops are the tile-chunk loops bounding dense
-scratch (``_CHUNK_TILES`` elements across all ``k`` columns).
+The only Python-level loops are the chunk and word-plane loops, which
+bound scratch at about ``_CHUNK_TILES`` tile rows per plane.
 """
 
 from __future__ import annotations
@@ -111,7 +122,7 @@ from repro.bitops.packing import (
     pack_bitvector,
     plane_slices,
 )
-from repro.bitops.segreduce import run_starts, segment_reduce
+from repro.bitops.segreduce import run_starts
 from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import (
     SweepPlan,
@@ -206,9 +217,10 @@ def _resolve_mask_matrix(
 def _chunk(k: int) -> int:
     """Tiles per chunk so scratch stays ~``_CHUNK_TILES`` row-elements.
 
-    The batched kernels pass the *plane width* ``min(k, d)`` rather than
-    the full batch width: planes stripe sequentially over each resident
-    chunk, so peak scratch is bounded by one plane regardless of ``k``.
+    The kernels pass the *plane width* ``min(k, d)`` (1 for a vector)
+    rather than the full batch width: planes stripe sequentially over
+    each resident chunk, so peak scratch is bounded by one plane
+    regardless of ``k``.
     """
     return max(1, _CHUNK_TILES // max(k, 1))
 
@@ -241,8 +253,85 @@ def _resolve_plan(A: B2SRMatrix, plan: SweepPlan | None) -> SweepPlan:
 
 
 # ---------------------------------------------------------------------------
-# Binary output
+# Packed-operand schemes (1-bit input)
 # ---------------------------------------------------------------------------
+def _packed_sweep(
+    A: B2SRMatrix,
+    xw: np.ndarray,
+    count: bool,
+    plan: SweepPlan | None,
+    skip: bool,
+    counters: dict | None,
+) -> np.ndarray:
+    """The body of the four unmasked packed kernels.
+
+    ``xw`` is the validated packed operand, ``(n_tile_cols,)`` or
+    ``(n_tile_cols, k)``.  Each tile row ANDs against its column's
+    word(s); ``count=False`` ORs the hits into one packed output word per
+    tile row (``bin_bin_bin``, ``(n_tile_rows[, k])``), ``count=True``
+    sums their popcounts (``bin_bin_full``, float32 ``(nrows[, k])``).
+    Word planes are index tuples into the trailing column axis, as in
+    :func:`_semiring_pull`.  Row-aligned chunks fold every output row
+    exactly once, so each fold is assigned, never merged; in skip mode a
+    plane's inactive tiles drop out of the fold, which is exact for both
+    folds (module docstring).
+    """
+    d = A.tile_dim
+    vec = xw.ndim == 1
+    k = 1 if vec else xw.shape[1]
+    if count:
+        out = np.zeros((A.n_tile_rows, d) + xw.shape[1:], dtype=np.float32)
+        y = out.reshape((A.n_tile_rows * d,) + xw.shape[1:])[: A.nrows]
+    else:
+        out = y = np.zeros((A.n_tile_rows,) + xw.shape[1:], A.tiles.dtype)
+    if A.n_tiles == 0 or k == 0:
+        note_active(counters, 0, 0)
+        return y
+
+    pl = _resolve_plan(A, plan)
+    planes = [()] if vec else [(sl,) for sl in plane_slices(k, d)]
+    act_planes = None
+    if skip:
+        act_planes = [word_activity(xw[(slice(None),) + p]) for p in planes]
+    for ch in pl.chunks(min(k, d)):
+        tiles = A.tiles[ch.lo:ch.hi]
+        cols = A.indices[ch.lo:ch.hi]
+        # The chunk's tiles stay resident while every word plane combines
+        # against them — one tile sweep however wide the batch.
+        for p, plane in enumerate(planes):
+            t, c, starts, rows = tiles, cols, ch.starts, ch.rows
+            if act_planes is None:
+                note_active(counters, ch.size, ch.size)
+            else:
+                sub = act_planes[p][cols].nonzero()[0]
+                note_active(counters, sub.size, ch.size)
+                if sub.size == 0:
+                    continue  # the chunk's rows keep the fold identity
+                if sub.size < ch.size:
+                    t, c, trows = tiles[sub], cols[sub], ch.trows[sub]
+                    starts = run_starts(trows)
+                    rows = trows[starts]
+            w = xw[(c,) + plane]  # (m[, kp])
+            if count:
+                # (m, d[, kp]): tile row r's overlap with each word.
+                pc = np.bitwise_count(
+                    t & w[:, None] if vec else t[:, :, None] & w[:, None]
+                ).astype(np.float32)
+                out[(rows, slice(None)) + plane] = np.add.reduceat(
+                    pc, starts, axis=0
+                )
+            else:
+                # (m[, kp], d): lanes last, so the ballot packs a
+                # contiguous axis.
+                hits = (
+                    t & w[:, None] if vec else t[:, None] & w[..., None]
+                ) != 0
+                out[(rows,) + plane] = np.bitwise_or.reduceat(
+                    ballot_sync(hits, width=d), starts, axis=0
+                )
+    return y
+
+
 def bmv_bin_bin_bin(
     A: B2SRMatrix,
     x_words: np.ndarray,
@@ -270,36 +359,7 @@ def bmv_bin_bin_bin(
     Packed output words (``n_tile_rows`` words of ``tile_dim`` bits).
     """
     xw = _check_vec_words(A, x_words)
-    if A.n_tiles == 0:
-        note_active(counters, 0, 0)
-        return np.zeros(A.n_tile_rows, dtype=A.tiles.dtype)
-    d = A.tile_dim
-    if skip:
-        active = word_activity(xw)[A.indices]
-        sub = np.nonzero(active)[0]
-        note_active(counters, sub.size, A.n_tiles)
-        out = np.zeros(A.n_tile_rows, dtype=A.tiles.dtype)
-        if sub.size:
-            # OR is exact and order-independent: fold only the surviving
-            # tiles' runs (rows with no survivors keep the identity 0).
-            hits = (A.tiles[sub] & xw[A.indices[sub], None]) != 0
-            contrib = ballot_sync(hits, width=d)
-            trows = A.tile_row_of()[sub]
-            starts = run_starts(trows)
-            out[trows[starts]] = np.bitwise_or.reduceat(
-                contrib, starts, axis=0
-            )
-        return out
-    note_active(counters, A.n_tiles, A.n_tiles)
-    # Per-tile contribution word: bit r set iff tile row r overlaps the
-    # tile's vector word; OR-fold the CSR-sorted tile runs into one output
-    # word per tile row.  Rows past ``nrows`` are structurally empty tiles
-    # rows, so padding bits stay zero.
-    hits = (A.tiles & xw[A.indices, None]) != 0
-    contrib = ballot_sync(hits, width=d)
-    return segment_reduce(
-        np.bitwise_or, contrib, A.indptr, identity=0, dtype=A.tiles.dtype
-    )
+    return _packed_sweep(A, xw, False, plan, skip, counters)
 
 
 def bmv_bin_bin_bin_masked(
@@ -347,64 +407,7 @@ def bmv_bin_bin_bin_multi(
     elided *per plane* when all its plane words are zero.
     """
     xw = _check_mat_words(A, x_words)
-    return _bmv_bin_bin_bin_multi_core(A, xw, plan, skip, counters)
-
-
-def _bmv_bin_bin_bin_multi_core(
-    A: B2SRMatrix,
-    xw: np.ndarray,
-    plan: SweepPlan | None,
-    skip: bool,
-    counters: dict | None,
-) -> np.ndarray:
-    k = xw.shape[1]
-    out = np.zeros((A.n_tile_rows, k), dtype=A.tiles.dtype)
-    if A.n_tiles == 0 or k == 0:
-        note_active(counters, 0, 0)
-        return out
-    d = A.tile_dim
-    pl = _resolve_plan(A, plan)
-    stripes = plane_slices(k, d)
-    act_plane = (
-        [word_activity(xw[:, sl]) for sl in stripes] if skip else None
-    )
-    for ch in pl.chunks(min(k, d), row_aligned=False):
-        tiles = A.tiles[ch.lo:ch.hi]
-        cols = A.indices[ch.lo:ch.hi]
-        # The chunk's tiles stay resident while every word plane combines
-        # against them — one tile sweep however wide the batch.
-        for p, sl in enumerate(stripes):
-            if skip:
-                active = act_plane[p][cols]
-                sub = np.nonzero(active)[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    continue
-                if sub.size < ch.size:
-                    hits = (
-                        tiles[sub][:, :, None]
-                        & xw[:, sl][cols[sub], None, :]
-                    ) != 0
-                    contrib = ballot_sync(
-                        np.swapaxes(hits, 1, 2), width=d
-                    )
-                    trows = ch.trows[sub]
-                    starts = run_starts(trows)
-                    out[trows[starts], sl] |= np.bitwise_or.reduceat(
-                        contrib, starts, axis=0
-                    )
-                    continue
-            else:
-                note_active(counters, ch.size, ch.size)
-            # (m, d, kp): tile row r of tile t against vector j's word.
-            hits = (tiles[:, :, None] & xw[:, sl][cols, None, :]) != 0
-            contrib = ballot_sync(
-                np.swapaxes(hits, 1, 2), width=d
-            )  # (m, kp)
-            out[ch.rows, sl] |= np.bitwise_or.reduceat(
-                contrib, ch.starts, axis=0
-            )
-    return out
+    return _packed_sweep(A, xw, False, plan, skip, counters)
 
 
 def bmv_bin_bin_bin_multi_masked(
@@ -424,7 +427,7 @@ def bmv_bin_bin_bin_multi_masked(
     """
     xw = _check_mat_words(A, x_words)
     valid = _resolve_mask_matrix(masks, A.nrows, xw.shape[1], complement)
-    yw = _bmv_bin_bin_bin_multi_core(A, xw, plan, skip, counters)
+    yw = _packed_sweep(A, xw, False, plan, skip, counters)
     return yw & pack_bitmatrix(valid, A.tile_dim)
 
 
@@ -442,34 +445,13 @@ def bmv_bin_bin_full(
     """Counting SpMV: ``y_i = popc(A_i & x)`` — Listing 1 verbatim.
 
     Returns a float32 vector of per-row overlap counts (the bit-dot-product
-    of each matrix row with the binarized vector).  With ``skip=True`` the
-    popcount work runs only on tiles whose vector word is non-zero; the
-    elided slots stay exactly +0.0 — the value the dense sweep computes —
-    and the fold shape is unchanged, so the float sums are bit-identical
-    (compute elision, :mod:`repro.kernels.plan`).
+    of each matrix row with the binarized vector).  With ``skip=True``
+    tiles whose vector word is zero are dropped from the sum — exact,
+    because a popcount sum is an integer no larger than the row's degree
+    (module docstring).
     """
     xw = _check_vec_words(A, x_words)
-    if A.n_tiles == 0:
-        note_active(counters, 0, 0)
-        return np.zeros(A.nrows, dtype=np.float32)
-    if skip:
-        active = word_activity(xw)[A.indices]
-        sub = np.nonzero(active)[0]
-        note_active(counters, sub.size, A.n_tiles)
-        counts = np.zeros((A.n_tiles, A.tile_dim), dtype=np.float32)
-        if sub.size:
-            counts[sub] = np.bitwise_count(
-                A.tiles[sub] & xw[A.indices[sub], None]
-            ).astype(np.float32)
-    else:
-        note_active(counters, A.n_tiles, A.n_tiles)
-        counts = np.bitwise_count(A.tiles & xw[A.indices, None]).astype(
-            np.float32
-        )
-    y = segment_reduce(
-        np.add, counts, A.indptr, identity=0.0, dtype=np.float32
-    )
-    return y.reshape(-1)[: A.nrows]
+    return _packed_sweep(A, xw, True, plan, skip, counters)
 
 
 def bmv_bin_bin_full_masked(
@@ -504,49 +486,7 @@ def bmv_bin_bin_full_multi(
     the tile word width stripe across word planes over each resident tile
     chunk (module docstring)."""
     xw = _check_mat_words(A, x_words)
-    k = xw.shape[1]
-    d = A.tile_dim
-    y = np.zeros((A.n_tile_rows, d, k), dtype=np.float32)
-    if A.n_tiles == 0 or k == 0:
-        note_active(counters, 0, 0)
-        return y.reshape(-1, k)[: A.nrows]
-    pl = _resolve_plan(A, plan)
-    stripes = plane_slices(k, d)
-    act_plane = (
-        [word_activity(xw[:, sl]) for sl in stripes] if skip else None
-    )
-    for ch in pl.chunks(min(k, d), row_aligned=False):
-        tiles = A.tiles[ch.lo:ch.hi]
-        cols = A.indices[ch.lo:ch.hi]
-        for p, sl in enumerate(stripes):
-            if skip:
-                active = act_plane[p][cols]
-                sub = np.nonzero(active)[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    # All contributions are exactly +0.0; the counts are
-                    # non-negative, so y += 0.0 is the identity bit for
-                    # bit and the whole update can be dropped.
-                    continue
-                if sub.size < ch.size:
-                    counts = np.zeros(
-                        (ch.size, d, sl.stop - sl.start), dtype=np.float32
-                    )
-                    counts[sub] = np.bitwise_count(
-                        tiles[sub][:, :, None]
-                        & xw[:, sl][cols[sub], None, :]
-                    ).astype(np.float32)
-                    y[ch.rows, :, sl] += np.add.reduceat(
-                        counts, ch.starts, axis=0
-                    )
-                    continue
-            else:
-                note_active(counters, ch.size, ch.size)
-            counts = np.bitwise_count(
-                tiles[:, :, None] & xw[:, sl][cols, None, :]
-            ).astype(np.float32)  # (m, d, kp)
-            y[ch.rows, :, sl] += np.add.reduceat(counts, ch.starts, axis=0)
-    return y.reshape(-1, k)[: A.nrows]
+    return _packed_sweep(A, xw, True, plan, skip, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +617,7 @@ def _dense_sweep(
     ext[..., :-1] = m.T
     ext[..., -1] = zero
     width = 1 if m.ndim == 1 else min(m.shape[1], d)
-    for ch in pl.chunks(width, row_aligned=True):
+    for ch in pl.chunks(width):
         G = None
         for p, plane in enumerate(planes):
             e = ext[plane]

@@ -11,10 +11,10 @@ overhead dominates the host wall-clock.
 
 :class:`SweepPlan` memoizes everything that depends only on the matrix:
 
-* **chunk tables** — one per ``(plane_width, row_aligned)`` pair, each
-  chunk carrying ``(lo, hi, trows, starts, rows)`` exactly as the seed
-  kernels computed them (bitwise-compatibility requires identical chunk
-  boundaries and fold order);
+* **chunk tables** — one per chunk step, each chunk holding whole tile
+  rows and carrying ``(lo, hi, trows, starts, rows)``.  Every kernel
+  folds each output row in exactly one chunk, at the boundaries the
+  seed's semiring kernels used (their float folds depend on them);
 * **set-bit index** (:class:`SetBitIndex`) — every stored bit's
   padded-operand position, ordered by output row, with the row-run
   starts, the output rows and each entry's owning tile.  The idempotent
@@ -55,13 +55,16 @@ kernels' frontier-sparsity-aware sweeps: a stored tile whose input word
 identity contributes nothing, so its work can be elided.  Three elision
 regimes keep results bitwise identical to the dense sweep:
 
-* **fold elision** (OR folds — ``bmv_bin_bin_bin*``): bitwise OR is
-  associative, commutative and exact, so inactive tiles are dropped from
-  the fold entirely and only the surviving run structure is reduced;
+* **fold elision** (the packed folds — ``bmv_bin_bin_bin*`` and
+  ``bmv_bin_bin_full*``): bitwise OR is associative, commutative and
+  exact, and a popcount sum is an integer no larger than its row's
+  degree, which ``float32`` adds exactly in any order below 2²⁴; so
+  inactive tiles are dropped from the fold entirely and only the
+  surviving run structure is reduced;
 * **entry elision** (the set-bit gather): the entries of tiles inactive
   in every word plane are dropped (:meth:`SetBitIndex.select`) — they
   would contribute only the identity to an order-free fold;
-* **compute elision** (dense float sums): the fold *shape* is
+* **compute elision** (the dense semiring sweep): the fold *shape* is
   preserved — inactive tiles' contribution slots are pre-filled with the
   add identity, which is exactly the value the dense sweep would compute
   for them — and only the per-tile gather/unpack/combine work is elided.
@@ -258,7 +261,7 @@ class SweepPlan:
             raise ValueError(f"bits_budget must be >= 0, got {bits_budget}")
         self.matrix = matrix
         self.bits_budget = int(bits_budget)
-        self._chunk_tables: dict[tuple[int, bool], tuple[SweepChunk, ...]] = {}
+        self._chunk_tables: dict[int, tuple[SweepChunk, ...]] = {}
         self._bit_index: SetBitIndex | None = None
         self._gathers: dict[tuple[int, int], np.ndarray] = {}
         self._bits_bytes = 0
@@ -268,17 +271,15 @@ class SweepPlan:
     # ------------------------------------------------------------------
     # Chunk tables
     # ------------------------------------------------------------------
-    def chunks(
-        self, plane_width: int, *, row_aligned: bool
-    ) -> tuple[SweepChunk, ...]:
+    def chunks(self, plane_width: int) -> tuple[SweepChunk, ...]:
         """The chunk table for a sweep whose plane carries ``plane_width``
         vectors (``min(k, d)``; scratch is bounded per plane).
 
-        Boundaries reproduce the seed kernels exactly: ``row_aligned``
-        chunks snap to tile-row boundaries (the semiring path, whose
-        float folds must not split a row across chunks); unaligned
-        chunks are fixed ``step``-tile ranges (the packed paths, which
-        OR/add partial rows across chunk boundaries in chunk order).
+        Chunk boundaries snap to tile-row boundaries
+        (:func:`repro.kernels.bmv._row_aligned_chunks`), so every output
+        row is folded by exactly one chunk: float folds never split a
+        row, and every kernel assigns its per-chunk fold instead of
+        merging partial rows.
         """
         if plane_width < 1:
             raise ValueError(
@@ -290,26 +291,18 @@ class SweepPlan:
         # table tracks the kernels' live ``_CHUNK_TILES`` setting and
         # plane widths that resolve to one step share a table.
         step = _chunk(plane_width)
-        key = (step, bool(row_aligned))
-        table = self._chunk_tables.get(key)
+        table = self._chunk_tables.get(step)
         if table is None:
             A = self.matrix
-            if row_aligned:
-                bounds = list(_row_aligned_chunks(A, step))
-            else:
-                bounds = [  # repro-lint: ignore[hot-path-scatter] — plan construction is launch-invariant cold path; result is memoized per (matrix, step)
-                    (lo, min(lo + step, A.n_tiles))
-                    for lo in range(0, A.n_tiles, step)
-                ]
             trows_all = A.tile_row_of()
             parts = []
-            for lo, hi in bounds:
+            for lo, hi in _row_aligned_chunks(A, step):
                 trows = trows_all[lo:hi]
                 starts = _freeze(run_starts(trows))
                 rows = _freeze(trows[starts])
                 parts.append(SweepChunk(lo, hi, trows, starts, rows))
             table = tuple(parts)
-            self._chunk_tables[key] = table
+            self._chunk_tables[step] = table
         return table
 
     # ------------------------------------------------------------------
@@ -319,9 +312,7 @@ class SweepPlan:
     def bit_index(self) -> SetBitIndex:
         """The matrix's :class:`SetBitIndex`, built once on first use."""
         if self._bit_index is None:
-            self._bit_index = SetBitIndex.build(
-                self.matrix, self.chunks(1, row_aligned=True)
-            )
+            self._bit_index = SetBitIndex.build(self.matrix, self.chunks(1))
         return self._bit_index
 
     def adopt_bit_index(self, arrays: dict[str, np.ndarray]) -> None:
@@ -461,18 +452,16 @@ class SweepPlan:
     # ------------------------------------------------------------------
     def warm(self, plane_widths: tuple[int, ...] = (1,)) -> "SweepPlan":
         """Eagerly build the launch-invariant state serving launches
-        read — both chunk-table flavours per plane width and the
-        set-bit index — so the first BFS/SSSP/CC launch runs at warm
-        speed.  The dense sweep's masked-gather cache is left to build
-        lazily (under :attr:`bits_budget`) on the first launch that needs
-        it: arithmetic pulls, and min/max pulls whose operand carries NaN
-        or ``-0.0``."""
+        read — one chunk table per plane width and the set-bit index —
+        so the first BFS/SSSP/CC launch runs at warm speed.  The dense
+        sweep's masked-gather cache is left to build lazily (under
+        :attr:`bits_budget`) on the first launch that needs it:
+        arithmetic pulls, and min/max pulls whose operand carries NaN or
+        ``-0.0``."""
         d = self.matrix.tile_dim
         _ = self.matrix.tile_row_of()
         for width in plane_widths:
-            pw = min(max(int(width), 1), d)
-            self.chunks(pw, row_aligned=False)
-            self.chunks(pw, row_aligned=True)
+            self.chunks(min(max(int(width), 1), d))
         _ = self.bit_index
         return self
 

@@ -10,8 +10,8 @@ worst kind: bitwise-plausible, no exception.
 
 Outside ``formats/b2sr.py`` and ``kernels/plan.py`` (the owners of the
 frozen state) the rule flags, for the guarded field names
-(``tiles`` / ``indices`` / ``indptr`` / ``trows`` / ``gather_index``,
-and the set-bit index's ``icol`` / ``irow``):
+(``tiles`` / ``indices`` / ``indptr`` / ``trows``, and the set-bit
+index's ``icol`` / ``irow``):
 
 * ``<anything>.setflags(write=True)`` — re-enabling writes anywhere is
   a red flag, guarded field or not;
@@ -29,7 +29,7 @@ from repro.lint.core import LintContext, Rule, RuleVisitor
 
 #: Attribute names whose backing arrays are frozen at construction.
 GUARDED_ATTRS = frozenset(
-    {"tiles", "indices", "indptr", "trows", "gather_index", "icol", "irow"}
+    {"tiles", "indices", "indptr", "trows", "icol", "irow"}
 )
 _EXEMPT = ("formats/b2sr.py", "kernels/plan.py")
 

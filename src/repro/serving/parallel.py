@@ -115,10 +115,10 @@ class _WorkerGraph:
 
 def _engines_from_payload(payload: GraphPayload) -> _WorkerGraph:
     """Build the worker's engines for one graph version by attaching
-    both exported segments (CRC-asserted bitwise-identical views,
-    resource-tracker-unregistered)."""
-    att = attach(payload.manifest, verify=True)
-    cc_att = attach(payload.cc_manifest, verify=True)
+    both exported segments (zero-copy views, each array CRC-checked
+    against its manifest)."""
+    att = attach(payload.manifest)
+    cc_att = attach(payload.cc_manifest)
     engine = BitEngine.from_operand(
         att.matrix, n=payload.n, device=payload.device,
         locality=payload.locality, skip_inactive=payload.skip_inactive,

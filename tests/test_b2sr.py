@@ -19,6 +19,23 @@ def random_dense(n, m=None, seed=0, density=0.15):
     return (rng.random((n, m or n)) < density).astype(np.float32)
 
 
+def from_frozen_views(nrows, ncols, tile_dim, indptr, indices, tiles):
+    """:meth:`B2SRMatrix.from_shared_views` over read-only copies in
+    the stored dtypes, as the shared-memory attach path passes them."""
+    views = []
+    for arr, dtype in (
+        (indptr, np.int64), (indices, np.int64), (tiles, np.uint8)
+    ):
+        view = np.array(arr, dtype=dtype)
+        view.flags.writeable = False
+        views.append(view)
+    return B2SRMatrix.from_shared_views(nrows, ncols, tile_dim, *views)
+
+
+#: Both constructors run one geometry check, with the same messages.
+CONSTRUCTORS = (B2SRMatrix, from_frozen_views)
+
+
 class TestBytesPerTile:
     """Table I: binarized packing format."""
 
@@ -56,30 +73,37 @@ class TestGeometry:
         assert np.array_equal(m.to_dense(), np.zeros((10, 10)))
 
     def test_validation_indptr(self):
-        with pytest.raises(ValueError):
-            B2SRMatrix(
-                8, 8, 8,
-                np.array([0, 0, 1]),  # wrong length for 1 tile row
-                np.array([0]), np.zeros((1, 8), dtype=np.uint8),
-            )
+        for make in CONSTRUCTORS:
+            with pytest.raises(ValueError, match="indptr must have length"):
+                make(
+                    8, 8, 8,
+                    np.array([0, 0, 1]),  # wrong length for 1 tile row
+                    np.array([0]), np.zeros((1, 8), dtype=np.uint8),
+                )
 
     def test_validation_tile_shape(self):
-        with pytest.raises(ValueError):
-            B2SRMatrix(
-                8, 8, 8, np.array([0, 1]), np.array([0]),
-                np.zeros((1, 4), dtype=np.uint8),
-            )
+        for make in CONSTRUCTORS:
+            with pytest.raises(ValueError, match="tiles must have shape"):
+                make(
+                    8, 8, 8, np.array([0, 1]), np.array([0]),
+                    np.zeros((1, 4), dtype=np.uint8),
+                )
 
     def test_validation_tile_dim(self):
-        with pytest.raises(ValueError):
-            B2SRMatrix.empty(8, 8, 5)
+        for make in CONSTRUCTORS:
+            with pytest.raises(ValueError, match="tile_dim must be one of"):
+                make(
+                    8, 8, 5, np.zeros(3, dtype=np.int64),
+                    np.zeros(0), np.zeros((0, 5), dtype=np.uint8),
+                )
 
     def test_validation_col_range(self):
-        with pytest.raises(ValueError):
-            B2SRMatrix(
-                8, 8, 8, np.array([0, 1]), np.array([3]),
-                np.zeros((1, 8), dtype=np.uint8),
-            )
+        for make in CONSTRUCTORS:
+            with pytest.raises(ValueError, match="out of range"):
+                make(
+                    8, 8, 8, np.array([0, 1]), np.array([3]),
+                    np.zeros((1, 8), dtype=np.uint8),
+                )
 
 
 class TestConversion:

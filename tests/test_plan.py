@@ -117,6 +117,43 @@ def dense_launch(A, width, family, rng):
     return (lambda **kw: kernel(A, X, s, **kw)), ref(A, X, s)
 
 
+#: The seven packed entry points, each with the operand widths it takes:
+#: a vector, or a batch at one full word plane and at two planes plus a
+#: partial one.
+PACKED_VECTOR = (
+    "bmv_bin_bin_bin",
+    "bmv_bin_bin_bin_masked",
+    "bmv_bin_bin_full",
+    "bmv_bin_bin_full_masked",
+)
+PACKED_BATCHED = (
+    "bmv_bin_bin_bin_multi",
+    "bmv_bin_bin_bin_multi_masked",
+    "bmv_bin_bin_full_multi",
+)
+PACKED_KERNELS = PACKED_VECTOR + PACKED_BATCHED
+PACKED_CASES = [(name, "vector") for name in PACKED_VECTOR] + [
+    (name, width) for name in PACKED_BATCHED for width in KERNEL_WIDTHS[1:]
+]
+
+
+def packed_launch(A, name, width, rng):
+    """``(launch, want, xw)``: a closure running packed entry point
+    ``name`` on a random packed operand ``xw`` (keywords pass through),
+    and its planless result.  Tile columns 1–4 carry no set bit, so
+    skip mode drops some of every chunk's tiles."""
+    n, d = A.nrows, A.tile_dim
+    k = {"vector": (), "k=d": (d,), "k=2d+3": (2 * d + 3,)}[width]
+    X = rng.random((n,) + k) < 0.2
+    X[d:5 * d] = False
+    xw = pack_bitvector(X, d) if width == "vector" else pack_bitmatrix(X, d)
+    args = (A, xw)
+    if name.endswith("_masked"):
+        args += (rng.random((n,) + k) < 0.5,)
+    kernel, ref = getattr(bmv, name), getattr(planless, name)
+    return (lambda **kw: kernel(*args, **kw)), ref(*args), xw
+
+
 # ----------------------------------------------------------------------
 # Bitwise plan-vs-planless equality
 # ----------------------------------------------------------------------
@@ -225,10 +262,45 @@ class TestBitwiseEquality:
             np.zeros(4, dtype=np.float32), 4, 0.0
         ).tolist() == [False]
 
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("name, width", PACKED_CASES)
+    def test_packed_sweeps_hit_multiple_chunks(
+        self, monkeypatch, name, width, skip
+    ):
+        """A packed sweep over many row-aligned chunks is bitwise equal
+        to planless and counts, per word plane, the tiles whose column
+        words are non-zero out of ``n_tiles`` visits."""
+        monkeypatch.setattr(bmv, "_CHUNK_TILES", 3)
+        A, dense, rng = build(n=130, d=8, density=0.15, seed=9)
+        assert len(A.plan().chunks(1)) > 3
+        launch, want, xw = packed_launch(A, name, width, rng)
+        counters = {}
+        assert bitwise_equal(launch(skip=skip, counters=counters), want)
+        words = xw.reshape(A.n_tile_cols, -1)
+        live = visits = 0
+        for sl in plane_slices(words.shape[1], A.tile_dim):
+            live += int((words[:, sl] != 0).any(axis=1)[A.indices].sum())
+            visits += A.n_tiles
+        assert 0 < live < visits  # skip mode elides some tiles, not all
+        active = live if skip else visits
+        assert counters == {"active_tiles": active, "tile_visits": visits}
+
+    @pytest.mark.parametrize("name", PACKED_BATCHED)
+    def test_packed_zero_width_batch(self, name):
+        A, _, _ = build()
+        args = (A, np.zeros((A.n_tile_cols, 0), dtype=np.uint8))
+        if name.endswith("_masked"):
+            args += (np.zeros((A.nrows, 0), dtype=bool),)
+        counters = {}
+        got = getattr(bmv, name)(*args, counters=counters)
+        rows = A.nrows if "_full" in name else A.n_tile_rows
+        assert got.shape == (rows, 0)
+        assert counters == {"active_tiles": 0.0, "tile_visits": 0.0}
+
     def test_chunked_matrices_hit_multiple_chunks(self, monkeypatch):
         monkeypatch.setattr(bmv, "_CHUNK_TILES", 3)
         A, dense, rng = build(n=130, d=8, density=0.15, seed=9)
-        assert len(A.plan().chunks(1, row_aligned=True)) > 3
+        assert len(A.plan().chunks(1)) > 3
         x = rng.random(130).astype(np.float32)
         x[rng.random(130) < 0.5] = np.inf
         for skip in (False, True):
@@ -248,15 +320,14 @@ class TestPlanReuse:
         B, _, _ = build(seed=1)
         assert A.plan() is not B.plan()
 
-    def test_kernel_rejects_foreign_plan(self):
+    @pytest.mark.parametrize("name", PACKED_KERNELS)
+    def test_kernel_rejects_foreign_plan(self, name):
         A, _, rng = build()
         B, _, _ = build(seed=1)
-        xw = pack_bitvector(rng.random(77) < 0.5, 8)
+        width = "k=d" if name in PACKED_BATCHED else "vector"
+        launch, _, _ = packed_launch(A, name, width, rng)
         with pytest.raises(ValueError, match="different matrix"):
-            bmv.bmv_bin_bin_bin_multi(
-                A, pack_bitmatrix(rng.random((77, 2)) < 0.5, 8),
-                plan=B.plan(),
-            )
+            launch(plan=B.plan())
 
     @pytest.mark.parametrize("family", DENSE_OPERANDS)
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)

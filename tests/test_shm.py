@@ -89,22 +89,13 @@ class TestRoundTrip:
             att.close()
         assert_no_segments()
 
-    def test_without_plan(self):
-        g = random_graph(seed=3)
-        with ShmGraphExport(g.b2sr_t(16), with_plan=False) as exp:
-            assert exp.manifest.keys == ("indptr", "indices", "tiles")
-            att = attach(exp.manifest)
-            assert np.array_equal(att.matrix.tiles, g.b2sr_t(16).tiles)
-            att.close()
-        assert_no_segments()
-
 
 class TestLifecycle:
     def test_segment_named_and_listed(self):
         g = random_graph(seed=1)
-        exp = ShmGraphExport(g.b2sr_t(8), token="lifecycle-test")
+        exp = ShmGraphExport(g.b2sr_t(8))
         try:
-            assert exp.name == SEGMENT_PREFIX + "lifecycle-test"
+            assert exp.name.startswith(SEGMENT_PREFIX)
             assert exp.name in (list_segments() or [])
         finally:
             exp.unlink()
@@ -128,16 +119,6 @@ class TestLifecycle:
         exp.unlink()
         assert_no_segments()
 
-    def test_duplicate_token_raises(self):
-        g = random_graph(seed=4)
-        exp = ShmGraphExport(g.b2sr_t(8), token="dup")
-        try:
-            with pytest.raises(FileExistsError):
-                ShmGraphExport(g.b2sr_t(8), token="dup")
-        finally:
-            exp.unlink()
-        assert_no_segments()
-
     def test_attach_after_unlink_raises(self):
         g = random_graph(seed=5)
         exp = ShmGraphExport(g.b2sr_t(8))
@@ -156,9 +137,6 @@ class TestVerification:
             exp._shm.buf[spec.offset] ^= 0xFF
             with pytest.raises(ValueError, match="bitwise"):
                 attach(exp.manifest)
-            # verify=False maps it anyway (caller's risk)
-            att = attach(exp.manifest, verify=False)
-            att.close()
         finally:
             exp.unlink()
         assert_no_segments()
