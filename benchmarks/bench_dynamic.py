@@ -1,7 +1,7 @@
 """E19 — dynamic graphs: copy-on-write deltas vs full rebuilds, and
 serving across live epoch swaps.
 
-Two sweeps:
+Three sweeps:
 
 * **Delta vs rebuild.**  For mutation batches of growing size against
   one serving-scale graph, build the new B2SR version both ways — the
@@ -16,6 +16,11 @@ Two sweeps:
   Poisson stream while timestamped mutation batches swap epochs
   mid-stream, ``verify=True`` throughout.  In-flight batches finish on
   their admitted version, new arrivals see the new epoch.
+* **Swap wall time.**  ``GraphRegistry.mutate`` on the same graph as the
+  first sweep, timed with ``perf_counter`` at two batch sizes: the
+  measured host cost of one epoch swap (both views' deltas, the new
+  epoch's engines and warm plans).  Emitted as ``swap_wall_ms`` rows
+  with the host's CPU count; host-dependent, so not gated.
 
 Acceptance (the PR's headline criteria):
 
@@ -29,6 +34,9 @@ Acceptance (the PR's headline criteria):
   zero mixed-version batches, and every answer verified on the epoch it
   was admitted against.
 """
+
+import os
+import time
 
 import numpy as np
 
@@ -54,6 +62,8 @@ SERVE_REQUESTS = 72
 SERVE_RATE_QPS = 4000.0
 SERVE_SLO_MS = 20.0
 MUTATION_TIMES_MS = (5.0, 11.0)
+SWAP_BATCHES = (16, 256)
+SWAP_REPEATS = 5
 SEED = 2
 
 
@@ -97,6 +107,26 @@ def _delta_sweep():
     return cells
 
 
+def _swap_wall_sweep():
+    """Median wall ms of one ``GraphRegistry.mutate`` per batch size,
+    over :data:`SWAP_REPEATS` chained swaps."""
+    store = GraphRegistry(max_batch=32)
+    store.add(
+        "g", hybrid_pattern(N_VERTICES, seed=SEED), device=GTX1080,
+        tile_dim=TILE_DIM,
+    )
+    cells = []
+    for size in SWAP_BATCHES:
+        walls = []
+        for rep in range(SWAP_REPEATS):
+            ins, dels = _mutation(store["g"].graph, size, SEED + rep)
+            t0 = time.perf_counter()
+            store.mutate("g", ins, dels)
+            walls.append(1e3 * (time.perf_counter() - t0))
+        cells.append((size, float(np.median(walls))))
+    return cells
+
+
 def _serving_sweep():
     store = GraphRegistry(max_batch=32)
     for i, seed in enumerate((4, 9)):
@@ -134,7 +164,7 @@ def _serving_sweep():
     return outcomes, rep, mixed
 
 
-def _report(delta_cells, serving, results_dir, json_report):
+def _report(delta_cells, serving, swap_cells, results_dir, json_report):
     rows = []
     for size, stats, delta_us, full_us in delta_cells:
         rows.append(
@@ -155,6 +185,12 @@ def _report(delta_cells, serving, results_dir, json_report):
         json_report.emit(
             BENCH, config, "rebuilt_fraction", stats.rebuilt_fraction
         )
+    for size, wall_ms in swap_cells:
+        config = {
+            "batch": size, "tile_dim": TILE_DIM, "n": N_VERTICES,
+            "cpus": os.cpu_count(),
+        }
+        json_report.emit(BENCH, config, "swap_wall_ms", wall_ms)
     outcomes, rep, mixed = serving
     serve_rows = [
         [
@@ -186,6 +222,16 @@ def _report(delta_cells, serving, results_dir, json_report):
                 f"{rep.swaps} swaps, SLO attainment "
                 f"{100 * rep.slo_attainment:.1f}%, {mixed} mixed-version "
                 f"batches, verified={rep.verified}"
+            ),
+        )
+        + "\n\n"
+        + format_table(
+            ["edits", "swap wall ms"],
+            [[size, f"{wall_ms:.1f}"] for size, wall_ms in swap_cells],
+            title=(
+                f"measured GraphRegistry.mutate wall time (hybrid "
+                f"n={N_VERTICES}, B2SR-{TILE_DIM}, median of "
+                f"{SWAP_REPEATS} chained swaps, {os.cpu_count()} CPUs)"
             ),
         )
     )
@@ -221,9 +267,9 @@ def _report(delta_cells, serving, results_dir, json_report):
 
 def test_dynamic_graphs(benchmark, results_dir, json_report):
     def _run():
-        return _delta_sweep(), _serving_sweep()
+        return _delta_sweep(), _serving_sweep(), _swap_wall_sweep()
 
-    delta_cells, serving = benchmark.pedantic(
+    delta_cells, serving, swap_cells = benchmark.pedantic(
         _run, rounds=1, iterations=1
     )
-    _report(delta_cells, serving, results_dir, json_report)
+    _report(delta_cells, serving, swap_cells, results_dir, json_report)

@@ -31,26 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engines.base import Engine, EngineReport
+from repro.formats.delta import as_edge_array
 from repro.semiring import MIN_PLUS, MIN_SECOND
-
-
-def _as_edge_array(edges: np.ndarray | None, n: int, label: str) -> np.ndarray:
-    """Normalize an optional edge list to an ``(m, 2)`` int64 array."""
-    if edges is None:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = np.asarray(edges)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(
-            f"{label} must be an (m, 2) edge array, got shape {arr.shape}"
-        )
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"{label} must hold integer vertex ids")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError(f"{label} holds out-of-range vertex ids for n={n}")
-    return arr
 
 
 def bfs_repair(
@@ -96,8 +78,8 @@ def bfs_repair(
             f"old_depth must have shape ({n},), got {old.shape}"
         )
     old = old.astype(np.int64, copy=False)
-    ins = _as_edge_array(inserts, n, "inserts")
-    dels = _as_edge_array(deletes, n, "deletes")
+    ins = as_edge_array(inserts, n, n, "inserts")
+    dels = as_edge_array(deletes, n, n, "deletes")
     if max_iterations is None:
         max_iterations = n
     engine.reset_stats()
@@ -195,8 +177,8 @@ def fastsv_refine(
             f"old_labels must have shape ({n},), got {old.shape}"
         )
     old = old.astype(np.int64, copy=False)
-    _as_edge_array(inserts, n, "inserts")  # validated; merges need no reset
-    dels = _as_edge_array(deletes, n, "deletes")
+    as_edge_array(inserts, n, n, "inserts")  # validated; merges need no reset
+    dels = as_edge_array(deletes, n, n, "deletes")
     if max_iterations is None:
         max_iterations = max(2, n)
     engine.reset_stats()

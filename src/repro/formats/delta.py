@@ -23,12 +23,23 @@ no-op.  Only *effective* edits count toward the rebuilt-tile statistics
 that the re-warm cost model consumes
 (:func:`repro.kernels.costmodel.delta_rewarm_stats`).
 
+The CSR delta is a sorted merge.  Every CSR the package builds is
+canonical — its flat keys ``row·ncols + col`` strictly increase
+(:func:`~repro.formats.convert.csr_from_coo` sorts and dedupes,
+transposes and :func:`delta_csr` keep the order) — so the edits are
+located with ``searchsorted`` and spliced in with ``np.delete`` /
+``np.insert``; no pass re-sorts the edge set.  A CSR whose keys do not
+strictly increase is rejected.
+
 :func:`apply_edge_delta` lifts the per-matrix delta to a whole
-:class:`~repro.graph.Graph`: the CSR and its transpose are edited
-key-wise, and every B2SR form cached on the base graph is patched
-copy-on-write and adopted into the new graph's caches — the new version
-never pays a from-scratch CSR→B2SR conversion for a form the old one
-already had.  Construction is verified bitwise against
+:class:`~repro.graph.Graph`: the CSR and its transpose are merged, and
+every B2SR form cached on the base graph is patched copy-on-write and
+adopted into the new graph's caches — the new version never pays a
+from-scratch CSR→B2SR conversion for a form the old one already had,
+and forms nobody cached are not built.  Derived views take the same
+path: :func:`symmetric_edits` turns a directed delta into the edits of
+the symmetrized view, which :func:`apply_edge_delta` then applies to
+that view.  Construction is verified bitwise against
 :func:`~repro.formats.convert.b2sr_from_csr` on the post-mutation CSR in
 ``tests/test_delta.py``.
 """
@@ -41,7 +52,6 @@ import numpy as np
 
 from repro.bitops.intrinsics import dtype_for_width
 from repro.formats.b2sr import B2SRMatrix, TILE_DIMS
-from repro.formats.convert import b2sr_from_csr
 from repro.formats.csr import CSRMatrix
 from repro.graph import Graph, csr_row_indices
 
@@ -84,7 +94,9 @@ class DeltaStats:
 class DeltaReport:
     """Graph-level delta outcome: the effective directed edge edits plus
     per-form tile statistics (keyed ``"A{d}"`` / ``"At{d}"`` for the
-    adjacency and its transpose at tile_dim ``d``)."""
+    adjacency and its transpose at tile_dim ``d``;
+    :meth:`~repro.serving.cluster.GraphRegistry.mutate` adds the
+    symmetrized view's forms under a ``Sym_`` prefix)."""
 
     inserts: np.ndarray
     deletes: np.ndarray
@@ -110,10 +122,12 @@ class DeltaReport:
 # ----------------------------------------------------------------------
 # Edge-list plumbing
 # ----------------------------------------------------------------------
-def _as_edges(
+def as_edge_array(
     edges: np.ndarray | None, nrows: int, ncols: int, label: str
 ) -> np.ndarray:
-    """Validate an ``(m, 2)`` integer edge array (``None``/empty ok)."""
+    """Validate an ``(m, 2)`` integer edge array of ``(row, col)`` ids
+    within an ``nrows × ncols`` matrix; ``None``/empty give ``(0, 2)``.
+    Returns it as ``int64``."""
     if edges is None:
         return np.empty((0, 2), dtype=np.int64)
     arr = np.asarray(edges)
@@ -151,6 +165,40 @@ def _keys_to_edges(keys: np.ndarray, ncols: int) -> np.ndarray:
     return np.stack([keys // ncols, keys % ncols], axis=1).astype(np.int64)
 
 
+def _lookup(
+    keys: np.ndarray, probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership of ``probe`` in the strictly increasing ``keys``:
+    ``(pos, hit)`` with ``pos`` the ``searchsorted`` insertion points and
+    ``hit`` true where ``keys[pos] == probe``."""
+    pos = np.searchsorted(keys, probe)
+    if keys.size == 0:
+        return pos, np.zeros(pos.shape, dtype=bool)
+    return pos, keys[np.minimum(pos, keys.size - 1)] == probe
+
+
+def _edit_keys(
+    ins: np.ndarray, dels: np.ndarray, ncols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique sorted insert and delete keys, deletes before inserts: a
+    key in both lists is only inserted."""
+    ins_k = _edge_keys(ins, ncols)
+    del_k = _edge_keys(dels, ncols)
+    return ins_k, del_k[~_lookup(ins_k, del_k)[1]]
+
+
+def _csr_keys(csr: CSRMatrix) -> np.ndarray:
+    """Flat keys ``row * ncols + col`` of a canonical CSR, in storage
+    order; raises unless they strictly increase."""
+    keys = csr_row_indices(csr, csr.nrows) * np.int64(csr.ncols) + csr.indices
+    if not (keys[1:] > keys[:-1]).all():
+        raise ValueError(
+            "edge deltas need a canonical CSR: columns strictly "
+            "increasing within each row (sorted, no duplicate entries)"
+        )
+    return keys
+
+
 # ----------------------------------------------------------------------
 # CSR delta
 # ----------------------------------------------------------------------
@@ -159,32 +207,30 @@ def delta_csr(
     inserts: np.ndarray | None,
     deletes: np.ndarray | None,
 ) -> tuple[CSRMatrix, np.ndarray, np.ndarray]:
-    """Apply an edge-set edit to a binary CSR.
+    """Apply an edge-set edit to a canonical binary CSR by sorted merge.
 
     Returns ``(new_csr, effective_inserts, effective_deletes)`` — the
     effective arrays hold the edits that actually changed the edge set
     (deletes before inserts; an edge in both lists stays present), in
-    ``(m, 2)`` form, deduplicated and key-sorted.
+    ``(m, 2)`` form, deduplicated and key-sorted.  ``new_csr`` is
+    canonical too; a ``csr`` that is not raises ``ValueError``.
     """
-    ins = _as_edges(inserts, csr.nrows, csr.ncols, "inserts")
-    dels = _as_edges(deletes, csr.nrows, csr.ncols, "deletes")
-    rows = csr_row_indices(csr, csr.nrows)
-    old = np.unique(rows * np.int64(csr.ncols) + csr.indices)
-    ins_k = _edge_keys(ins, csr.ncols)
-    del_k = np.setdiff1d(
-        _edge_keys(dels, csr.ncols), ins_k, assume_unique=True
+    ins = as_edge_array(inserts, csr.nrows, csr.ncols, "inserts")
+    dels = as_edge_array(deletes, csr.nrows, csr.ncols, "deletes")
+    old = _csr_keys(csr)
+    ins_k, del_k = _edit_keys(ins, dels, csr.ncols)
+    del_pos, present = _lookup(old, del_k)
+    eff_del = del_k[present]
+    eff_ins = ins_k[~_lookup(old, ins_k)[1]]
+    new_keys = np.delete(old, del_pos[present])
+    new_keys = np.insert(
+        new_keys, np.searchsorted(new_keys, eff_ins), eff_ins
     )
-    eff_del = np.intersect1d(old, del_k, assume_unique=True)
-    eff_ins = np.setdiff1d(ins_k, old, assume_unique=True)
-    new_keys = np.union1d(np.setdiff1d(old, eff_del, assume_unique=True),
-                          eff_ins)
-    new_rows = (new_keys // csr.ncols).astype(np.int64)
-    new_cols = (new_keys % csr.ncols).astype(np.int64)
-    counts = np.bincount(new_rows, minlength=csr.nrows)
+    counts = np.bincount(new_keys // csr.ncols, minlength=csr.nrows)
     indptr = np.zeros(csr.nrows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     new_csr = CSRMatrix(
-        csr.nrows, csr.ncols, indptr, new_cols,
+        csr.nrows, csr.ncols, indptr, new_keys % csr.ncols,
         np.ones(new_keys.shape[0], dtype=np.float32),
     )
     return (
@@ -194,27 +240,33 @@ def delta_csr(
     )
 
 
-def edge_diff(
-    old: CSRMatrix, new: CSRMatrix
+def symmetric_edits(
+    new_csr: CSRMatrix,
+    inserts: np.ndarray | None,
+    deletes: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-set difference ``(inserts, deletes)`` turning ``old`` into
-    ``new`` — the inverse of :func:`delta_csr`, used to patch derived
-    views (the symmetrized graph) whose edits are induced rather than
-    given."""
-    if old.shape != new.shape:
-        raise ValueError(
-            f"edge_diff needs matching shapes, got {old.shape} vs "
-            f"{new.shape}"
-        )
-    ok = np.unique(
-        csr_row_indices(old, old.nrows) * np.int64(old.ncols) + old.indices
+    """The symmetrized view's edits induced by a directed delta.
+
+    ``inserts``/``deletes`` are the directed delta's *effective* edits
+    (a :class:`DeltaReport`'s arrays) and ``new_csr`` the square directed
+    CSR after them.  Every insert is returned in both directions; a
+    delete is returned in both directions only when ``new_csr`` holds
+    neither direction any more — otherwise the undirected edge survives.
+    Applied to the symmetrized view of the old graph, the edits give the
+    symmetrized view of the new one.  A self-loop appears twice; the
+    delta functions collapse duplicates.
+    """
+    n = new_csr.ncols
+    ins = as_edge_array(inserts, new_csr.nrows, n, "inserts")
+    dels = as_edge_array(deletes, new_csr.nrows, n, "deletes")
+    keys = _csr_keys(new_csr)
+    fwd = _lookup(keys, dels[:, 0] * np.int64(n) + dels[:, 1])[1]
+    rev = _lookup(keys, dels[:, 1] * np.int64(n) + dels[:, 0])[1]
+    gone = dels[~(fwd | rev)]
+    return (
+        np.concatenate([ins, ins[:, ::-1]]),
+        np.concatenate([gone, gone[:, ::-1]]),
     )
-    nk = np.unique(
-        csr_row_indices(new, new.nrows) * np.int64(new.ncols) + new.indices
-    )
-    ins = np.setdiff1d(nk, ok, assume_unique=True)
-    dels = np.setdiff1d(ok, nk, assume_unique=True)
-    return _keys_to_edges(ins, old.ncols), _keys_to_edges(dels, old.ncols)
 
 
 # ----------------------------------------------------------------------
@@ -224,18 +276,14 @@ def _present_bits(
     base: B2SRMatrix, edges: np.ndarray, stored_keys: np.ndarray
 ) -> np.ndarray:
     """Boolean mask: which of ``edges`` are set bits in ``base``."""
-    m = edges.shape[0]
-    if m == 0 or stored_keys.size == 0:
-        return np.zeros(m, dtype=bool)
     d = base.tile_dim
-    tk = (edges[:, 0] // d) * np.int64(base.n_tile_cols) + edges[:, 1] // d
-    pos = np.searchsorted(stored_keys, tk)
-    pos_c = np.minimum(pos, stored_keys.size - 1)
-    hit = stored_keys[pos_c] == tk
-    out = np.zeros(m, dtype=bool)
-    if hit.any():
-        words = base.tiles[pos_c[hit], edges[hit, 0] % d].astype(np.uint64)
-        out[hit] = ((words >> (edges[hit, 1] % d).astype(np.uint64)) & 1) > 0
+    pos, hit = _lookup(
+        stored_keys,
+        (edges[:, 0] // d) * np.int64(base.n_tile_cols) + edges[:, 1] // d,
+    )
+    words = base.tiles[pos[hit], edges[hit, 0] % d].astype(np.uint64)
+    out = np.zeros(edges.shape[0], dtype=bool)
+    out[hit] = ((words >> (edges[hit, 1] % d).astype(np.uint64)) & 1) > 0
     return out
 
 
@@ -254,20 +302,15 @@ def delta_b2sr(
     :func:`~repro.formats.convert.b2sr_from_csr` of the edited matrix.
     """
     d = base.tile_dim
-    ins = _as_edges(inserts, base.nrows, base.ncols, "inserts")
-    dels = _as_edges(deletes, base.nrows, base.ncols, "deletes")
+    ins = as_edge_array(inserts, base.nrows, base.ncols, "inserts")
+    dels = as_edge_array(deletes, base.nrows, base.ncols, "deletes")
     ntc = np.int64(base.n_tile_cols)
     stored_keys = base.tile_row_of() * ntc + base.indices
 
     # Effective edits only: deletes before inserts, no-ops filtered.
-    ins = _keys_to_edges(_edge_keys(ins, base.ncols), base.ncols)
-    dels = _keys_to_edges(
-        np.setdiff1d(
-            _edge_keys(dels, base.ncols), _edge_keys(ins, base.ncols),
-            assume_unique=True,
-        ),
-        base.ncols,
-    )
+    ins_k, del_k = _edit_keys(ins, dels, base.ncols)
+    ins = _keys_to_edges(ins_k, base.ncols)
+    dels = _keys_to_edges(del_k, base.ncols)
     ins = ins[~_present_bits(base, ins, stored_keys)]
     dels = dels[_present_bits(base, dels, stored_keys)]
     if ins.shape[0] == 0 and dels.shape[0] == 0:
@@ -279,19 +322,15 @@ def delta_b2sr(
         return base, stats
 
     edits = np.concatenate([dels, ins])
-    edit_tk = (edits[:, 0] // d) * ntc + edits[:, 1] // d
-    touched = np.unique(edit_tk)
+    touched = np.unique((edits[:, 0] // d) * ntc + edits[:, 1] // d)
 
-    # Carried tiles: stored keys not in the touched set.
-    pos = np.searchsorted(touched, stored_keys)
-    pos_c = np.minimum(pos, touched.size - 1)
-    carried_mask = touched[pos_c] != stored_keys
+    # Stored tiles in the touched set are rebuilt; the rest are carried.
+    slot_of_stored, existing = _lookup(touched, stored_keys)
+    carried_mask = ~existing
 
     # Rebuild touched tiles: start from the old words (zeros for tiles
     # that did not exist), clear deleted bits, set inserted bits.  The
     # scatter works in a flat uint64 buffer, like b2sr_from_csr.
-    slot_of_stored = np.searchsorted(touched, stored_keys)
-    existing = ~carried_mask
     flat = np.zeros(touched.size * d, dtype=np.uint64)
     if existing.any():
         rows_existing = (
@@ -343,19 +382,16 @@ def apply_edge_delta(
     graph: Graph,
     inserts: np.ndarray | None,
     deletes: np.ndarray | None,
-    *,
-    tile_dims: tuple[int, ...] | None = None,
 ) -> tuple[Graph, DeltaReport]:
     """Build the next version of ``graph`` from an edge edit.
 
-    The CSR and its transpose are edited key-wise; every B2SR form
+    The CSR and its transpose are merged key-wise; every B2SR form
     cached on the base graph is patched copy-on-write (transposed forms
     with the swapped edge lists) and adopted into the new graph's
     caches, so engines built on the new version find warm-format state
-    instead of re-converting.  ``tile_dims`` additionally forces those
-    dims to exist on the new version (a form the base never built is
-    converted from the new CSR and reported with ``rebuilt_fraction``
-    1.0 — there was nothing to carry).
+    instead of re-converting.  Forms the base never built are not built
+    here either: an engine that needs one converts it lazily, as on any
+    fresh graph.
 
     The vertex set is fixed: mutations are edge-level (ids must be in
     ``[0, n)``); growing the vertex set is a new graph, not a delta.
@@ -369,47 +405,26 @@ def apply_edge_delta(
         _csr_t=new_csr_t,
     )
     report = DeltaReport(inserts=eff_ins, deletes=eff_del)
-    wanted = set(tile_dims or ())
-    bad = wanted - set(TILE_DIMS)
-    if bad:
-        raise ValueError(f"tile_dims must be from {TILE_DIMS}, got {bad}")
-    for d in sorted(
-        wanted
-        | {t for t in TILE_DIMS if graph.cached_b2sr(t) is not None}
-        | {t for t in TILE_DIMS if graph.cached_b2sr_t(t) is not None}
-    ):
+    for d in TILE_DIMS:
         mat = mat_t = None
         base = graph.cached_b2sr(d)
         if base is not None:
             mat, report.forms[f"A{d}"] = delta_b2sr(base, eff_ins, eff_del)
-        elif d in wanted:
-            mat = b2sr_from_csr(new_csr, d)
-            report.forms[f"A{d}"] = _full_rebuild_stats(mat)
         base_t = graph.cached_b2sr_t(d)
         if base_t is not None:
             mat_t, report.forms[f"At{d}"] = delta_b2sr(
                 base_t, swapped_ins, swapped_del
             )
-        elif d in wanted:
-            mat_t = b2sr_from_csr(new_csr_t, d)
-            report.forms[f"At{d}"] = _full_rebuild_stats(mat_t)
         new_graph.adopt_b2sr(d, mat=mat, mat_t=mat_t)
     return new_graph, report
-
-
-def _full_rebuild_stats(mat: B2SRMatrix) -> DeltaStats:
-    """Stats for a form built from scratch (no base to carry from)."""
-    return DeltaStats(
-        inserts=0, deletes=0, rebuilt_tiles=mat.n_tiles,
-        carried_tiles=0, dropped_tiles=0, n_tiles=mat.n_tiles,
-    )
 
 
 __all__ = [
     "DeltaReport",
     "DeltaStats",
     "apply_edge_delta",
+    "as_edge_array",
     "delta_b2sr",
     "delta_csr",
-    "edge_diff",
+    "symmetric_edits",
 ]

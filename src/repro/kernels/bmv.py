@@ -109,7 +109,8 @@ bitwise-identical results with skip on or off; ``counters=`` receives
 — so the cost model can charge only the work actually done.
 
 The only Python-level loops are the chunk and word-plane loops, which
-bound scratch at about ``_CHUNK_TILES`` tile rows per plane.
+bound scratch at about :data:`repro.kernels.plan._CHUNK_TILES` tile
+rows per plane.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ from repro.kernels.plan import (
     word_activity,
 )
 from repro.semiring import ARITHMETIC, Semiring, value_dtype
-
-#: Dense scratch budget per chunk, in tile-row elements; the chunk
-#: loops divide this by the *plane width* ``min(k, d)`` — wider batches
-#: stripe plane-by-plane over each resident chunk — so peak scratch stays
-#: at roughly chunk × d² floats regardless of the batch size.
-_CHUNK_TILES = 8192
 
 
 def _check_vec_words(A: B2SRMatrix, x_words: np.ndarray) -> np.ndarray:
@@ -212,35 +207,6 @@ def _resolve_mask_matrix(
         )
     valid = m != 0
     return ~valid if complement else valid
-
-
-def _chunk(k: int) -> int:
-    """Tiles per chunk so scratch stays ~``_CHUNK_TILES`` row-elements.
-
-    The kernels pass the *plane width* ``min(k, d)`` (1 for a vector)
-    rather than the full batch width: planes stripe sequentially over
-    each resident chunk, so peak scratch is bounded by one plane
-    regardless of ``k``.
-    """
-    return max(1, _CHUNK_TILES // max(k, 1))
-
-
-def _row_aligned_chunks(A: B2SRMatrix, step: int):
-    """Yield ``(lo, hi)`` tile ranges of ~``step`` tiles whose boundaries
-    coincide with tile-row boundaries.
-
-    Row alignment means every tile row is folded by exactly one chunk, so
-    the per-chunk segment reduction combines contributions in the same
-    left-to-right order as the old global scatter — a row straddling two
-    chunks would re-associate the (non-associative) float accumulation.  A
-    single row longer than ``step`` becomes one oversized chunk.
-    """
-    lo = 0
-    while lo < A.n_tiles:
-        j = int(np.searchsorted(A.indptr, lo + step, side="left"))
-        hi = min(int(A.indptr[min(j, A.n_tile_rows)]), A.n_tiles)
-        yield lo, hi
-        lo = hi
 
 
 def _resolve_plan(A: B2SRMatrix, plan: SweepPlan | None) -> SweepPlan:

@@ -106,6 +106,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_BITS_BUDGET_BYTES = 256 * 1024 * 1024
 
 
+#: Dense scratch budget per chunk, in tile-row elements; the chunk
+#: loops divide this by the *plane width* ``min(k, d)`` — wider batches
+#: stripe plane-by-plane over each resident chunk — so peak scratch stays
+#: at roughly chunk × d² floats regardless of the batch size.
+_CHUNK_TILES = 8192
+
+
+def _chunk(k: int) -> int:
+    """Tiles per chunk so scratch stays ~``_CHUNK_TILES`` row-elements.
+
+    The kernels pass the *plane width* ``min(k, d)`` (1 for a vector)
+    rather than the full batch width: planes stripe sequentially over
+    each resident chunk, so peak scratch is bounded by one plane
+    regardless of ``k``.
+    """
+    return max(1, _CHUNK_TILES // max(k, 1))
+
+
+def _row_aligned_chunks(A: B2SRMatrix, step: int):
+    """Yield ``(lo, hi)`` tile ranges of ~``step`` tiles whose boundaries
+    coincide with tile-row boundaries.
+
+    Row alignment means every tile row is folded by exactly one chunk, so
+    the per-chunk segment reduction combines contributions in the same
+    left-to-right order as the old global scatter — a row straddling two
+    chunks would re-associate the (non-associative) float accumulation.  A
+    single row longer than ``step`` becomes one oversized chunk.
+    """
+    lo = 0
+    while lo < A.n_tiles:
+        j = int(np.searchsorted(A.indptr, lo + step, side="left"))
+        hi = min(int(A.indptr[min(j, A.n_tile_rows)]), A.n_tiles)
+        yield lo, hi
+        lo = hi
+
+
 @dataclass(frozen=True)
 class SweepChunk:
     """One tile chunk of a sweep: boundaries plus the fold structure the
@@ -276,20 +312,18 @@ class SweepPlan:
         vectors (``min(k, d)``; scratch is bounded per plane).
 
         Chunk boundaries snap to tile-row boundaries
-        (:func:`repro.kernels.bmv._row_aligned_chunks`), so every output
-        row is folded by exactly one chunk: float folds never split a
-        row, and every kernel assigns its per-chunk fold instead of
-        merging partial rows.
+        (:func:`_row_aligned_chunks`), so every output row is folded by
+        exactly one chunk: float folds never split a row, and every
+        kernel assigns its per-chunk fold instead of merging partial
+        rows.
         """
         if plane_width < 1:
             raise ValueError(
                 f"plane_width must be >= 1, got {plane_width}"
             )
-        from repro.kernels.bmv import _chunk, _row_aligned_chunks
-
         # Keyed by the resolved chunk step (not the plane width) so the
-        # table tracks the kernels' live ``_CHUNK_TILES`` setting and
-        # plane widths that resolve to one step share a table.
+        # table tracks the live ``_CHUNK_TILES`` setting and plane
+        # widths that resolve to one step share a table.
         step = _chunk(plane_width)
         table = self._chunk_tables.get(step)
         if table is None:

@@ -32,15 +32,14 @@ from repro.bitops.packing import (
 )
 from repro.bitops.segreduce import run_starts, segment_reduce
 from repro.formats.b2sr import B2SRMatrix
-from repro.kernels import bmv as _bmv
+from repro.kernels import plan as _plan
 from repro.kernels.bmv import (
     _check_mat_words,
     _check_vec_words,
-    _chunk,
     _resolve_mask,
     _resolve_mask_matrix,
-    _row_aligned_chunks,
 )
+from repro.kernels.plan import _chunk, _row_aligned_chunks
 from repro.semiring import ARITHMETIC, Semiring, value_dtype
 
 
@@ -204,7 +203,7 @@ def bmv_bin_full_full(
     col_offsets = np.arange(d, dtype=np.int64)
     trows = _tile_row_of(A)
 
-    for lo, hi in _row_aligned_chunks(A, _bmv._CHUNK_TILES):
+    for lo, hi in _row_aligned_chunks(A, _plan._CHUNK_TILES):
         bits = unpack_bits_rowmajor(A.tiles[lo:hi], d).astype(bool)
         seg = xpad[A.indices[lo:hi, None] * d + col_offsets]  # (m, d)
         m = semiring.mult_matrix_one(seg)  # (m, d)

@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.engines.bit import BitEngine
-from repro.formats.delta import DeltaReport, apply_edge_delta, delta_b2sr, edge_diff
+from repro.formats.delta import DeltaReport, apply_edge_delta, symmetric_edits
 from repro.serving.admission import (
     AdmissionContext,
     AdmissionPolicy,
@@ -188,14 +188,20 @@ class GraphRegistry:
         """Apply an edge-mutation batch to ``name`` and install the new
         epoch.
 
-        The delta path: patch the directed graph's cached B2SR forms
-        tile-by-tile, diff-and-patch the symmetrized view the CC engine
-        serves, build and warm the new epoch, then append it to the
-        chain.  Everything up to the append is off the serving hot path
-        — a router applying a due mutation admits the very next arrival
-        against fully warm plans.  The previous epoch's learned service
-        estimates carry over (the graph changed by one small delta;
-        relearning from scratch would thrash the admission deadlines).
+        Both views take one delta path.
+        :func:`~repro.formats.delta.apply_edge_delta` patches the
+        directed graph: its CSRs are merged and the B2SR forms the old
+        epoch cached are patched tile by tile.
+        :func:`~repro.formats.delta.symmetric_edits` derives the
+        symmetrized view's edits from the effective directed ones, and
+        the view the CC engine serves is patched the same way; its forms
+        join the report under a ``Sym_`` prefix.  The new epoch is then
+        built, warmed and appended to the chain.  Everything up to the
+        append is off the serving hot path — a router applying a due
+        mutation admits the very next arrival against fully warm plans.
+        The previous epoch's learned service estimates carry over (the
+        graph changed by one small delta; relearning from scratch would
+        thrash the admission deadlines).
         """
         if name not in self._chains:
             raise KeyError(
@@ -203,31 +209,18 @@ class GraphRegistry:
                 f"{sorted(self._chains)}"
             )
         entry = self[name]
-        tile_dim = entry.engine.tile_dim
-        # Patch whatever B2SR forms the old epoch actually built (the
-        # transposed pull operand); forms nobody cached are not
-        # force-rebuilt — an engine that later needs one converts
-        # lazily, exactly like epoch 0.
         new_graph, report = apply_edge_delta(entry.graph, inserts, deletes)
-
-        # Patch the symmetrized view (what the CC engine sweeps) by
-        # diffing the undirected edge sets — the symmetric closure of a
-        # small delta is still small, so its B2SR patch is too.
-        new_sym = new_graph.symmetrized()
-        old_sym = entry.sym_graph
-        if new_sym is not new_graph:
-            sym_ins, sym_del = edge_diff(old_sym.csr, new_sym.csr)
-            base_t = old_sym.cached_b2sr_t(tile_dim)
-            if base_t is not None:
-                patched, sym_stats = delta_b2sr(
-                    base_t, sym_ins[:, ::-1], sym_del[:, ::-1]
-                )
-                new_sym.adopt_b2sr(tile_dim, mat_t=patched)
-                report.forms[f"Sym_At{tile_dim}"] = sym_stats
-
+        sym_ins, sym_del = symmetric_edits(
+            new_graph.csr, report.inserts, report.deletes
+        )
+        new_sym, sym_report = apply_edge_delta(
+            entry.sym_graph, sym_ins, sym_del
+        )
+        for key, stats in sym_report.forms.items():
+            report.forms[f"Sym_{key}"] = stats
         new_entry = self._epoch(
             name, new_graph, new_sym, device=entry.engine.device,
-            tile_dim=tile_dim, version=entry.version + 1,
+            tile_dim=entry.engine.tile_dim, version=entry.version + 1,
         )
         new_entry.estimator.restore(entry.estimator.snapshot())
         self._chains[name].append(new_entry)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms import bfs, connected_components, sssp
 from repro.engines.base import Engine
+from repro.serving.plane import solo_reference
 
 
 class ServiceEstimator:
@@ -76,13 +76,9 @@ class ServiceEstimator:
         return float(width)
 
     def _calibrate(self, kind: str) -> float:
-        """Seed the estimator with one solo run's modeled latency."""
-        if kind == "bfs":
-            _, rep = bfs(self.engine, 0)
-        elif kind == "sssp":
-            _, rep = sssp(self.engine, 0)
-        else:
-            _, rep = connected_components(self.cc_engine)
+        """Seed the estimator with one solo run's modeled latency (from
+        vertex 0; graph-global kinds ignore the source)."""
+        _, rep = solo_reference(self.engine, self.cc_engine, kind, 0, {})
         self._est_ms[kind] = rep.algorithm_ms
         return rep.algorithm_ms
 

@@ -166,20 +166,21 @@ class TestBinFullFull:
     def test_chunking_boundary(self):
         """Exercise the tile-chunk loop with a matrix crossing the chunk
         size."""
-        import repro.kernels.bmv as bmv_mod
+        import repro.kernels.plan as plan_mod
 
-        old = bmv_mod._CHUNK_TILES
-        bmv_mod._CHUNK_TILES = 3
+        old = plan_mod._CHUNK_TILES
+        plan_mod._CHUNK_TILES = 3
         try:
             dense, _, xf, _ = setup(seed=90, density=0.2)
             A = b2sr_from_dense(dense, 8)
             assert A.n_tiles > 6
             y = bmv_bin_full_full(A, xf, ARITHMETIC)
+            assert len(A.plan().chunks(1)) > 1
             assert np.allclose(
                 y, bmv_reference(dense, xf, ARITHMETIC), atol=1e-3
             )
         finally:
-            bmv_mod._CHUNK_TILES = old
+            plan_mod._CHUNK_TILES = old
 
 
 class TestNonSquare:

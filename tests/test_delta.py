@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.generators import hybrid_pattern, rmat_graph, road_pattern
 from repro.formats.b2sr import B2SRMatrix, TILE_DIMS
-from repro.formats.convert import b2sr_from_csr
+from repro.formats.convert import b2sr_from_csr, transpose_csr
+from repro.formats.csr import CSRMatrix
 from repro.formats.delta import (
     DeltaStats,
     apply_edge_delta,
     delta_b2sr,
     delta_csr,
-    edge_diff,
+    symmetric_edits,
 )
 from repro.graph import Graph, csr_row_indices
+from repro.serving import GraphRegistry, mutation_trace
 
 
 def random_graph(n, m, seed=0):
@@ -249,24 +252,6 @@ class TestApplyEdgeDelta:
         assert rep.n_inserts == rep.inserts.shape[0]
         assert 0.0 <= rep.rebuilt_fraction <= 1.0
 
-    def test_forced_tile_dim_without_cache(self):
-        g, _ = random_graph(40, 100, seed=15)
-        g2, rep = apply_edge_delta(
-            g, np.array([[0, 1]]), None, tile_dims=(16,)
-        )
-        assert rep.forms["A16"].rebuilt_fraction == 1.0  # nothing to carry
-        assert_bitwise_equal(
-            g2.cached_b2sr(16), b2sr_from_csr(g2.csr, 16)
-        )
-        assert_bitwise_equal(
-            g2.cached_b2sr_t(16), b2sr_from_csr(g2.csr_t, 16)
-        )
-
-    def test_bad_tile_dim_rejected(self):
-        g, _ = random_graph(10, 10)
-        with pytest.raises(ValueError, match="tile_dims"):
-            apply_edge_delta(g, None, None, tile_dims=(7,))
-
     def test_name_and_category_preserved(self):
         g = Graph.from_edges(
             8, np.array([[0, 1]]), name="web", category="power-law"
@@ -276,21 +261,119 @@ class TestApplyEdgeDelta:
         assert g2.category == "power-law"
 
 
-class TestEdgeDiff:
-    def test_diff_inverts_delta(self):
-        g, edges = random_graph(30, 90, seed=17)
-        rng = np.random.default_rng(18)
-        ins = rng.integers(0, 30, size=(9, 2))
-        new_csr, eff_ins, eff_del = delta_csr(g.csr, ins, edges[:6])
-        got_ins, got_del = edge_diff(g.csr, new_csr)
-        assert {tuple(e) for e in got_ins} == {tuple(e) for e in eff_ins}
-        assert {tuple(e) for e in got_del} == {tuple(e) for e in eff_del}
+class TestSymmetricEdits:
+    """The symmetrized view's edits, derived from a directed delta."""
 
-    def test_shape_mismatch_rejected(self):
-        a, _ = random_graph(10, 10)
-        b, _ = random_graph(12, 10)
-        with pytest.raises(ValueError, match="matching shapes"):
-            edge_diff(a.csr, b.csr)
+    @staticmethod
+    def derive(edges, ins, dels, n=6):
+        """Apply a directed delta, derive the view's edits, and check
+        that they turn the old symmetrized view into the new one."""
+        g = Graph.from_edges(n, np.array(edges, dtype=np.int64))
+        new_csr, eff_ins, eff_del = delta_csr(g.csr, ins, dels)
+        sym_ins, sym_del = symmetric_edits(new_csr, eff_ins, eff_del)
+        view, _, _ = delta_csr(g.symmetrized().csr, sym_ins, sym_del)
+        want = Graph(new_csr).symmetrized().csr
+        assert np.array_equal(view.indptr, want.indptr)
+        assert np.array_equal(view.indices, want.indices)
+        return {tuple(e) for e in sym_ins}, {tuple(e) for e in sym_del}
+
+    def test_self_loop(self):
+        ins, dels = self.derive(
+            [[3, 3], [0, 1]], np.array([[2, 2]]), np.array([[3, 3]])
+        )
+        assert ins == {(2, 2)}
+        assert dels == {(3, 3)}
+
+    def test_delete_with_surviving_reverse_is_no_deletion(self):
+        ins, dels = self.derive([[0, 1], [1, 0]], None, np.array([[0, 1]]))
+        assert ins == set()
+        assert dels == set()
+
+    def test_both_directions_deleted_in_one_batch(self):
+        ins, dels = self.derive(
+            [[0, 1], [1, 0], [2, 3]], None, np.array([[0, 1], [1, 0]])
+        )
+        assert ins == set()
+        assert dels == {(0, 1), (1, 0)}
+
+    def test_insert_whose_reverse_existed(self):
+        ins, dels = self.derive([[1, 0]], np.array([[0, 1]]), None)
+        assert ins == {(0, 1), (1, 0)}  # no-op on the view: both present
+        assert dels == set()
+
+
+class TestCanonicalCSR:
+    @pytest.mark.parametrize(
+        "indices", [[2, 1], [1, 1]], ids=["unsorted-row", "duplicate"]
+    )
+    def test_delta_csr_rejects_non_canonical(self, indices):
+        csr = CSRMatrix(
+            3, 3, np.array([0, 2, 2, 2]), np.array(indices),
+            np.ones(2, dtype=np.float32),
+        )
+        with pytest.raises(ValueError, match="canonical"):
+            delta_csr(csr, np.array([[2, 2]]), None)
+
+
+GRAPHS = {
+    "hybrid": lambda n, seed: hybrid_pattern(n, seed=seed),
+    "road": lambda n, seed: road_pattern(n, seed=seed),
+    "rmat": lambda n, seed: rmat_graph(n.bit_length() - 1, seed=seed),
+}
+
+
+def assert_csr_equal(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+class TestEpochChainProperty:
+    """Epoch swaps chained through ``GraphRegistry.mutate``: every
+    epoch's CSRs and both engines' B2SR operands equal from-scratch
+    builds of the edge set the trace has reached."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(GRAPHS)),
+        n=st.sampled_from((64, 128, 256, 512)),
+        tile_dim=st.sampled_from(TILE_DIMS),
+        seed=st.integers(0, 10_000),
+        batch_size=st.integers(1, 48),
+        insert_fraction=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+    )
+    def test_epochs_equal_from_scratch_builds(
+        self, kind, n, tile_dim, seed, batch_size, insert_fraction
+    ):
+        g = GRAPHS[kind](n, seed)
+        registry = GraphRegistry(max_batch=8)
+        registry.add("g", g, tile_dim=tile_dim)
+        trace = mutation_trace(
+            g, batches=4, batch_size=batch_size,
+            insert_fraction=insert_fraction, seed=seed, name="g",
+        )
+        present = edge_set(g.csr)
+        for batch in trace:
+            entry, _ = registry.mutate("g", batch.inserts, batch.deletes)
+            for edits, apply in (
+                (batch.deletes, present.difference_update),
+                (batch.inserts, present.update),
+            ):
+                if edits is not None:
+                    apply(map(tuple, edits.tolist()))
+            ref = Graph.from_edges(
+                g.n, np.array(sorted(present), dtype=np.int64).reshape(-1, 2)
+            )
+            sym = ref.symmetrized()
+            assert_csr_equal(entry.graph.csr, ref.csr)
+            assert_csr_equal(entry.graph.csr_t, transpose_csr(ref.csr))
+            assert_csr_equal(entry.sym_graph.csr, sym.csr)
+            assert_bitwise_equal(
+                entry.engine._At, b2sr_from_csr(ref.csr_t, tile_dim)
+            )
+            assert_bitwise_equal(
+                entry.cc_engine._At, b2sr_from_csr(sym.csr_t, tile_dim)
+            )
 
 
 class TestAdoptB2SR:

@@ -159,10 +159,10 @@ class TestWordPlanes:
     def test_plane_boundary_independent_of_chunking(self):
         """Plane striping composes with tile chunking: shrinking the
         chunk budget must not change any column of a multi-plane batch."""
-        import repro.kernels.bmv as bmv_mod
+        import repro.kernels.plan as plan_mod
 
-        old = bmv_mod._CHUNK_TILES
-        bmv_mod._CHUNK_TILES = 7
+        old = plan_mod._CHUNK_TILES
+        plan_mod._CHUNK_TILES = 7
         try:
             dense, _, _, _ = setup(seed=41, density=0.3)
             rng = np.random.default_rng(4)
@@ -172,8 +172,9 @@ class TestWordPlanes:
             A = b2sr_from_dense(dense, 8)
             Yw = bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8))
             Yf = bmv_bin_full_full_multi(A, Xf, ARITHMETIC)
+            assert len(A.plan().chunks(8)) > 1  # one plane is 8 wide
         finally:
-            bmv_mod._CHUNK_TILES = old
+            plan_mod._CHUNK_TILES = old
         for j in range(k):
             assert np.array_equal(
                 Yw[:, j], bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], 8))
@@ -337,18 +338,19 @@ class TestMultiKernels:
     def test_chunking_boundary(self):
         """Batch widths shrink the tile chunk; crossing chunk boundaries
         must not change any column."""
-        import repro.kernels.bmv as bmv_mod
+        import repro.kernels.plan as plan_mod
 
-        old = bmv_mod._CHUNK_TILES
-        bmv_mod._CHUNK_TILES = 7
+        old = plan_mod._CHUNK_TILES
+        plan_mod._CHUNK_TILES = 7
         try:
             dense, Xb, Xf, _ = setup(seed=40, density=0.3)
             A = b2sr_from_dense(dense, 8)
             assert A.n_tiles > 14
             Yw = bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8))
             Yf = bmv_bin_full_full_multi(A, Xf, MIN_PLUS)
+            assert len(A.plan().chunks(min(Xb.shape[1], 8))) > 1
         finally:
-            bmv_mod._CHUNK_TILES = old
+            plan_mod._CHUNK_TILES = old
         for j in range(Xb.shape[1]):
             assert np.array_equal(
                 Yw[:, j], bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], 8))

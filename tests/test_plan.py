@@ -27,6 +27,7 @@ from repro.datasets.generators import diagonal_pattern
 from repro.engines import BitEngine
 from repro.formats.b2sr import TILE_DIMS
 from repro.formats.convert import b2sr_from_dense
+import repro.kernels.plan as plan_mod
 from repro.kernels import bmv, planless
 from repro.kernels.costmodel import BMV_SCHEMES, bmv_stats
 from repro.kernels.plan import SweepPlan, value_activity, word_activity
@@ -270,7 +271,7 @@ class TestBitwiseEquality:
         """A packed sweep over many row-aligned chunks is bitwise equal
         to planless and counts, per word plane, the tiles whose column
         words are non-zero out of ``n_tiles`` visits."""
-        monkeypatch.setattr(bmv, "_CHUNK_TILES", 3)
+        monkeypatch.setattr(plan_mod, "_CHUNK_TILES", 3)
         A, dense, rng = build(n=130, d=8, density=0.15, seed=9)
         assert len(A.plan().chunks(1)) > 3
         launch, want, xw = packed_launch(A, name, width, rng)
@@ -298,7 +299,7 @@ class TestBitwiseEquality:
         assert counters == {"active_tiles": 0.0, "tile_visits": 0.0}
 
     def test_chunked_matrices_hit_multiple_chunks(self, monkeypatch):
-        monkeypatch.setattr(bmv, "_CHUNK_TILES", 3)
+        monkeypatch.setattr(plan_mod, "_CHUNK_TILES", 3)
         A, dense, rng = build(n=130, d=8, density=0.15, seed=9)
         assert len(A.plan().chunks(1)) > 3
         x = rng.random(130).astype(np.float32)
@@ -346,8 +347,6 @@ class TestPlanReuse:
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
-
-        import repro.kernels.plan as plan_mod
 
         monkeypatch.setattr(plan_mod, "unpack_bits_rowmajor", counting)
         for skip in (False, True):
