@@ -15,7 +15,8 @@ without writing Python:
   lanes across N servers, comparing placement policies (and the
   single-server scheduler) at equal aggregate rate under one admission
   ``--policy`` (``slo``, ``flush`` or ``fcfs``); answers are verified
-  bit-identical to their standalone runs unless ``--no-verify``;
+  unless ``--no-verify`` (bfs/sssp by shortest-path certificate, cc
+  against its standalone run);
 * ``ingest``   — apply a seeded edge-mutation trace to a serving graph,
   either live (epoch swaps interleaved with a served stream, batches
   never mixing versions) or offline through the bounded-retry
@@ -516,7 +517,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         f"{args.policy})"
     )
     if verify:
-        title += "; every answer verified bit-identical to its solo run"
+        title += (
+            "; every answer verified: bfs/sssp by shortest-path "
+            "certificate, cc against its solo run"
+        )
     print(
         format_table(
             ["placement", "servers", "SLO att.", "per graph", "batches",
@@ -850,7 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("all", "affinity", "least-loaded", "p2c",
                              "speed-aware"))
     sp.add_argument("--no-verify", action="store_true",
-                    help="skip the standalone bitwise-equality check")
+                    help="skip answer verification (bfs/sssp "
+                    "certificate, cc solo run)")
     sp.add_argument("--fail", action="append", default=[],
                     metavar="SID@T_MS",
                     help="crash server SID at modeled time T_MS "
@@ -908,7 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-batch", type=int, default=32,
                     help="widest coalesced launch / join capacity")
     sp.add_argument("--no-verify", action="store_true",
-                    help="skip the standalone bitwise-equality check")
+                    help="skip answer verification (bfs/sssp "
+                    "certificate, cc solo run)")
     sp.add_argument("--tile-dim", type=int, default=32,
                     choices=list(TILE_DIMS))
     sp.add_argument("--device", default="pascal")

@@ -13,7 +13,8 @@ byte-identical.  The rule flags any ``BitEngine(...)`` construction in
 those scopes that does not pass a literal ``skip_inactive=False``.
 
 **verify-contract.**  Serving launch sites (``QueryBatcher.flush``,
-``Router.run``) take ``verify=`` — the bitwise-equal-to-solo check.
+``Router.run``) take ``verify=`` — the answer check (bitwise against a
+solo run, or the router's shortest-path certificate for bfs/sssp).
 Bench and smoke call sites must thread it
 explicitly: relying on the default makes "was this run verified?"
 unanswerable from the call site, and a flipped default would silently

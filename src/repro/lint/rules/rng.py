@@ -2,9 +2,10 @@
 
 The verify skill's first gotcha is the repo's determinism contract: two
 identical invocations must produce identical stdout, serving answers are
-verified bitwise against solo re-runs, and every bench artifact is
-reproducible from its seed.  One ``np.random.shuffle`` (global-state
-legacy API) or argless ``default_rng()`` (OS-entropy seeded) anywhere in
+verified (bitwise against solo re-runs, or by certificate), and every
+bench artifact is reproducible from its seed.  One
+``np.random.shuffle`` (global-state legacy API) or argless
+``default_rng()`` (OS-entropy seeded) anywhere in
 ``src/`` quietly breaks all of it — and unlike a failing test, a
 nondeterministic artifact only betrays itself when someone re-runs it.
 

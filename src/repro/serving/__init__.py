@@ -44,9 +44,10 @@ gap in layers:
   grows or drains the fleet against observed SLO attainment.
 
 Every coalesced answer — single server or sharded cluster — is bitwise
-identical to the answer an isolated run would have produced;
-``verify=True`` enforces it on every launch, including answers
-re-executed after a mid-flight server loss.
+identical to the answer an isolated run would have produced.  The
+router's ``verify=True`` checks it on every launch, including answers
+re-executed after a mid-flight server loss: bfs/sssp by a shortest-path
+certificate against the epoch's CSR, cc against its solo run.
 """
 
 from repro.serving.admission import (

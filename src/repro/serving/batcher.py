@@ -257,11 +257,13 @@ class QueryBatcher:
             ref, rep1 = solo_reference(
                 self.engine, self.cc_engine, q.kind, q.source, cache
             )
-            got = results[q.qid].result
-            assert np.array_equal(got, ref, equal_nan=True), (
-                f"batched {q.kind} answer for query {q.qid} is not bitwise "
-                "identical to its standalone run"
-            )
+            if not np.array_equal(
+                results[q.qid].result, ref, equal_nan=True
+            ):
+                raise AssertionError(
+                    f"batched {q.kind} answer for query {q.qid} is not "
+                    "bitwise identical to its standalone run"
+                )
             singles_ms += rep1.algorithm_ms
             singles_launches += rep1.kernel_stats.launches
             results[q.qid].baseline_ms = rep1.algorithm_ms

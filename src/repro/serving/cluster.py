@@ -53,10 +53,14 @@ Every committed batch executes one way: as a
 :class:`~repro.serving.plane.DataPlane` — in-process by default, or a
 :class:`~repro.serving.parallel.WorkerPool` of real worker processes.
 Exactness survives sharding *and* recovery: every answer, from either
-plane, goes through one install, and ``verify=True`` re-runs each query
-solo on its graph's engines and raises unless the clustered answer is
-bitwise identical — including answers that were re-queued or
-re-executed after a crash.
+plane, goes through one install, and ``verify=True`` checks each launch
+there and raises on a wrong answer — including answers that were
+re-queued or re-executed after a crash.  A bfs/sssp launch is proved
+against its admitted epoch's CSR by the shortest-path certificate
+(:func:`~repro.serving.plane.certify_hop_distances`), which no kernel
+reads, so a certified answer is bitwise equal to a correct solo run and
+a wrong operand cannot hide; a cc launch is compared with its memoized
+solo run.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ from repro.serving.plane import (
     InProcessPlane,
     LaunchResult,
     LaunchSpec,
+    certify_hop_distances,
     solo_reference,
 )
 
@@ -1104,28 +1109,43 @@ class _RouterController:
     ) -> None:
         """Install one launch's answers into its members' outcomes,
         naming ``sid`` (the server the router submitted the launch to)
-        as their server.  With ``verify`` each answer must be bitwise
-        identical to its standalone run, memoized in the entry's
+        as their server.
+
+        With ``verify`` the launch is checked once before install and
+        raises ``AssertionError`` on a wrong answer: a bfs/sssp launch,
+        all its columns together, by the shortest-path certificate over
+        the admitted epoch's CSR
+        (:func:`~repro.serving.plane.certify_hop_distances`); a cc
+        launch against its standalone run, memoized in the entry's
         ``singles_cache``."""
         entry = self.registry.entry_for(batch.graph, batch.version)
         cols = res.columns
-        assert cols is not None, f"launch {spec.batch_id} has no answers"
-        for j, (seq, a) in enumerate(batch.members):
+        where = f"{spec.graph!r} v{spec.version}"
+        if cols is None:
+            raise AssertionError(
+                f"launch {spec.batch_id} on {where} has no answers"
+            )
+        if verify and spec.kind == "cc":
+            ref, _ = solo_reference(
+                entry.engine, entry.cc_engine, "cc", None,
+                entry.singles_cache,
+            )
+            if not np.array_equal(cols, ref, equal_nan=True):
+                raise AssertionError(
+                    f"cc answer of launch {spec.batch_id} on {where} is "
+                    "not bitwise identical to its standalone run"
+                )
+        elif verify:
+            certify_hop_distances(
+                entry.graph.csr_t, spec.kind, spec.sources, cols, where
+            )
+        for j, (seq, _) in enumerate(batch.members):
             outcome = self.outcomes[seq]
-            got = cols.copy() if spec.kind == "cc" else cols[:, j].copy()
-            outcome.result = got
+            outcome.result = (
+                cols.copy() if spec.kind == "cc" else cols[:, j].copy()
+            )
             outcome.server = sid
             outcome.retries = max(outcome.retries, retries)
-            if verify:
-                ref, solo = solo_reference(
-                    entry.engine, entry.cc_engine,
-                    a.kind, a.source, entry.singles_cache,
-                )
-                assert np.array_equal(got, ref, equal_nan=True), (
-                    f"{a.kind} answer for arrival {seq} is not bitwise "
-                    "identical to its standalone run"
-                )
-                outcome.baseline_ms = float(solo.algorithm_ms)
 
     def collect(self) -> dict[str, Any] | None:
         """Drain the data plane and install every deferred launch.
@@ -1285,9 +1305,11 @@ class Router:
         """Simulate serving ``arrivals`` on the cluster.
 
         Returns the outcomes in arrival-stream order plus the aggregate
-        report.  With ``verify=True`` every launch re-runs its queries
-        standalone through the owning graph's verification path and
-        raises on any non-bitwise-identical answer.
+        report.  With ``verify=True`` every launch is checked before
+        its answers install, and a wrong answer raises
+        ``AssertionError`` (also under ``python -O``): bfs/sssp by the
+        shortest-path certificate over the admitted epoch's CSR, cc
+        against its memoized standalone run.
 
         Every committed batch executes through ``data_plane`` (see
         :mod:`repro.serving.plane`).  The default in-process plane

@@ -212,7 +212,6 @@ class QueryOutcome:
     launch_ms: float
     finish_ms: float
     batch_width: int
-    baseline_ms: float | None = None
     server: int = 0
     version: int = 0
     failure: str | None = None

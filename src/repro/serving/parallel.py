@@ -84,7 +84,9 @@ def _wall_ms() -> float:
 
 @dataclass(frozen=True)
 class GraphPayload:
-    """Attach-time description of one exported graph version."""
+    """Attach-time description of one exported graph version.
+    ``cc_manifest`` is ``manifest`` when both engines serve one
+    operand."""
 
     n: int
     device: DeviceSpec
@@ -115,10 +117,14 @@ class _WorkerGraph:
 
 def _engines_from_payload(payload: GraphPayload) -> _WorkerGraph:
     """Build the worker's engines for one graph version by attaching
-    both exported segments (zero-copy views, each array CRC-checked
-    against its manifest)."""
+    its exported segments (zero-copy views, each array CRC-checked
+    against its manifest).  When both manifests name one segment, both
+    engines are built from its one attachment."""
     att = attach(payload.manifest)
-    cc_att = attach(payload.cc_manifest)
+    cc_att = (
+        att if payload.cc_manifest.segment == payload.manifest.segment
+        else attach(payload.cc_manifest)
+    )
     engine = BitEngine.from_operand(
         att.matrix, n=payload.n, device=payload.device,
         locality=payload.locality, skip_inactive=payload.skip_inactive,
@@ -127,7 +133,9 @@ def _engines_from_payload(payload: GraphPayload) -> _WorkerGraph:
         cc_att.matrix, n=payload.n, device=payload.device,
         locality=payload.cc_locality, skip_inactive=payload.skip_inactive,
     )
-    return _WorkerGraph(engine, cc_engine, (att, cc_att))
+    return _WorkerGraph(
+        engine, cc_engine, (att,) if cc_att is att else (att, cc_att)
+    )
 
 
 # repro-lint: ignore[modeled-time-purity] — brackets the real kernel launch with the sanctioned timing hook; wall timings are the data plane's output
@@ -321,19 +329,25 @@ class WorkerPool:
         swap *before* any launch can reference the new version (attach
         and launch share each worker's FIFO queue, so ordering is
         structural, not timing-dependent).  Idempotent per version.
+
+        When both engines serve one operand object (epoch 0 of a
+        symmetric graph) it is exported once and both manifests name
+        that segment.
         """
         key = (entry.name, entry.version)
         if key in self._exports or self._closed:
             return
         engine, cc_engine = entry.engine, entry.cc_engine
-        exp, cc_exp = ShmGraphExport(engine._At), ShmGraphExport(cc_engine._At)
+        exports = (ShmGraphExport(engine._At),)
+        if cc_engine._At is not engine._At:
+            exports += (ShmGraphExport(cc_engine._At),)
         payload = GraphPayload(
             n=engine.n, device=engine.device,
             skip_inactive=engine.skip_inactive,
-            manifest=exp.manifest, cc_manifest=cc_exp.manifest,
+            manifest=exports[0].manifest, cc_manifest=exports[-1].manifest,
             locality=engine._locality, cc_locality=cc_engine._locality,
         )
-        self._exports[key] = _Export(payload=payload, exports=(exp, cc_exp))
+        self._exports[key] = _Export(payload=payload, exports=exports)
         for tq in self._task_qs:
             tq.put(("attach", key, payload))
 

@@ -15,12 +15,17 @@ The router books what a plane returned: a finished result's modeled
 time, or, for a deferred launch, the service estimate.  Records carry
 graph names and versions, never graph arrays, so both planes share them.
 
+:func:`certify_hop_distances` is the router's ``verify=`` check for a
+bfs/sssp launch: it proves the answer against the epoch's CSR, which no
+kernel reads, instead of running the same kernels a second time.
 :func:`solo_reference` is the one standalone-run helper behind every
-``verify=`` check: the router's install and ``QueryBatcher.flush``.
+other ``verify=`` check: the router's cc install and
+``QueryBatcher.flush``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol
 
@@ -30,6 +35,7 @@ from repro.algorithms import bfs, connected_components, sssp
 from repro.engines.base import Engine, EngineReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.formats.csr import CSRMatrix
     from repro.serving.cluster import GraphEntry, GraphRegistry
 
 
@@ -192,10 +198,95 @@ def solo_reference(
     return ref, rep
 
 
+#: The answer dtype each certified kind must come back in.
+_HOP_DTYPES = {"bfs": np.dtype(np.int64), "sssp": np.dtype(np.float32)}
+
+
+def certify_hop_distances(
+    csr_t: CSRMatrix,
+    kind: str,
+    sources: Sequence[int],
+    columns: np.ndarray,
+    where: str,
+) -> None:
+    """Prove a bfs/sssp launch's answer is the graph's hop distance, or
+    raise ``AssertionError`` naming the kind, ``where`` (the graph and
+    version), the column and the vertex.
+
+    ``csr_t`` is the epoch's transposed CSR (row ``v`` lists the
+    in-neighbours of ``v``) and ``columns`` the ``(n, k)`` answer, column
+    ``j`` from ``sources[j]``: ``int64`` with ``-1`` for unreached for
+    bfs, ``float32`` with ``inf`` for sssp.  Every stored bit is an edge
+    of weight 1, so a correct column is the unique hop distance ``δ``.
+
+    Let ``d`` be the columns as float64, BFS's ``-1`` read as ``inf``,
+    and ``r[v] = min(d[u] + 1)`` over the in-neighbours ``u`` of ``v``
+    (``inf`` for none).  The check passes iff ``d`` is 0 at the source,
+    every entry is ``inf`` or in ``[0, n)`` (so NaN fails), ``r >= d``
+    everywhere, ``r == d`` at every finite entry other than the source,
+    and, for sssp, no entry has its sign bit set.  Why that is enough
+    (the textbook shortest-path certificate; McConnell, Mehlhorn, Näher
+    and Schweitzer, *Certifying algorithms*, 2011):
+
+    * ``r >= d`` means no edge relaxes, so ``d <= δ`` along any shortest
+      path from the source.
+    * Below ``n`` the float64 arithmetic is exact, so each tight
+      predecessor is exactly one lower: the chain of them cannot cycle
+      and can end only at the source's 0, so ``d >= δ``.  (Without the
+      bound, a value such as ``1e30`` on a self-loop is its own tight
+      predecessor.)
+    * With the dtype and sign-bit checks, a certified column is
+      therefore *bitwise* equal to a correct solo run: an integer or
+      ``inf`` has one float32 encoding, and one int64 encoding with
+      ``-1`` for ``inf``.
+    """
+    n = csr_t.nrows
+    src = np.asarray(sources, dtype=np.int64)
+    k = src.shape[0]
+    expected = _HOP_DTYPES[kind]
+    if columns.dtype != expected or columns.shape != (n, k):
+        raise AssertionError(
+            f"{kind} answer on {where} is {columns.dtype} "
+            f"{columns.shape}, not {expected} {(n, k)}"
+        )
+    d = columns.astype(np.float64)
+    if kind == "bfs":
+        d[columns == -1] = np.inf
+    r = np.full_like(d, np.inf)
+    # reduceat returns the start element for an empty segment, not the
+    # identity, so only rows with in-neighbours are reduced.
+    fed = np.flatnonzero(np.diff(csr_t.indptr))
+    if fed.size:
+        r[fed] = np.minimum.reduceat(
+            d[csr_t.indices], csr_t.indptr[fed], axis=0
+        ) + 1.0
+    reached = np.isfinite(d)
+    at_source = np.zeros(d.shape, dtype=bool)
+    at_source[src, np.arange(k)] = True
+    defects = [
+        ("is not 0 at its source", at_source & (d != 0)),
+        ("is neither unreached nor in [0, n)",
+         ~((d >= 0) & ((d < n) | ~reached))),
+        ("is lowered by an in-edge", r < d),
+        ("has no in-neighbour one hop closer",
+         reached & ~at_source & (r != d)),
+    ]
+    if kind == "sssp":
+        defects.append(("has its sign bit set", np.signbit(columns)))
+    for why, bad in defects:
+        if bad.any():
+            j, v = np.argwhere(bad.T)[0]
+            raise AssertionError(
+                f"{kind} answer on {where}, column {j} (source {src[j]}): "
+                f"vertex {v} = {columns[v, j].item()!r} {why}"
+            )
+
+
 __all__ = [
     "DataPlane",
     "InProcessPlane",
     "LaunchResult",
     "LaunchSpec",
+    "certify_hop_distances",
     "solo_reference",
 ]

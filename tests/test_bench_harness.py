@@ -1,4 +1,9 @@
-"""Tests for the bench harness helpers and the new mxm_structural op."""
+"""Tests for the bench harness helpers, the committed ``BENCH_*.json``
+baselines and the new mxm_structural op."""
+
+import json
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +132,51 @@ class TestJsonReporter:
         from repro.bench import JsonReporter
 
         assert JsonReporter().write_dir(tmp_path) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS = ROOT / "benchmarks" / "results"
+
+
+class TestCommittedResults:
+    """The committed baselines: every ``BENCH_*.json`` holds the rows
+    ``JsonReporter`` writes, and ``BENCH_e2e.json`` holds alternating
+    parent/change pairs of ``perfbench/run.py`` end-to-end metrics."""
+
+    def test_every_file_parses_to_rows(self):
+        files = sorted(RESULTS.glob("BENCH_*.json"))
+        assert RESULTS / "BENCH_e2e.json" in files
+        for path in files:
+            rows = json.loads(path.read_text())
+            assert isinstance(rows, list) and rows, path.name
+            for row in rows:
+                assert set(row) == {"bench", "config", "metric", "value"}
+                assert isinstance(row["bench"], str) and row["bench"]
+                assert isinstance(row["config"], dict)
+                assert isinstance(row["metric"], str) and row["metric"]
+                assert isinstance(row["value"], (int, float)), path.name
+
+    def test_e2e_rows_are_paired_benchmark_metrics(self):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        workloads = {w["name"] for w in spec["workloads"]}
+        metrics = {m["name"] for m in spec["end_to_end"]}
+        sides = defaultdict(set)
+        for row in json.loads((RESULTS / "BENCH_e2e.json").read_text()):
+            cfg = row["config"]
+            assert row["bench"] == "e2e"
+            assert set(cfg) == {
+                "workload", "seed", "seconds", "side", "commit", "base",
+                "pair", "nproc", "cpu_model", "python", "numpy",
+            }
+            assert cfg["workload"] in workloads
+            assert row["metric"] in metrics
+            assert cfg["side"] in ("parent", "change")
+            key = (cfg["base"], cfg["workload"], cfg["seed"],
+                   cfg["seconds"], cfg["pair"], row["metric"])
+            assert cfg["side"] not in sides[key], key
+            sides[key].add(cfg["side"])
+        assert sides
+        assert all(s == {"parent", "change"} for s in sides.values())
 
 
 class TestDiagonalVsDotOrdering:

@@ -106,7 +106,7 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "sharded cluster serving (2 graphs" in out
-        assert "verified bit-identical" in out
+        assert "verified: bfs/sssp by shortest-path certificate" in out
         assert "single" in out
         for placement in ("affinity", "least-loaded", "p2c"):
             assert placement in out

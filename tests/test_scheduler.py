@@ -308,12 +308,10 @@ class TestPoliciesAndReports:
         assert o.finish_ms == pytest.approx(o.launch_ms + o.service_ms)
         assert o.latency_ms == pytest.approx(o.queue_ms + o.service_ms)
         assert o.slo_met
-        assert o.baseline_ms is not None
         assert rep.makespan_ms == o.finish_ms
         assert 0 < rep.utilization <= 1.0
 
-    def test_unverified_run_has_no_baselines(self):
+    def test_unverified_run_reports_unverified(self):
         _, _, _, s = make_scheduler()
-        outcomes, rep = s.run([(0.0, "bfs", 2, 50.0)])
-        assert outcomes[0].baseline_ms is None
+        _, rep = s.run([(0.0, "bfs", 2, 50.0)])
         assert not rep.verified
