@@ -135,7 +135,11 @@ class B2SRMatrix:
         """The geometry both constructors validate: a supported tile
         dim, ``indptr`` delimiting every tile row's run from 0, one
         ``tile_dim``-word tile per stored index, every tile column in
-        range."""
+        range, and no set bit outside the matrix — past ``tile_dim`` in
+        a word (B2SR-4's high nibble), in a padding column of the last
+        tile column or in a padding row of the last tile row.  A stray
+        bit would count in ``nnz`` and feed a pull an entry the matrix
+        does not have."""
         if tile_dim not in TILE_DIMS:
             raise ValueError(f"tile_dim must be one of {TILE_DIMS}")
         n_tile_rows = (nrows + tile_dim - 1) // tile_dim
@@ -158,6 +162,17 @@ class B2SRMatrix:
             indices.min() < 0 or indices.max() >= n_tile_cols
         ):
             raise ValueError("tile column index out of range")
+        if tiles.dtype.kind in "iu" and tiles.dtype.itemsize * 8 > tile_dim:
+            if np.any(tiles >> tile_dim):
+                raise ValueError("set bit beyond tile_dim in a tile word")
+        if ncols % tile_dim:
+            edge = tiles[indices == n_tile_cols - 1]
+            if np.any(edge >> (ncols % tile_dim)):
+                raise ValueError("set bit in a padding column")
+        if nrows % tile_dim:
+            edge = tiles[indptr[-2]:, nrows % tile_dim:]
+            if np.any(edge):
+                raise ValueError("set bit in a padding row")
 
     @staticmethod
     def _own(arr: np.ndarray) -> np.ndarray:
@@ -294,6 +309,39 @@ class B2SRMatrix:
             self._tile_rows_cache = rows
         return self._tile_rows_cache
 
+    def set_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every set bit as ``(tile, row, col)`` — its stored tile and
+        its matrix coordinates — in row-major (CSR) order, all ``intp``.
+
+        Only the nonzero words are expanded.  One stable sort orders
+        them by output row; ties keep tile order, which within a tile
+        row is column order.  Each word then unpacks LSB-first, column
+        order again.  Work and scratch scale with the set words (one
+        byte per bit of the storage word) and bits, not with the
+        ``n_tiles · d²`` cells: the paper's point that a tile's
+        connectivity lives in its few set bits (§III.C).
+        """
+        d = self.tile_dim
+        words = self.tiles.ravel()
+        # Boolean masks take NumPy's fast nonzero path; integer and
+        # 2-D inputs take a generic one several times slower.
+        w = np.flatnonzero(words != 0)
+        t, r = np.divmod(w, d)
+        wrow = self.tile_row_of()[t] * d + r
+        order = np.argsort(wrow, kind="stable")
+        w, t, wrow = w[order], t[order], wrow[order]
+        le = words[w].astype(words.dtype.newbyteorder("<"), copy=False)
+        # Word i's bit j lands at i · width + j.
+        bits = np.unpackbits(le.view(np.uint8), bitorder="little")
+        e, c = np.divmod(np.flatnonzero(bits.view(bool)), 8 * words.itemsize)
+        tile = t[e]
+        col = self.indices[tile] * d + c
+        return (
+            tile,
+            wrow[e].astype(np.intp, copy=False),
+            col.astype(np.intp, copy=False),
+        )
+
     def plan(self) -> "object":
         """The memoized :class:`repro.kernels.plan.SweepPlan` for this
         matrix — every launch-invariant precomputation the BMV/BMM
@@ -416,9 +464,9 @@ class B2SRMatrix:
         tr = np.asarray(tile_rows, dtype=np.int64)
         tc = np.asarray(tile_cols, dtype=np.int64)
         if packed:
-            words = np.asarray(
-                dense_tiles, dtype=dtype_for_width(tile_dim)
-            )
+            # The caller's dtype is kept, so the constructor's geometry
+            # check sees every bit before the cast to the stored width.
+            words = np.asarray(dense_tiles)
             if words.ndim == 1:
                 words = words[None, :]
             if words.ndim != 2 or words.shape[1] != tile_dim:

@@ -140,20 +140,17 @@ def b2sr_from_dense(dense: np.ndarray, tile_dim: int) -> B2SRMatrix:
 
 
 def csr_from_b2sr(mat: B2SRMatrix) -> CSRMatrix:
-    """B2SR → CSR with unit values (round-trip / baseline-comparison path)."""
-    d = mat.tile_dim
-    if mat.n_tiles == 0:
-        return CSRMatrix.empty(mat.nrows, mat.ncols)
-    shifts = np.arange(d, dtype=np.uint64)
-    words = mat.tiles.astype(np.uint64)
-    bits = ((words[:, :, None] >> shifts) & np.uint64(1)).astype(bool)
-    t_idx, r_idx, c_idx = np.nonzero(bits)
-    trows = mat.tile_row_of()
-    rows = trows[t_idx] * d + r_idx
-    cols = mat.indices[t_idx] * d + c_idx
-    keep = (rows < mat.nrows) & (cols < mat.ncols)
-    coo = COOMatrix(mat.nrows, mat.ncols, rows[keep], cols[keep])
-    return csr_from_coo(coo)
+    """B2SR → CSR with unit values (round-trip / baseline-comparison path).
+
+    :meth:`B2SRMatrix.set_bits` lists the bits in CSR order already, so
+    its columns are the CSR's indices as they stand."""
+    _, rows, cols = mat.set_bits()
+    indptr = np.zeros(mat.nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=mat.nrows), out=indptr[1:])
+    return CSRMatrix(
+        mat.nrows, mat.ncols, indptr, cols,
+        np.ones(cols.size, dtype=np.float32),
+    )
 
 
 def bsr_from_csr(csr: CSRMatrix, block_dim: int) -> BSRMatrix:

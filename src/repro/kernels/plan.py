@@ -16,11 +16,15 @@ overhead dominates the host wall-clock.
   folds each output row in exactly one chunk, at the boundaries the
   seed's semiring kernels used (their float folds depend on them);
 * **set-bit index** (:class:`SetBitIndex`) — every stored bit's
-  padded-operand position, ordered by output row, with the row-run
-  starts, the output rows and each entry's owning tile.  The idempotent
-  semirings (min-plus, min-second, max-times, boolean) pull through it:
-  ``out[rows] = add_reduceat(m[icol], starts)`` touches only the stored
-  bits, O(nnz·k) instead of the dense tile expansion's O(tiles·d²·k);
+  padded-operand position in the matrix's CSR order (by output row,
+  then column), with the row-run starts, the output rows and each
+  entry's owning tile.  The idempotent semirings (min-plus, min-second,
+  max-times, boolean) pull through it: ``out[rows] = add_reduceat(
+  m[icol], starts)`` touches only the stored bits, O(nnz·k) instead of
+  the dense tile expansion's O(tiles·d²·k).  It is built from the
+  nonzero words alone (:meth:`B2SRMatrix.set_bits`), in O(tiles·d + set
+  words·d) time with scratch bounded by the set words and bits, so a
+  rebuild at every epoch swap stays cheap;
 * **masked gather** — the dense semiring sweep's one cache: per chunk,
   each tile cell's padded-operand position where its bit is set, else
   an identity sentinel (:meth:`SweepPlan.masked_gather`), under a byte
@@ -169,18 +173,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SetBitIndex:
-    """Every stored bit of a matrix, ordered by output row.
+    """Every stored bit of a matrix, in the matrix's CSR order.
 
     Entry ``e`` is set bit ``(r, c)`` of stored tile ``tile[e]``:
     ``icol[e] = indices[tile[e]]·d + c`` is its position in the padded
     value operand and ``irow[e] = trow·d + r`` its output row.  Entries
-    are sorted by ``irow``; ``starts`` opens each run of one output row
-    and ``rows`` names it.  An idempotent pull over the multiplied
-    operand ``m`` is then one gather and one segment fold::
+    are sorted by ``irow`` and, within a row, by ``icol`` — exactly
+    ``np.nonzero(A.to_dense())``; ``starts`` opens each run of one
+    output row and ``rows`` names it.  An idempotent pull over the
+    multiplied operand ``m`` is then one gather and one segment fold::
 
         out[rows] = semiring.add_reduceat(m[icol], starts)
 
-    All arrays are ``intp`` and read-only.
+    All arrays are ``intp`` and read-only.  The geometry check keeps
+    every bit inside the matrix, so ``icol.size == A.nnz``.
     """
 
     icol: np.ndarray
@@ -195,32 +201,17 @@ class SetBitIndex:
     )
 
     @classmethod
-    def build(
-        cls, A: "B2SRMatrix", chunks: tuple[SweepChunk, ...]
-    ) -> "SetBitIndex":
-        """Unpack ``A`` one row-aligned chunk at a time (bounded
-        scratch) and sort each chunk's bits by output row; row-aligned
-        chunks hold whole tile rows, so the concatenation is sorted."""
-        d = A.tile_dim
-        trows_all = A.tile_row_of()
-        empty = np.zeros(0, dtype=np.intp)
-        icols, irows, owners = [empty], [empty], [empty]
-        for ch in chunks:
-            t, r, c = np.nonzero(
-                unpack_bits_rowmajor(A.tiles[ch.lo:ch.hi], d)
-            )
-            t = t + ch.lo
-            irow = trows_all[t] * d + r
-            order = np.argsort(irow, kind="stable")
-            icols.append((A.indices[t] * d + c)[order])
-            irows.append(irow[order])
-            owners.append(t[order])
-        irow = np.concatenate(irows).astype(np.intp, copy=False)
+    def build(cls, A: "B2SRMatrix") -> "SetBitIndex":
+        """Index ``A``'s set bits (:meth:`B2SRMatrix.set_bits`), which
+        arrive in CSR order, and delimit their row runs.  Only the
+        nonzero words are expanded, so time and scratch scale with the
+        set words and bits, not with the ``n_tiles · d²`` tile cells."""
+        tile, irow, icol = A.set_bits()
         starts = run_starts(irow).astype(np.intp)
         return cls(
-            icol=_freeze(np.concatenate(icols).astype(np.intp, copy=False)),
+            icol=_freeze(icol),
             irow=_freeze(irow),
-            tile=_freeze(np.concatenate(owners).astype(np.intp, copy=False)),
+            tile=_freeze(tile),
             starts=_freeze(starts),
             rows=_freeze(irow[starts]),
         )
@@ -346,7 +337,7 @@ class SweepPlan:
     def bit_index(self) -> SetBitIndex:
         """The matrix's :class:`SetBitIndex`, built once on first use."""
         if self._bit_index is None:
-            self._bit_index = SetBitIndex.build(self.matrix, self.chunks(1))
+            self._bit_index = SetBitIndex.build(self.matrix)
         return self._bit_index
 
     def adopt_bit_index(self, arrays: dict[str, np.ndarray]) -> None:

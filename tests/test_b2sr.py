@@ -105,6 +105,57 @@ class TestGeometry:
                     np.zeros((1, 8), dtype=np.uint8),
                 )
 
+    #: One bit outside the matrix of each kind, beside the stored edge
+    #: (0, 1) of a one-tile matrix: ``(nrows, ncols, tile_dim, tile row,
+    #: stray word bits, message)``.
+    STRAY_BITS = {
+        "beyond_tile_dim": (8, 8, 4, 0, 1 << 4, "beyond tile_dim"),
+        "padding_column": (6, 6, 8, 2, 1 << 7, "padding column"),
+        "padding_row": (6, 6, 8, 7, 1 << 1, "padding row"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STRAY_BITS))
+    def test_stray_bits_rejected(self, kind):
+        """A bit outside the matrix counted in ``nnz`` and reached the
+        pulls as an edge: with a stray bit at (2, 7) of a 6×6 B2SR-8
+        matrix, a min-plus pull read the operand's +0.0 padding through
+        it.  All three constructors reject each kind; the same tile
+        without the stray bit is accepted."""
+        nrows, ncols, d, row, stray, message = self.STRAY_BITS[kind]
+        edge = np.zeros((1, d), dtype=np.uint8)
+        edge[0, 0] = 0b10
+        tiles = edge.copy()
+        tiles[0, row] |= stray
+        indptr = np.ones((nrows + d - 1) // d + 1, dtype=np.int64)
+        indptr[0] = 0
+        zero = np.zeros(1, dtype=np.int64)
+        makers = (
+            lambda words: B2SRMatrix(nrows, ncols, d, indptr, zero, words),
+            lambda words: B2SRMatrix.from_tiles(
+                nrows, ncols, d, zero, zero, words, packed=True
+            ),
+            lambda words: from_frozen_views(
+                nrows, ncols, d, indptr, zero, words
+            ),
+        )
+        for make in makers:
+            with pytest.raises(ValueError, match=message):
+                make(tiles)
+            mat = make(edge)
+            assert mat.nnz == 1 and mat.to_dense()[0, 1] == 1
+
+    def test_wide_words_checked_before_narrowing(self):
+        """Words handed over in a wider dtype than the stored one are
+        checked before the cast, so a high bit cannot wrap away and
+        leave a stored tile with no set bit."""
+        words = np.zeros((1, 8), dtype=np.uint16)
+        words[0, 0] = 1 << 8
+        zero = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="beyond tile_dim"):
+            B2SRMatrix(8, 8, 8, np.array([0, 1]), zero, words)
+        with pytest.raises(ValueError, match="beyond tile_dim"):
+            B2SRMatrix.from_tiles(8, 8, 8, zero, zero, words, packed=True)
+
 
 class TestConversion:
     @pytest.mark.parametrize("d", TILE_DIMS)
@@ -116,10 +167,16 @@ class TestConversion:
 
     @pytest.mark.parametrize("d", TILE_DIMS)
     def test_csr_roundtrip(self, d):
-        dense = random_dense(75, seed=d)
-        csr = csr_from_dense(dense)
-        back = csr_from_b2sr(b2sr_from_csr(csr, d))
-        assert np.array_equal(back.to_dense(), dense)
+        """Square, rectangular and non-multiple shapes, down to one
+        row or column, round-trip to the identical CSR arrays."""
+        for nrows, ncols in ((75, 75), (37, 90), (90, 37), (1, 33), (33, 1)):
+            dense = random_dense(nrows, ncols, seed=d)
+            csr = csr_from_dense(dense)
+            back = csr_from_b2sr(b2sr_from_csr(csr, d))
+            assert back.shape == csr.shape, (nrows, ncols)
+            assert np.array_equal(back.indptr, csr.indptr), (nrows, ncols)
+            assert np.array_equal(back.indices, csr.indices), (nrows, ncols)
+            assert np.array_equal(back.to_dense(), dense), (nrows, ncols)
 
     def test_nnz_matches(self):
         dense = random_dense(50, seed=5)

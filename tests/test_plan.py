@@ -8,9 +8,12 @@ stale because B2SR is immutable.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.bitops.packing as packing_mod
 from repro.bitops.packing import (
@@ -23,14 +26,23 @@ from repro.bitops.segreduce import (
     SequentialFoldPlan,
     segment_sum_sequential,
 )
-from repro.datasets.generators import diagonal_pattern
+from repro.datasets.generators import (
+    diagonal_pattern,
+    hybrid_pattern,
+    rmat_graph,
+)
 from repro.engines import BitEngine
 from repro.formats.b2sr import TILE_DIMS
-from repro.formats.convert import b2sr_from_dense
+from repro.formats.convert import b2sr_from_csr, b2sr_from_dense
 import repro.kernels.plan as plan_mod
 from repro.kernels import bmv, planless
 from repro.kernels.costmodel import BMV_SCHEMES, bmv_stats
-from repro.kernels.plan import SweepPlan, value_activity, word_activity
+from repro.kernels.plan import (
+    SetBitIndex,
+    SweepPlan,
+    value_activity,
+    word_activity,
+)
 from repro.gpusim.device import GTX1080
 from repro.semiring import ARITHMETIC, MIN_PLUS, SEMIRINGS
 
@@ -388,24 +400,71 @@ class TestPlanReuse:
         assert plan.bits_cached_bytes > 0
         assert bitwise_equal(got, planless.bmv_bin_full_full(A, x))
 
-    def test_set_bit_index_lists_every_stored_bit(self):
-        A, dense, _ = build(n=77, d=8, density=0.2, seed=14)
+    @given(
+        d=st.sampled_from(TILE_DIMS),
+        row_tiles=st.integers(0, 3),
+        col_tiles=st.integers(0, 3),
+        row_rem=st.integers(1, 31),
+        col_rem=st.integers(1, 31),
+        density=st.sampled_from((0.0, 0.03, 0.5, 1.0)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(d=4, row_tiles=3, col_tiles=2, row_rem=2, col_rem=3,
+             density=1.0, seed=0)  # all ones
+    @example(d=32, row_tiles=0, col_tiles=2, row_rem=5, col_rem=31,
+             density=0.0, seed=0)  # empty
+    @settings(max_examples=60, deadline=None)
+    def test_set_bit_index_lists_every_stored_bit(
+        self, d, row_tiles, col_tiles, row_rem, col_rem, density, seed
+    ):
+        """The index lists the matrix's nonzeros in row-major order,
+        each with its owning tile and its row run, in frozen ``intp``
+        arrays — on shapes that leave padding rows and columns."""
+        # 1 to d - 1 rows and columns past the last whole tile.
+        nrows = row_tiles * d + 1 + (row_rem - 1) % (d - 1)
+        ncols = col_tiles * d + 1 + (col_rem - 1) % (d - 1)
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((nrows, ncols)) < density).astype(np.float32)
+        A = b2sr_from_dense(dense, d)
         ix = A.plan().bit_index
         assert ix.icol.size == A.nnz
-        # Sorted by output row, runs delimited exactly.
-        assert np.all(np.diff(ix.irow) >= 0)
-        assert np.array_equal(ix.rows, np.unique(ix.irow))
-        assert np.array_equal(ix.irow[ix.starts], ix.rows)
-        # Every entry is a stored bit of its owning tile, and the
-        # (row, col) pairs are exactly the matrix's nonzeros.
-        d = A.tile_dim
-        assert np.array_equal(A.indices[ix.tile], ix.icol // d)
-        assert np.array_equal(A.tile_row_of()[ix.tile], ix.irow // d)
-        got = sorted(zip(ix.irow.tolist(), ix.icol.tolist()))
-        want = sorted(zip(*(a.tolist() for a in np.nonzero(dense))))
-        assert got == want
+        irow, icol = np.nonzero(A.to_dense())
+        assert np.array_equal(ix.irow, irow)
+        assert np.array_equal(ix.icol, icol)
+        keys = A.tile_row_of() * A.n_tile_cols + A.indices
+        tiles = np.searchsorted(keys, irow // d * A.n_tile_cols + icol // d)
+        assert np.array_equal(ix.tile, tiles)
+        rows, starts = np.unique(irow, return_index=True)
+        assert np.array_equal(ix.starts, starts)
+        assert np.array_equal(ix.rows, rows)
         for name in ix.FIELDS:
-            assert not getattr(ix, name).flags.writeable
+            arr = getattr(ix, name)
+            assert arr.dtype == np.intp
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "graph",
+        (
+            pytest.param(lambda: rmat_graph(11), id="rmat_graph(11)"),
+            # bench_dynamic's swap graph: 3625 stored tiles at d=32.
+            pytest.param(
+                lambda: hybrid_pattern(2048, seed=2),
+                id="hybrid_pattern(2048, seed=2)",
+            ),
+        ),
+    )
+    def test_set_bit_index_scratch_is_bounded_by_set_words(self, graph):
+        """Building the index expands only the nonzero words, so its
+        peak allocation stays within 5× the index it returns; unpacking
+        every tile cell peaked at 31–37× on these graphs."""
+        A = b2sr_from_csr(graph().csr, 32)
+        tracemalloc.start()
+        try:
+            index = SetBitIndex.build(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * index.nbytes, peak / index.nbytes
 
     def test_registry_entry_owns_warm_plans(self):
         g = diagonal_pattern(128, bandwidth=2, seed=1)
