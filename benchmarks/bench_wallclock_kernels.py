@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.bitops.packing import pack_bitmatrix, pack_bitvector
+from repro.bitops.packing import (
+    pack_bitmatrix,
+    pack_bitvector,
+    unpack_bitmatrix,
+)
 from repro.datasets.generators import block_pattern, diagonal_pattern
 from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
@@ -98,6 +102,24 @@ def test_wallclock_bmv_bin_bin_bin_multi_masked(
         json_report, benchmark, "bmv_bin_bin_bin_multi_masked",
         k=k, skip=skip,
     )
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_wallclock_pack_bitmatrix(benchmark, json_report, k):
+    """The engine's batched frontier packing: k BFS frontiers over 4096
+    vertices into d=32 words."""
+    X = np.random.default_rng(k).random((4096, k)) < 0.05
+    benchmark(pack_bitmatrix, X, 32)
+    emit_benchmark(json_report, benchmark, "pack_bitmatrix", n=4096, k=k)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_wallclock_unpack_bitmatrix(benchmark, json_report, k):
+    """The inverse: a packed batched BFS result back to (n, k) bits."""
+    X = np.random.default_rng(k).random((4096, k)) < 0.05
+    words = pack_bitmatrix(X, 32)
+    benchmark(unpack_bitmatrix, words, 32, 4096)
+    emit_benchmark(json_report, benchmark, "unpack_bitmatrix", n=4096, k=k)
 
 
 def test_wallclock_bmv_bin_full_full(benchmark, banded, json_report):

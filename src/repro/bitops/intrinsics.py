@@ -46,6 +46,50 @@ def mask_for_width(width: int) -> int:
     return (1 << width) - 1
 
 
+def _pack_lanes(bits: np.ndarray, width: int) -> np.ndarray:
+    """Pack the ``width`` lanes of the last axis into one word each.
+
+    Lane ``N`` lands in bit ``N`` (nonzero counts as set): the body of
+    :func:`ballot_sync` and of every packing codec in
+    :mod:`repro.bitops.packing`.  ``np.packbits`` packs the lanes into
+    little-endian bytes, zero bytes pad them to the word's itemsize, and
+    the bytes are read as little-endian words of
+    :func:`dtype_for_width` — so a narrow width such as B2SR-4's nibble
+    keeps zeros in its unused high bits.
+    """
+    dt = dtype_for_width(width)
+    if bits.dtype != np.bool_:
+        bits = bits != 0
+    # A strided input (a swapped-axes view) packs to a strided result.
+    packed = np.ascontiguousarray(
+        np.packbits(bits, axis=-1, bitorder="little")
+    )
+    nbytes = packed.shape[-1]
+    if nbytes < dt.itemsize:
+        padded = np.zeros(packed.shape[:-1] + (dt.itemsize,), np.uint8)
+        padded[..., :nbytes] = packed
+        packed = padded
+    return packed.view(dt.newbyteorder("<"))[..., 0].astype(dt, copy=False)
+
+
+def _unpack_lanes(words: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_lanes` for a packed operand: ``(nwords,)``
+    or ``(nwords, k)`` words become uint8 0/1 lanes of shape
+    ``(nwords, width[, k])``, so lane ``N`` of word row ``w`` is entry
+    ``w·width + N``.  Bits at or above ``width`` are ignored.
+
+    The lanes go on axis 1 rather than last: ``np.unpackbits`` along the
+    byte axis of the transposed ``(nwords, itemsize, k)`` view is faster
+    than unpacking lanes last and transposing the bits.
+    """
+    dt = dtype_for_width(width).newbyteorder("<")
+    w = np.ascontiguousarray(words, dtype=dt)
+    octets = w.view(np.uint8).reshape(w.shape + (dt.itemsize,))
+    return np.unpackbits(
+        np.swapaxes(octets, 1, -1), axis=1, count=width, bitorder="little"
+    )
+
+
 def popc(x: np.ndarray | int) -> np.ndarray | int:
     """Population count (``__popc``): number of set bits per element.
 
@@ -99,10 +143,7 @@ def ballot_sync(pred: np.ndarray, width: int = WARP_SIZE) -> np.ndarray | int:
             f"last axis must have length {width} (one predicate per lane), "
             f"got shape {arr.shape}"
         )
-    bits = (arr != 0).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    word = (bits * weights).sum(axis=-1, dtype=np.uint64)
-    word = word.astype(dtype_for_width(width))
+    word = _pack_lanes(arr, width)
     if word.ndim == 0:
         return int(word)
     return word

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitops.intrinsics import dtype_for_width
+from repro.bitops.intrinsics import _pack_lanes, _unpack_lanes
 
 _VALID_DIMS = (4, 8, 16, 32)
 
@@ -64,10 +64,7 @@ def pack_bits_rowmajor(tiles: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (..., d, d) tiles, got shape {arr.shape}")
     d = arr.shape[-1]
     _check_dim(d)
-    bits = (arr != 0).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(d, dtype=np.uint64)
-    words = (bits * weights).sum(axis=-1, dtype=np.uint64)
-    return words.astype(dtype_for_width(d))
+    return _pack_lanes(arr, d)
 
 
 def pack_bits_colmajor(tiles: np.ndarray) -> np.ndarray:
@@ -125,12 +122,9 @@ def pack_bitvector(x: np.ndarray, tile_dim: int) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     n = v.shape[0]
     nwords = (n + tile_dim - 1) // tile_dim
-    bits = np.zeros(nwords * tile_dim, dtype=np.uint64)
+    bits = np.zeros(nwords * tile_dim, dtype=bool)
     bits[:n] = v != 0
-    bits = bits.reshape(nwords, tile_dim)
-    weights = np.uint64(1) << np.arange(tile_dim, dtype=np.uint64)
-    words = (bits * weights).sum(axis=1, dtype=np.uint64)
-    return words.astype(dtype_for_width(tile_dim))
+    return _pack_lanes(bits.reshape(nwords, tile_dim), tile_dim)
 
 
 def unpack_bitvector(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
@@ -143,7 +137,7 @@ def unpack_bitvector(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
     different ``tile_dim`` than the caller is unpacking at.
     """
     _check_dim(tile_dim)
-    arr = np.asarray(words, dtype=np.uint64)
+    arr = np.asarray(words)
     if arr.ndim != 1:
         raise ValueError(f"expected 1-D packed words, got shape {arr.shape}")
     nwords = (n + tile_dim - 1) // tile_dim
@@ -152,9 +146,7 @@ def unpack_bitvector(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
             f"packed vector must hold exactly {nwords} words of {tile_dim} "
             f"bits for {n} entries, got {arr.shape[0]} words"
         )
-    shifts = np.arange(tile_dim, dtype=np.uint64)
-    bits = ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return bits.reshape(-1)[:n]
+    return _unpack_lanes(arr, tile_dim).reshape(-1)[:n]
 
 
 def plane_count(k: int, tile_dim: int) -> int:
@@ -205,12 +197,14 @@ def pack_bitmatrix(x: np.ndarray, tile_dim: int) -> np.ndarray:
         raise ValueError(f"expected an (n, k) matrix, got shape {v.shape}")
     n, k = v.shape
     nwords = (n + tile_dim - 1) // tile_dim
-    bits = np.zeros((nwords * tile_dim, k), dtype=np.uint64)
+    bits = np.zeros((nwords * tile_dim, k), dtype=bool)
     bits[:n] = v != 0
-    bits = bits.reshape(nwords, tile_dim, k)
-    weights = np.uint64(1) << np.arange(tile_dim, dtype=np.uint64)
-    words = (bits * weights[None, :, None]).sum(axis=1, dtype=np.uint64)
-    return words.astype(dtype_for_width(tile_dim))
+    # Lanes last and contiguous: packing over the strided (nwords, d, k)
+    # view is slower than this copy plus a contiguous pack.
+    lanes = np.ascontiguousarray(
+        bits.reshape(nwords, tile_dim, k).transpose(0, 2, 1)
+    )
+    return _pack_lanes(lanes, tile_dim)
 
 
 def unpack_bitmatrix(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
@@ -221,7 +215,7 @@ def unpack_bitmatrix(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
     ``ceil(n / tile_dim)``.
     """
     _check_dim(tile_dim)
-    arr = np.asarray(words, dtype=np.uint64)
+    arr = np.asarray(words)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D packed words, got shape {arr.shape}")
     nwords = (n + tile_dim - 1) // tile_dim
@@ -230,11 +224,8 @@ def unpack_bitmatrix(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
             f"packed matrix must hold exactly {nwords} word rows of "
             f"{tile_dim} bits for {n} entries, got {arr.shape[0]}"
         )
-    shifts = np.arange(tile_dim, dtype=np.uint64)
-    bits = ((arr[:, None, :] >> shifts[None, :, None]) & np.uint64(1)).astype(
-        np.uint8
-    )
-    return bits.reshape(-1, arr.shape[1])[:n]
+    bits = _unpack_lanes(arr, tile_dim)  # (nwords, d, k)
+    return bits.reshape(nwords * tile_dim, arr.shape[1])[:n]
 
 
 def nibble_pack(rows: np.ndarray) -> np.ndarray:

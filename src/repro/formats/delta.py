@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitops.intrinsics import dtype_for_width
+from repro.bitops.segreduce import run_starts
 from repro.formats.b2sr import B2SRMatrix, TILE_DIMS
 from repro.formats.csr import CSRMatrix
 from repro.graph import Graph, csr_row_indices
@@ -153,11 +154,22 @@ def as_edge_array(
     return arr
 
 
+def _unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an edit-sized key array.
+
+    Sort, then keep each run's first key.  Plain ``np.unique`` first
+    evaluates ``np.ma.is_masked``, which imports ``numpy.ma`` (about
+    14 ms cold) at a serving process's first epoch swap.
+    """
+    ordered = np.sort(keys)
+    return ordered[run_starts(ordered)]
+
+
 def _edge_keys(edges: np.ndarray, ncols: int) -> np.ndarray:
     """Unique sorted flat keys ``row * ncols + col`` of an edge array."""
     if edges.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(edges[:, 0] * np.int64(ncols) + edges[:, 1])
+    return _unique_keys(edges[:, 0] * np.int64(ncols) + edges[:, 1])
 
 
 def _keys_to_edges(keys: np.ndarray, ncols: int) -> np.ndarray:
@@ -322,7 +334,7 @@ def delta_b2sr(
         return base, stats
 
     edits = np.concatenate([dels, ins])
-    touched = np.unique((edits[:, 0] // d) * ntc + edits[:, 1] // d)
+    touched = _unique_keys((edits[:, 0] // d) * ntc + edits[:, 1] // d)
 
     # Stored tiles in the touched set are rebuilt; the rest are carried.
     slot_of_stored, existing = _lookup(touched, stored_keys)

@@ -30,7 +30,8 @@ participates in every join/absorb check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from collections.abc import Callable
 
 from repro.serving.arrivals import LANES, Arrival
@@ -52,6 +53,11 @@ class Batch:
     crashes mid-flight the router withdraws the launch, bumps this
     counter, and re-admits the batch (still on its admitted version)
     until the retry budget runs out and its queries fail closed.
+
+    ``min_deadline_ms`` is the earliest member deadline: :meth:`add`
+    keeps it current, and code that removes members calls
+    :meth:`reset_min_deadline`.  A refresh reads it instead of scanning
+    the members.
     """
 
     kind: str
@@ -63,6 +69,21 @@ class Batch:
     sid: int | None = None
     version: int = 0
     retries: int = 0
+    min_deadline_ms: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.reset_min_deadline()
+
+    def add(self, seq: int, arrival: Arrival) -> None:
+        """Append a member: a join, or a rider absorbed into a launch."""
+        self.members.append((seq, arrival))
+        self.min_deadline_ms = min(self.min_deadline_ms, arrival.deadline_ms)
+
+    def reset_min_deadline(self) -> None:
+        """Recompute ``min_deadline_ms`` from the members."""
+        self.min_deadline_ms = min(
+            (a.deadline_ms for _, a in self.members), default=math.inf
+        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +140,7 @@ class AdmissionPolicy:
                     and len(b.members) < ctx.max_batch
                     and (not self.lanes or b.lane == arrival.lane)
                 ):
-                    b.members.append((seq, arrival))
+                    b.add(seq, arrival)
                     self.refresh(open_batches, ctx)
                     return 1
         open_batches.append(
@@ -161,9 +182,10 @@ class AdmissionPolicy:
                 b.launch_at = b.created_ms
                 continue
             reserve = (total_est - ests[id(b)]) / ctx.n_servers
-            slack = min(
-                a.deadline_ms - ctx.slack_factor * ests[id(b)] - reserve
-                for _, a in b.members
+            # Subtracting constants is monotone under round-to-nearest,
+            # so this equals the minimum of each member's own slack.
+            slack = (
+                b.min_deadline_ms - ctx.slack_factor * ests[id(b)] - reserve
             )
             b.launch_at = max(b.created_ms, slack)
 
@@ -197,11 +219,13 @@ class AdmissionPolicy:
         moved = 0
         for _, seq, a, donor in candidates[:room]:
             donor.members.remove((seq, a))
-            batch.members.append((seq, a))
+            batch.add(seq, a)
             moved += 1
         for donor in donors:
             if not donor.members:
                 open_batches.remove(donor)
+            else:
+                donor.reset_min_deadline()
         if moved:
             self.refresh(open_batches, ctx)
         return moved

@@ -14,9 +14,15 @@ The headline contracts:
   order, and the registry is left untouched.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets.generators import hybrid_pattern, road_pattern
 from repro.serving import (
     GraphRegistry,
@@ -38,6 +44,23 @@ def make_store(sizes=(200, 160), tile_dim=16, max_batch=32):
         g = builders[i % len(builders)](n, seed=3 + i)
         store.add(f"g{i}", g, tile_dim=tile_dim)
     return store
+
+
+#: Registers a graph, prints whether ``numpy.ma`` is loaded, applies one
+#: mutation (inserts and deletes) and prints it again.
+MUTATE_ONCE = """
+import sys
+import numpy as np
+from repro.datasets.generators import hybrid_pattern
+from repro.serving import GraphRegistry
+reg = GraphRegistry(max_batch=32)
+reg.add("g0", hybrid_pattern(120, seed=1), tile_dim=16)
+print("numpy.ma" in sys.modules)
+rng = np.random.default_rng(0)
+edges = rng.integers(0, 120, size=(10, 2))
+reg.mutate("g0", edges[:6], edges[6:])
+print("numpy.ma" in sys.modules)
+"""
 
 
 def delta_for(store, name, seed=0, inserts=6, deletes=4):
@@ -136,6 +159,18 @@ class TestGraphStore:
         report = Ingester(reg).run(trace)
         assert report.applied == 2
         assert reg.versions("g0") == (0, 1, 2, 3, 4)
+
+    def test_mutate_does_not_import_numpy_ma(self):
+        """An epoch swap runs inside a measured ``Router.run``; plain
+        ``np.unique`` would import ``numpy.ma`` there on first use."""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", MUTATE_ONCE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"], proc.stdout
 
     def test_mutate_unknown_graph(self):
         store = make_store(sizes=(100,))

@@ -10,11 +10,13 @@ from repro.datasets.generators import hybrid_pattern
 from repro.serving import (
     POLICIES,
     Arrival,
+    FaultPlan,
     GraphRegistry,
     Router,
     poisson_stream,
     trace_stream,
 )
+from repro.serving.admission import AdmissionPolicy
 
 
 def make_scheduler(
@@ -315,3 +317,111 @@ class TestPoliciesAndReports:
         _, _, _, s = make_scheduler()
         _, rep = s.run([(0.0, "bfs", 2, 50.0)])
         assert not rep.verified
+
+
+class TestIncrementalDeadlines:
+    """``refresh`` reads each batch's kept minimum deadline; after every
+    real refresh, the launch deadlines must equal the min-over-members
+    formula it replaced, float for float."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Wrap ``refresh`` with the old formula as a check, and
+        ``absorb`` to record what happened to each donor."""
+        seen = {"checked": 0, "kept": 0, "emptied": 0}
+        real_refresh = AdmissionPolicy.refresh
+        real_absorb = AdmissionPolicy.absorb
+
+        def refresh(self, open_batches, ctx):
+            real_refresh(self, open_batches, ctx)
+            if not self.slo_aware:
+                return
+            ests = {id(b): ctx.estimate(b) for b in open_batches}
+            total_est = sum(ests.values())
+            for b in open_batches:
+                if b.lane == "urgent":
+                    continue
+                reserve = (total_est - ests[id(b)]) / ctx.n_servers
+                slack = min(
+                    a.deadline_ms - ctx.slack_factor * ests[id(b)] - reserve
+                    for _, a in b.members
+                )
+                assert b.launch_at == max(b.created_ms, slack)
+                seen["checked"] += 1
+
+        def absorb(self, batch, open_batches, ctx):
+            before = [
+                (b, len(b.members)) for b in open_batches if b is not batch
+            ]
+            moved = real_absorb(self, batch, open_batches, ctx)
+            for b, width in before:
+                if b not in open_batches:
+                    seen["emptied"] += 1
+                elif len(b.members) < width:
+                    seen["kept"] += 1
+            return moved
+
+        monkeypatch.setattr(AdmissionPolicy, "refresh", refresh)
+        monkeypatch.setattr(AdmissionPolicy, "absorb", absorb)
+        return seen
+
+    @staticmethod
+    def mixed_budget_stream(seed):
+        """Dense BFS traffic, a third of it urgent, with each bulk
+        budget drawn from 2–8 ms so a later join can carry an earlier
+        deadline than the batch it joins."""
+        rng = np.random.default_rng(seed)
+        base = poisson_stream(
+            200, requests=60, rate_qps=20000, mix=(1.0, 0.0, 0.0),
+            slo_ms=5.0, urgent_slo_ms=1.0, urgent_fraction=0.3, seed=seed,
+        )
+        return [
+            Arrival(
+                a.time_ms, a.kind, a.source,
+                a.slo_ms if a.lane == "urgent" else rng.uniform(2.0, 8.0),
+                a.lane,
+            )
+            for a in base
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_joins_and_absorption(self, seen, seed):
+        """Bulk batches fill by mid-flight joins, and urgent launches
+        absorb bulk riders, leaving some donors short and emptying
+        others."""
+        _, _, _, s = make_scheduler(max_batch=4)
+        _, rep = s.run(self.mixed_budget_stream(seed), verify=False)
+        assert rep.served == 60 and rep.joins > 0
+        assert seen["checked"] > 0
+        assert seen["kept"] > 0 and seen["emptied"] > 0
+
+    def test_crash_requeue(self, seen):
+        """A batch re-admitted after its server crashed mid-flight keeps
+        its members' minimum deadline."""
+        g = hybrid_pattern(200, seed=4)
+        registry = GraphRegistry(max_batch=8)
+        registry.add("g", g, tile_dim=16)
+        router = Router(registry, n_servers=2, seed=0)
+        stream = poisson_stream(
+            200, requests=48, rate_qps=20000, urgent_fraction=0.2, seed=5,
+        )
+        base = registry.estimator_state()
+        baseline, _ = router.run(
+            stream, placement="least-loaded", verify=False
+        )
+        lo, hi = max(
+            (
+                (o.launch_ms, o.finish_ms) for o in baseline
+                if o.server == 1 and o.finish_ms > o.launch_ms
+            ),
+            key=lambda w: w[1] - w[0],
+        )
+        registry.restore_estimator_state(base)
+        seen["checked"] = 0
+        plan = FaultPlan().crash(1, at=(lo + hi) / 2).recover(1, at=hi + 5.0)
+        outcomes, rep = router.run(
+            stream, placement="least-loaded", faults=plan, verify=False
+        )
+        assert rep.requeues >= 1 and rep.failed == 0
+        assert any(o.retries > 0 for o in outcomes)
+        assert seen["checked"] > 0
