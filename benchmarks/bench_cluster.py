@@ -118,7 +118,6 @@ def _sweep():
     # registry is shared across runs so the verification singles are
     # memoized once per distinct query (the engines are deterministic).
     registry = _registry(3)
-    base_estimates = registry.estimator_state()
     for rate in RATES_QPS:
         stream = _stream(registry, rate, REQUESTS)
         for n_servers in (1, 2, 3):
@@ -127,8 +126,6 @@ def _sweep():
                 ("affinity",) if n_servers == 1 else tuple(PLACEMENTS)
             )
             for placement in placements:
-                # Equal conditions per cell: identical estimator state.
-                registry.restore_estimator_state(base_estimates)
                 _, rep = router.run(
                     stream, placement=placement, verify=True
                 )
@@ -136,11 +133,9 @@ def _sweep():
     # --- the graphs dimension: two graphs at proportional aggregate
     # rate (same offered load per graph as the headline cell).
     two = _registry(2)
-    base2 = two.estimator_state()
     rate2 = HEADLINE_RATE * 2 / 3
     stream2 = _stream(two, rate2, REQUESTS * 2 // 3)
     for n_servers in (1, 2):
-        two.restore_estimator_state(base2)
         router = Router(two, n_servers=n_servers, seed=0)
         _, rep = router.run(stream2, placement="affinity", verify=True)
         cells.append((2, rate2, rep))
@@ -577,7 +572,6 @@ def _crash_scenario():
         reg, rate_qps=48000.0, requests=160, slo_ms=0.6,
         urgent_slo_ms=0.25, mix=(0.3, 0.6, 0.1),
     )
-    base = reg.estimator_state()
     out0, rep0 = router.run(stream, placement="least-loaded", verify=True)
     horizon = max(o.arrival.time_ms for o in out0)
     at, hi = _crash_window(out0, 1, before=0.5 * horizon)
@@ -585,7 +579,6 @@ def _crash_scenario():
     # carries the load alone through [at, recover_at), then the revived
     # one rejoins while arrivals are still coming.
     recover_at = min(max(hi, at + 2.0), 0.8 * horizon)
-    reg.restore_estimator_state(base)
     plan = FaultPlan().crash(1, at=at).recover(1, at=recover_at)
     out, rep = router.run(
         stream, placement="least-loaded", verify=True, faults=plan
@@ -669,12 +662,10 @@ def test_cluster_fault_recovery_wallclock(json_report, failures, wallclock):
     reg = _fault_registry()
     router = Router(reg, n_servers=2, seed=0)
     stream = _fault_stream(reg, rate_qps=8000.0, requests=48)
-    base = reg.estimator_state()
     # verify=False: this run only derives the crash window; the fault
     # run below re-checks every served answer.
     out0, _ = router.run(stream, placement="least-loaded", verify=False)
     at, hi = _crash_window(out0, 1)
-    reg.restore_estimator_state(base)
     plan = FaultPlan().crash(1, at=at).recover(1, at=hi + 5.0)
     with WorkerPool(reg, processes=2) as pool:
         out, rep = router.run(
@@ -715,13 +706,11 @@ def test_cluster_elasticity(json_report, failures):
         urgent_slo_ms=0.25, mix=(0.3, 0.6, 0.1),
     )
     speeds = {0: 1.0, 1: 1.0, 2: 0.2}
-    base = reg.estimator_state()
     # verify=False: the speed-blind arm exists only as the attainment
     # baseline; the speed-aware arm is the verified one.
     _, blind = router.run(
         stream, placement="least-loaded", speeds=speeds, verify=False
     )
-    reg.restore_estimator_state(base)
     out_aware, aware = router.run(
         stream, placement="speed-aware", speeds=speeds, verify=True
     )
@@ -749,11 +738,9 @@ def test_cluster_elasticity(json_report, failures):
         reg2, rate_qps=48000.0, requests=96, slo_ms=0.6,
         urgent_slo_ms=0.25, mix=(0.3, 0.6, 0.1),
     )
-    base2 = reg2.estimator_state()
     # verify=False: the fixed-fleet arm is the attainment baseline; the
     # autoscaled arm is the verified one.
     _, fixed = router2.run(stream2, placement="least-loaded", verify=False)
-    reg2.restore_estimator_state(base2)
     scaler = Autoscaler(
         min_servers=1, max_servers=4, interval_ms=0.1, window=8
     )

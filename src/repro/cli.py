@@ -440,7 +440,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         f"max batch {args.max_batch}"
     )
     rows = []
-    base_estimates = registry.estimator_state()
     # With faults or an explicit speed map, the 1-server comparison row
     # is meaningless (the faults target the full fleet) — run only the
     # requested fleet size.
@@ -473,9 +472,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             )
             names = ("affinity",) if n_servers == 1 else placements
             for name in names:
-                # Every row starts from identical estimator state so the
-                # compared cells are run under equal conditions.
-                registry.restore_estimator_state(base_estimates)
                 _, rep = router.run(
                     stream, policy=args.policy, placement=name,
                     verify=verify, data_plane=pool,

@@ -1,10 +1,9 @@
 """Project-level analysis: call graph, effect fixpoint, and runners.
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a time;
-the contracts PR 6 left open (EventLoop hook ordering, estimator
-snapshot/restore hygiene, the wall-clock ban in the modeled-millisecond
-domain) are *properties of call paths*, not of single files.  This
-module closes that gap:
+some contracts (EventLoop hook ordering, the wall-clock ban in the
+modeled-millisecond domain) are *properties of call paths*, not of
+single files.  This module closes that gap:
 
 * :class:`ProjectIndex` — parse-once summaries of every module
   (:mod:`repro.lint.summary`) stitched into a call graph.  Edges come

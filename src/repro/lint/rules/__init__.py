@@ -13,7 +13,6 @@ from collections.abc import Sequence
 from repro.lint.core import Rule
 from repro.lint.rules.construction import B2SRFromTilesRule
 from repro.lint.rules.crossmodule import (
-    EstimatorHygieneRule,
     FailurePathVerifyRule,
     HookOrderingRule,
     ModeledTimePurityRule,
@@ -37,7 +36,6 @@ ALL_RULES: tuple[Rule, ...] = (
     VerifyContractRule(),
     HotPathScatterRule(),
     HookOrderingRule(),
-    EstimatorHygieneRule(),
     ModeledTimePurityRule(),
     SharedStateDeterminismRule(),
     WorkerQueueDisciplineRule(),
@@ -72,7 +70,6 @@ __all__ = [
     "ALL_RULES",
     "B2SRFromTilesRule",
     "B2SRImmutabilityRule",
-    "EstimatorHygieneRule",
     "FailurePathVerifyRule",
     "HookOrderingRule",
     "HotPathScatterRule",

@@ -2,7 +2,7 @@
 
 These are the contracts per-file pattern matching cannot see — each one
 is a property of a *path* through the call graph, witnessed across
-files.  All six ride :class:`repro.lint.project.ProjectRule`: they run
+files.  All five ride :class:`repro.lint.project.ProjectRule`: they run
 once per module against the whole-project :class:`ProjectIndex`, and
 their messages carry the offending call chain so a finding in
 ``serving/cluster.py`` can point at the wall-clock read three hops away.
@@ -11,10 +11,6 @@ their messages carry the offending call chain so a finding in
   ``dispatch``: the EventLoop re-arms timers *after* the arrival hook
   returns, so dispatching from inside it runs against stale timer
   state (and double-dispatches the admitting batch).
-* ``estimator-hygiene`` — a ``compare*`` surface that drives real runs
-  (anything transitively reaching ``dispatch``) must snapshot and
-  restore ``estimator_state()`` so candidate B learns nothing from
-  candidate A's traffic.
 * ``modeled-time-purity`` — the serving/kernels hot path lives in
   modeled milliseconds derived from operation counts; a wall-clock
   read anywhere in its transitive closure makes results
@@ -89,53 +85,6 @@ class HookOrderingRule(ProjectRule):
                     message=(
                         f"'{fn.cls}.on_arrival' can reach dispatch "
                         f"before timers re-arm: {_chain_text(chain)}"
-                    ),
-                    hint=self.hint,
-                )
-            )
-        return out
-
-
-class EstimatorHygieneRule(ProjectRule):
-    id = "estimator-hygiene"
-    description = (
-        "compare* surfaces that drive runs must snapshot/restore "
-        "estimator_state() around each candidate"
-    )
-    hint = (
-        "wrap each candidate run in registry.estimator_state() / "
-        "registry.restore_estimator_state(snapshot)"
-    )
-
-    _REQUIRED = frozenset({"estimator_state", "restore_estimator_state"})
-
-    def applies_to(self, path: str) -> bool:
-        return not Rule.in_tests(path)
-
-    def check_module(
-        self, project: ProjectIndex, module: ModuleSummary
-    ) -> list[Violation]:
-        out: list[Violation] = []
-        for fn in module.functions.values():
-            if fn.name != "compare" and not fn.name.startswith("compare_"):
-                continue
-            if CALLS_DISPATCH not in project.effects.get(fn.qualname, ()):
-                continue
-            missing = sorted(self._REQUIRED - fn.called_names)
-            if not missing:
-                continue
-            chain = project.effect_chain(fn.qualname, CALLS_DISPATCH)
-            out.append(
-                Violation(
-                    path=module.path,
-                    line=fn.line,
-                    col=0,
-                    rule=self.id,
-                    message=(
-                        f"'{fn.qualname}' drives estimator-bearing runs "
-                        f"(reaches dispatch: {_chain_text(chain)}) but "
-                        f"never calls {', '.join(missing)} — candidate "
-                        "runs contaminate each other's estimators"
                     ),
                     hint=self.hint,
                 )
@@ -447,7 +396,6 @@ class FailurePathVerifyRule(ProjectRule):
 
 
 __all__ = [
-    "EstimatorHygieneRule",
     "FailurePathVerifyRule",
     "HookOrderingRule",
     "ModeledTimePurityRule",

@@ -166,7 +166,6 @@ class FunctionSummary:
     end_line: int
     decorator_lines: tuple[int, ...]
     calls: tuple[CallSite, ...] = ()
-    called_names: frozenset[str] = frozenset()
     direct_effects: dict[str, EffectSite] = field(default_factory=dict)
     global_mutations: tuple[GlobalMutation, ...] = ()
 
@@ -294,7 +293,6 @@ class _FunctionCollector(ast.NodeVisitor):
         self.local_types: dict[str, str] = {}
         self.declared_globals: set[str] = set()
         self._calls: list[CallSite] = []
-        self._called_names: set[str] = set()
         self._mutations: list[GlobalMutation] = []
 
     # -- helpers -------------------------------------------------------
@@ -424,13 +422,8 @@ class _FunctionCollector(ast.NodeVisitor):
 
     def _collect_call(self, node: ast.Call) -> None:
         func = node.func
-        bare = _callee_bare_name(func)
-        if bare is not None:
-            self._called_names.add(bare)
-            if bare == "dispatch":
-                self._effect(
-                    CALLS_DISPATCH, node, f"{ast.unparse(func)}(...)"
-                )
+        if _callee_bare_name(func) == "dispatch":
+            self._effect(CALLS_DISPATCH, node, f"{ast.unparse(func)}(...)")
         dotted = self.c.resolver.dotted(func)
         self._collect_effects(node, dotted)
 
@@ -563,7 +556,6 @@ class _FunctionCollector(ast.NodeVisitor):
 
     def finish(self) -> None:
         self.s.calls = tuple(self._calls)
-        self.s.called_names = frozenset(self._called_names)
         self.s.global_mutations = tuple(self._mutations)
 
 

@@ -19,17 +19,18 @@ gap in layers:
 * :class:`Router` + :class:`GraphRegistry` — the online front end:
   consume a timestamped arrival stream (:mod:`repro.serving.arrivals`),
   decide batch-now vs wait-for-riders against per-query latency SLOs
-  (the :data:`POLICIES` admission objects, per-kind
-  :class:`ServiceEstimator`), let late arrivals join still-open batches
-  mid-flight, run urgent/bulk priority lanes, and dispatch many named
-  serving graphs across N servers by the :data:`PLACEMENTS` policies
-  (graph-affinity sharding, least-loaded, power-of-two-choices,
-  speed-aware).  One graph on ``n_servers=1`` is the single-backend
-  scheduler.  Every registered graph is a chain of epochs:
-  :meth:`GraphRegistry.mutate` (or ``Router.run(mutations=...)``) swaps
-  in the next one while in-flight batches finish on theirs, and
-  :class:`Ingester` (:mod:`~repro.serving.ingest`) applies mutation
-  batches with bounded retry.
+  (the :data:`POLICIES` admission objects, and the per-kind
+  :class:`ServiceEstimator` books each run keeps for itself), let late
+  arrivals join still-open batches mid-flight, run urgent/bulk priority
+  lanes, and dispatch many named serving graphs across N servers by the
+  :data:`PLACEMENTS` policies (graph-affinity sharding, least-loaded,
+  power-of-two-choices, speed-aware).  One graph on ``n_servers=1`` is
+  the single-backend scheduler.  Every registered graph is a chain of
+  epochs: :meth:`GraphRegistry.mutate` (or
+  ``Router.run(mutations=...)``) swaps in the next one while in-flight
+  batches finish on theirs, and :class:`Ingester`
+  (:mod:`~repro.serving.ingest`) applies mutation batches with bounded
+  retry.
 * :class:`DataPlane` (:mod:`~repro.serving.plane`) — where every
   committed batch executes: :class:`InProcessPlane` by default, or a
   :class:`WorkerPool` (:mod:`~repro.serving.parallel`) of worker

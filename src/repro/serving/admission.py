@@ -91,9 +91,10 @@ class AdmissionContext:
     """Everything a policy may consult when deciding admission.
 
     ``estimate`` maps an open batch to its estimated service ms at its
-    current width (the router routes it to the right graph's
-    estimator); ``n_servers`` scales the contention reserve — with N
-    servers, the other open batches queue against N slots, not one.
+    current width (the router answers from the run's estimator for the
+    batch's graph epoch); ``n_servers`` scales the contention reserve —
+    with N servers, the other open batches queue against N slots, not
+    one.
     ``version_of`` maps a graph name to its *current* serving epoch; new
     batches are stamped with it and joins require it to match.
     """

@@ -9,10 +9,12 @@ scheduler:
 * :class:`GraphRegistry` — named serving graphs, each a chain of
   immutable epochs (:meth:`GraphRegistry.mutate` appends the next one as
   a copy-on-write delta).  Each epoch owns its engines, its
-  :class:`~repro.serving.batcher.QueryBatcher`, its per-kind
-  :class:`~repro.serving.estimator.ServiceEstimator`, and its memoized
-  standalone-run cache, so every graph's service profile and
-  verification state are independent.
+  :class:`~repro.serving.batcher.QueryBatcher` and its memoized
+  standalone-run cache, so every graph's verification state is
+  independent.  Service estimates are not registry state: each
+  :meth:`Router.run` learns its own, one per-kind
+  :class:`~repro.serving.estimator.ServiceEstimator` per epoch it
+  touches, so no run admits from estimates an earlier run learned.
 * :class:`Router` — dispatches a cross-graph arrival stream
   (:func:`repro.serving.arrivals.multi_graph_poisson_stream`) over N
   :class:`~repro.serving.events.Server` slots.  Admission rides one of
@@ -23,8 +25,8 @@ scheduler:
 
   - ``"affinity"`` — graph-affinity sharding: every graph has a fixed
     home server (registration order modulo cluster size), so a shard's
-    working set — bit tiles, estimator, verification cache — stays
-    resident on one server;
+    working set — bit tiles, verification cache — stays resident on
+    one server;
   - ``"least-loaded"`` — global shortest-queue: a ready batch commits
     to the server with the earliest availability (ties to the least
     cumulative busy time), the any-graph-anywhere baseline;
@@ -126,7 +128,6 @@ class GraphEntry:
     engine: BitEngine
     cc_engine: BitEngine
     batcher: QueryBatcher
-    estimator: ServiceEstimator
     graph: Graph = field(repr=False)
     sym_graph: Graph = field(repr=False)
     singles_cache: dict = field(default_factory=dict)
@@ -204,9 +205,6 @@ class GraphRegistry:
         built, warmed and appended to the chain.  Everything up to the
         append is off the serving hot path — a router applying a due
         mutation admits the very next arrival against fully warm plans.
-        The previous epoch's learned service estimates carry over (the
-        graph changed by one small delta; relearning from scratch would
-        thrash the admission deadlines).
         """
         if name not in self._chains:
             raise KeyError(
@@ -227,7 +225,6 @@ class GraphRegistry:
             name, new_graph, new_sym, device=entry.engine.device,
             tile_dim=entry.engine.tile_dim, version=entry.version + 1,
         )
-        new_entry.estimator.restore(entry.estimator.snapshot())
         self._chains[name].append(new_entry)
         return new_entry, report
 
@@ -242,10 +239,9 @@ class GraphRegistry:
         version: int = 0,
     ) -> GraphEntry:
         """Build one servable epoch: engines over ``graph`` and its
-        symmetrized view ``sym``, its batcher and estimator, and warm
-        kernel plans — the chunk tables and set-bit index its batched
-        launches need are built now, not on the first query's critical
-        path."""
+        symmetrized view ``sym``, its batcher, and warm kernel plans —
+        the chunk tables and set-bit index its batched launches need
+        are built now, not on the first query's critical path."""
         kwargs: dict[str, DeviceSpec] = (
             {} if device is None else {"device": device}
         )
@@ -258,7 +254,6 @@ class GraphRegistry:
             batcher=QueryBatcher(
                 engine, cc_engine=cc_engine, max_batch=self.max_batch
             ),
-            estimator=ServiceEstimator(engine, cc_engine=cc_engine),
             graph=graph,
             sym_graph=sym,
             version=version,
@@ -314,20 +309,6 @@ class GraphRegistry:
             f"version {version} is not among them"
         )
 
-    def estimator_state(self) -> dict[str, dict[str, float]]:
-        """Snapshot every graph's learned service estimates (current
-        epoch), keyed by graph name (see :meth:`restore_estimator_state`)."""
-        return {entry.name: entry.estimator.snapshot() for entry in self}
-
-    def restore_estimator_state(
-        self, state: dict[str, dict[str, float]]
-    ) -> None:
-        """Reset current epochs' estimators to a snapshot, so repeated
-        runs on one registry (placement/policy comparisons) start from
-        identical estimates instead of state the previous run learned."""
-        for name, est in state.items():
-            self[name].estimator.restore(est)
-
     def __getitem__(self, name: str) -> GraphEntry:
         return self._chains[name][-1]
 
@@ -352,15 +333,20 @@ GraphStore = GraphRegistry
 #: the first time the batch is dispatchable; the returned server becomes
 #: the batch's commitment (it launches when that server frees).
 #: Placements are stateless — randomized ones draw from the router's
-#: per-run RNG.
+#: per-run RNG, and ``estimate`` is the run's service estimate of a
+#: batch (the one admission uses), for placements that score by it.
 PlacementPolicy = Callable[
-    [Batch, list[Server], GraphRegistry, np.random.Generator], Server
+    [
+        Batch, list[Server], GraphRegistry, np.random.Generator,
+        Callable[[Batch], float],
+    ],
+    Server,
 ]
 
 
 def _affinity(
     batch: Batch, servers: list[Server], registry: GraphRegistry,
-    rng: np.random.Generator,
+    rng: np.random.Generator, estimate: Callable[[Batch], float],
 ) -> Server:
     """Graph-affinity sharding: a fixed home server per graph."""
     return servers[registry.index(batch.graph) % len(servers)]
@@ -368,7 +354,7 @@ def _affinity(
 
 def _least_loaded(
     batch: Batch, servers: list[Server], registry: GraphRegistry,
-    rng: np.random.Generator,
+    rng: np.random.Generator, estimate: Callable[[Batch], float],
 ) -> Server:
     """Commit to the earliest-available server (global knowledge)."""
     return min(servers, key=lambda s: (s.free_at, s.busy_ms, s.sid))
@@ -376,7 +362,7 @@ def _least_loaded(
 
 def _power_of_two(
     batch: Batch, servers: list[Server], registry: GraphRegistry,
-    rng: np.random.Generator,
+    rng: np.random.Generator, estimate: Callable[[Batch], float],
 ) -> Server:
     """Sample two servers, take the less loaded (no global state)."""
     if len(servers) == 1:
@@ -390,15 +376,14 @@ def _power_of_two(
 
 def _speed_aware(
     batch: Batch, servers: list[Server], registry: GraphRegistry,
-    rng: np.random.Generator,
+    rng: np.random.Generator, estimate: Callable[[Batch], float],
 ) -> Server:
     """Earliest speed-scaled completion: score each candidate by when
     it would *finish* this batch — current availability plus the
     batch's service estimate divided by the server's speed factor — so
     a fast server keeps winning placements even while a slow one idles.
     On a homogeneous fleet this degenerates to least-loaded."""
-    entry = registry.entry_for(batch.graph, batch.version)
-    est = entry.estimator.estimate_ms(batch.kind, len(batch.members))
+    est = estimate(batch)
     return min(
         servers,
         key=lambda s: (s.free_at + est / s.speed, s.busy_ms, s.sid),
@@ -601,11 +586,13 @@ def _spec_row(spec: LaunchSpec, **fields: Any) -> dict[str, Any]:
 
 class _RouterController:
     """Per-run scheduling state: admission via the policy, placement
-    commitments, launches through the data plane."""
+    commitments, launches through the data plane, and the run's service
+    estimates."""
 
     def __init__(
         self,
-        router: Router,
+        registry: GraphRegistry,
+        slack_factor: float,
         servers: list[Server],
         policy: AdmissionPolicy,
         placement: PlacementPolicy,
@@ -618,8 +605,7 @@ class _RouterController:
         steal: bool = False,
         max_requeues: int = 2,
     ) -> None:
-        self.router = router
-        self.registry = router.registry
+        self.registry = registry
         self.servers = servers
         self.policy = policy
         self.placement = placement
@@ -629,11 +615,13 @@ class _RouterController:
         # Launches the plane answers only at drain, with the server each
         # was submitted to.
         self.deferred: list[tuple[LaunchSpec, Batch, int]] = []
+        # The run's service estimates, one estimator per (graph,
+        # version) the run touches; the registry never holds them.
+        self.estimators: dict[tuple[str, int], ServiceEstimator] = {}
         self.ctx = AdmissionContext(
-            max_batch=self.registry.max_batch,
-            slack_factor=router.slack_factor,
-            estimate=lambda b: self.registry.entry_for(b.graph, b.version)
-            .estimator.estimate_ms(b.kind, len(b.members)),
+            max_batch=registry.max_batch,
+            slack_factor=slack_factor,
+            estimate=self._estimate,
             n_servers=len(servers),
             version_of=self.registry.current_version,
         )
@@ -672,12 +660,39 @@ class _RouterController:
             autoscaler.interval_ms if autoscaler is not None else math.inf
         )
 
+    # -- service estimates ---------------------------------------------
+    def _estimator(self, batch: Batch) -> ServiceEstimator:
+        """The run's estimator for the epoch ``batch`` was admitted
+        against, created on first use (it calibrates each kind
+        lazily)."""
+        key = (batch.graph, batch.version)
+        est = self.estimators.get(key)
+        if est is None:
+            entry = self.registry.entry_for(batch.graph, batch.version)
+            est = self.estimators[key] = ServiceEstimator(
+                entry.engine, entry.cc_engine
+            )
+        return est
+
+    def _estimate(self, batch: Batch) -> float:
+        """Estimated service ms of ``batch`` at its current width, on
+        the epoch it was admitted against (admission calls this for
+        every open batch on every arrival, so a hit is one lookup)."""
+        est = self.estimators.get((batch.graph, batch.version))
+        if est is None:
+            est = self._estimator(batch)
+        return est.estimate_ms(batch.kind, len(batch.members))
+
     # -- epoch swaps ---------------------------------------------------
     def _apply_due_mutations(self, now: float) -> None:
         """Apply every mutation whose time has been crossed.  Called on
         entry to both event hooks, so an arrival landing exactly at the
         swap instant is admitted against the new epoch while batches
-        already open stay pinned to theirs."""
+        already open stay pinned to theirs.
+
+        The new epoch starts from what this run learned on the previous
+        one: the graph changed by one small delta, and relearning from
+        scratch would thrash the admission deadlines."""
         while (
             self._next_mutation < len(self.mutations)
             and self.mutations[self._next_mutation].time_ms <= now + EPS
@@ -687,6 +702,11 @@ class _RouterController:
             entry, report = self.registry.mutate(
                 mut.graph, mut.inserts, mut.deletes
             )
+            learned = self.estimators.get((mut.graph, entry.version - 1))
+            if learned is not None:
+                self.estimators[(mut.graph, entry.version)] = (
+                    learned.carried_to(entry.engine, entry.cc_engine)
+                )
             # Publish the new epoch *before* any launch can reference
             # it, then schedule the old epoch's release — deferred until
             # its last in-flight batch drains.
@@ -1027,7 +1047,8 @@ class _RouterController:
                 if reason == "backed-up":
                     candidates = [s for s in available if s.idle(now)]
                 batch.sid = self.placement(
-                    batch, candidates, self.registry, self.rng
+                    batch, candidates, self.registry, self.rng,
+                    self._estimate,
                 ).sid
                 if stolen_from is not None and batch.sid != stolen_from:
                     self.steal_records.append(
@@ -1051,7 +1072,7 @@ class _RouterController:
             service = self._launch(batch, now, server)
             self.widths.append(len(batch.members))
             server.start(now, service)
-            # The launch changed the backlog (and the estimator):
+            # The launch changed the backlog (and the estimates):
             # remaining batches may now afford to wait longer.
             self.policy.refresh(self.open_batches, self.ctx)
             return True
@@ -1063,12 +1084,11 @@ class _RouterController:
         every member's outcome; returns the modeled service ms booked.
 
         A finished result (the in-process plane) books its modeled time,
-        feeds the estimator and installs at once.  A deferred one (a
+        feeds the run's estimate and installs at once.  A deferred one (a
         worker process) books the service estimate and installs after
         the loop drains the plane (:meth:`collect`).  The batch resolves
         the epoch it was *admitted* against — a swap between admission
         and launch never changes what a query answers over."""
-        entry = self.registry.entry_for(batch.graph, batch.version)
         width = len(batch.members)
         spec = LaunchSpec(
             batch_id=self.plane.next_batch_id(),
@@ -1084,12 +1104,12 @@ class _RouterController:
         )
         result = self.plane.submit(server.sid, spec)
         if result is None:
-            service = entry.estimator.estimate_ms(batch.kind, width)
+            service = self._estimate(batch)
             self.deferred.append((spec, batch, server.sid))
         else:
             service = result.modeled_ms
-            entry.estimator.observe(batch.kind, width, service)
-        # The estimator's books stay in speed-1 units; this server's
+            self._estimator(batch).observe(batch.kind, width, service)
+        # The estimates stay in speed-1 units; this server's
         # speed factor scales the occupancy (Server.start agrees).
         self._write_outcomes(
             batch, server.sid, now, now + service / server.speed,
@@ -1250,7 +1270,10 @@ class Router:
     Parameters
     ----------
     registry:
-        The named serving graphs (each with its own batcher/estimator).
+        The named serving graphs (each epoch with its own engines and
+        batcher).  The service estimates a run learns are its own, so a
+        second run of a stream on a registry the first run did not
+        mutate repeats the first.
     n_servers:
         Cluster size — how many launches can be in flight at once.
     slack_factor:
@@ -1365,7 +1388,7 @@ class Router:
             else data_plane
         )
         controller = _RouterController(
-            self, servers, pol, placer,
+            self.registry, self.slack_factor, servers, pol, placer,
             np.random.default_rng(self.seed), verify, muts,
             plane, faults, autoscaler, steal, max_requeues,
         )
@@ -1398,36 +1421,6 @@ class Router:
                     f"> 0, got {factor}"
                 )
         return {sid: float(f) for sid, f in speeds.items()}
-
-    def compare_placements(
-        self,
-        arrivals: StreamLike,
-        *,
-        policy: str = "slo",
-        verify: bool = False,
-        placements: list[str] | None = None,
-    ) -> dict[str, tuple[list[QueryOutcome], ClusterReport]]:
-        """Run every registered placement on one stream, keyed by name
-        (or just ``placements``, in the given order).
-
-        Estimator-state hygiene: each candidate run snapshots the
-        registry's learned service estimates and restores them after, so
-        no placement is scored with EWMAs warmed by an earlier candidate
-        — the reported cells are identical whatever the comparison
-        order — and the registry leaves the comparison exactly as it
-        entered it.
-        """
-        names = list(PLACEMENTS) if placements is None else list(placements)
-        results: dict[str, tuple[list[QueryOutcome], ClusterReport]] = {}
-        for name in names:
-            base = self.registry.estimator_state()
-            try:
-                results[name] = self.run(
-                    arrivals, policy=policy, placement=name, verify=verify
-                )
-            finally:
-                self.registry.restore_estimator_state(base)
-        return results
 
     # ------------------------------------------------------------------
     def _normalize(self, arrivals: StreamLike) -> list[Arrival]:

@@ -2,23 +2,26 @@
 
 The SLO-aware admission policy needs to know, *before* launching, how
 long a ``width``-wide batch of some query kind will hold a server.
-:class:`ServiceEstimator` keeps one estimate per kind per serving graph:
-an EWMA of observed per-plane service milliseconds, seeded by a
+:class:`ServiceEstimator` keeps one estimate per kind for one serving
+epoch: an EWMA of observed per-plane service milliseconds, seeded by a
 calibration solo run on first use, and scaled by how batched service
-grows with width on the backend at hand (per word plane on the bit
-backend, per query otherwise; graph-global kinds dedup onto one run).
+grows with width (per word plane of the bit backend; graph-global kinds
+dedup onto one run).
 
-Each :class:`repro.serving.cluster.GraphRegistry` epoch owns one
-estimator, so a cluster learns each graph's service profile
-independently — a small road network and a dense social graph behind the
-same router keep separate books.
+Estimates belong to a run, not to the registry: each
+:meth:`repro.serving.cluster.Router.run` keeps one estimator per
+``(graph, version)`` it touches and drops them when it returns.  So a
+cluster learns each graph's service profile independently — a small
+road network and a dense social graph behind the same router keep
+separate books — and a second run on the same registry starts from the
+same calibration as the first.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.engines.base import Engine
+from repro.engines.bit import BitEngine
 from repro.serving.plane import solo_reference
 
 
@@ -28,7 +31,7 @@ class ServiceEstimator:
     #: Weight of the newest observation in the moving average.
     ALPHA = 0.5
 
-    def __init__(self, engine: Engine, cc_engine: Engine | None = None):
+    def __init__(self, engine: BitEngine, cc_engine: BitEngine | None = None):
         self.engine = engine
         self.cc_engine = cc_engine if cc_engine is not None else engine
         # Per-kind EWMA of observed service ms per value plane, seeded by
@@ -54,26 +57,22 @@ class ServiceEstimator:
             else (1.0 - self.ALPHA) * prev + self.ALPHA * observed
         )
 
-    def snapshot(self) -> dict[str, float]:
-        """Copy of the learned per-kind state (see :meth:`restore`)."""
-        return dict(self._est_ms)
-
-    def restore(self, state: dict[str, float]) -> None:
-        """Reset the learned state to a :meth:`snapshot` — lets callers
-        compare policies from identical starting estimates."""
-        self._est_ms = dict(state)
+    def carried_to(
+        self, engine: BitEngine, cc_engine: BitEngine
+    ) -> ServiceEstimator:
+        """An estimator over another epoch's engines that starts from a
+        copy of this one's learned values."""
+        nxt = ServiceEstimator(engine, cc_engine)
+        nxt._est_ms = dict(self._est_ms)
+        return nxt
 
     def width_scale(self, kind: str, width: int) -> float:
         """How batched service scales with width: graph-global kinds
-        (cc) dedup onto one run whatever the width; otherwise per value
-        plane on the bit backend (one tile sweep serves a whole word
-        plane), per query on backends without batched kernels."""
+        (cc) dedup onto one run whatever the width; the others scale per
+        value plane (one tile sweep serves a whole word plane)."""
         if kind == "cc":
             return 1.0
-        d = getattr(self.engine, "tile_dim", None)
-        if d:
-            return float(math.ceil(width / d))
-        return float(width)
+        return float(math.ceil(width / self.engine.tile_dim))
 
     def _calibrate(self, kind: str) -> float:
         """Seed the estimator with one solo run's modeled latency (from

@@ -1,7 +1,6 @@
 """Tests for versioned serving: the epoch-chained GraphRegistry, epoch
 swaps under load (repro.serving.cluster), the ingestion loop
-(repro.serving.ingest), and estimator-state hygiene in comparison
-sweeps.
+(repro.serving.ingest), and run-scoped service estimates.
 
 The headline contracts:
 
@@ -9,9 +8,9 @@ The headline contracts:
   admitted against the same epoch;
 * in-flight batches finish (and verify bitwise) on the version they
   were admitted against, while arrivals after a swap see the new epoch;
-* ``compare_placements`` scores every candidate from the same
-  estimator state, so reports are identical whatever the comparison
-  order, and the registry is left untouched.
+* service estimates belong to the run: two runs of one stream on one
+  registry return identical outcomes and reports, and a swap inside a
+  run hands the new epoch what the run learned on the old one.
 """
 
 import os
@@ -112,15 +111,38 @@ class TestGraphStore:
             entry.graph.csr.indices, want.csr.indices
         )
 
-    def test_estimator_warm_starts_across_epochs(self):
+    def test_estimator_warm_starts_across_epochs(self, monkeypatch):
+        """A swap inside a run seeds the new epoch with what the run
+        learned on the old one: the swapped-in epoch calibrates no kind
+        its predecessor already learned."""
+        import repro.serving.estimator as estimator
+
         store = make_store(sizes=(160,))
-        router = Router(store, n_servers=1)
-        stream = poisson_stream(160, requests=12, seed=1, graph="g0")
-        router.run(stream)  # warm the seed epoch's EWMAs
-        snap = store["g0"].estimator.snapshot()
-        assert snap  # learned something
-        entry, _ = store.mutate("g0", *delta_for(store, "g0"))
-        assert entry.estimator.snapshot() == snap
+        solo = estimator.solo_reference
+        calibrations = []  # (version, kind), one per calibration run
+
+        def counting(engine, cc_engine, kind, source, cache):
+            (version,) = (
+                v for v in store.versions("g0")
+                if store.entry_for("g0", v).engine is engine
+            )
+            calibrations.append((version, kind))
+            return solo(engine, cc_engine, kind, source, cache)
+
+        monkeypatch.setattr(estimator, "solo_reference", counting)
+        stream = poisson_stream(160, requests=24, seed=1, graph="g0")
+        swap_at = stream[len(stream) // 2].time_ms
+        muts = [MutationBatch(swap_at, "g0", *delta_for(store, "g0"))]
+        outcomes, rep = Router(store, n_servers=1).run(
+            stream, verify=True, mutations=muts
+        )
+        assert rep.swaps == 1
+        assert len(calibrations) == len(set(calibrations))
+        learned = {kind for v, kind in calibrations if v == 0}
+        # The new epoch served kinds the old one had learned ...
+        assert learned & {o.arrival.kind for o in outcomes if o.version == 1}
+        # ... without calibrating any of them again.
+        assert not learned & {kind for v, kind in calibrations if v == 1}
 
     def test_new_epoch_plan_is_warm_before_swap(self):
         store = make_store(sizes=(120,))
@@ -278,31 +300,29 @@ class TestEpochSwapUnderLoad:
 # Estimator-state hygiene
 # ----------------------------------------------------------------------
 class TestEstimatorHygiene:
-    def _stream(self):
-        return multi_graph_poisson_stream(
-            {"g0": 200, "g1": 144}, requests=24, rate_qps=2500, seed=11
+    def test_run_repeats_on_one_registry(self):
+        """A run learns service estimates for itself only: a second run
+        of the same stream on the same registry admits, places and
+        launches exactly as the first did."""
+        store = GraphRegistry(max_batch=16)
+        store.add("hybrid", hybrid_pattern(400, seed=1), tile_dim=32)
+        store.add("road", road_pattern(256), tile_dim=32)
+        stream = multi_graph_poisson_stream(
+            {name: store[name].engine.n for name in store.names},
+            requests=200, rate_qps=20000, seed=3,
         )
-
-    def test_compare_placements_is_order_independent(self):
-        names = ["affinity", "least-loaded"]
-        store_a = make_store()
-        fwd = Router(store_a, n_servers=2).compare_placements(
-            self._stream(), placements=names
-        )
-        store_b = make_store()
-        rev = Router(store_b, n_servers=2).compare_placements(
-            self._stream(), placements=list(reversed(names))
-        )
-        for name in names:
-            assert fwd[name][1] == rev[name][1]
-
-    def test_compare_placements_leaves_registry_untouched(self):
-        store = make_store()
         router = Router(store, n_servers=2)
-        router.run(self._stream())  # warm EWMAs first
-        before = store.estimator_state()
-        router.compare_placements(self._stream())
-        assert store.estimator_state() == before
+        first, rep_first = router.run(stream, verify=True)
+        second, rep_second = router.run(stream, verify=True)
+        assert rep_first == rep_second
+        for a, b in zip(first, second, strict=True):
+            assert (a.launch_ms, a.finish_ms, a.server, a.batch_width) == (
+                b.launch_ms, b.finish_ms, b.server, b.batch_width
+            )
+            assert (a.result.dtype, a.result.shape) == (
+                b.result.dtype, b.result.shape
+            )
+            assert a.result.tobytes() == b.result.tobytes()
 
 
 # ----------------------------------------------------------------------

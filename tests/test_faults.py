@@ -199,11 +199,9 @@ class TestCrashRecovery:
         reg = make_registry()
         router = Router(reg, n_servers=3, seed=0)
         stream = make_stream(reg)
-        base = reg.estimator_state()
         out0, _ = router.run(stream, placement="least-loaded", verify=True)
         at, hi = crash_window(out0, 1)
 
-        reg.restore_estimator_state(base)
         plan = FaultPlan().crash(1, at=at).recover(1, at=hi + 5.0)
         out, rep = router.run(
             stream, placement="least-loaded", verify=True, faults=plan
@@ -224,11 +222,9 @@ class TestCrashRecovery:
         reg = make_registry()
         router = Router(reg, n_servers=3, seed=0)
         stream = make_stream(reg)
-        base = reg.estimator_state()
         plan = FaultPlan().crash(1, at=1.0).recover(1, at=4.0)
 
         def run():
-            reg.restore_estimator_state(base)
             out, rep = router.run(
                 stream, placement="least-loaded", faults=plan
             )
@@ -260,10 +256,8 @@ class TestCrashRecovery:
         reg = make_registry()
         router = Router(reg, n_servers=3, seed=0)
         stream = make_stream(reg)
-        base = reg.estimator_state()
         out0, _ = router.run(stream, placement="least-loaded")
         at, _hi = crash_window(out0, 1)
-        reg.restore_estimator_state(base)
         plan = FaultPlan().crash(1, at=at)
         out, rep = router.run(
             stream, placement="least-loaded", faults=plan, max_requeues=0
@@ -321,10 +315,8 @@ class TestWorkStealing:
         # everything arrives near-instantly: deep backlog, so batches
         # commit to the affinity server while it is busy
         stream = make_stream(reg, rate_qps=100000.0)
-        base = reg.estimator_state()
         out0, _ = router.run(stream, placement="affinity")
         at, _hi = crash_window(out0, 1)
-        reg.restore_estimator_state(base)
         plan = FaultPlan().crash(1, at=at)
         out, rep = router.run(
             stream, placement="affinity", verify=True, faults=plan
@@ -343,10 +335,8 @@ class TestWorkStealing:
         stream = make_stream(
             reg, rate_qps=60000.0, shares={"g0": 0.1, "g1": 0.9}
         )
-        base = reg.estimator_state()
         _, rep_off = router.run(stream, placement="affinity")
         assert rep_off.steals == 0  # default: no steal, exact parity
-        reg.restore_estimator_state(base)
         out, rep_on = router.run(
             stream, placement="affinity", verify=True, steal=True
         )
@@ -387,11 +377,9 @@ class TestSpeedAwarePlacement:
             urgent_slo_ms=0.25, mix=(0.3, 0.6, 0.1),
         )
         speeds = {0: 1.0, 1: 1.0, 2: 0.2}
-        base = reg.estimator_state()
         _, blind = router.run(
             stream, placement="least-loaded", speeds=speeds
         )
-        reg.restore_estimator_state(base)
         _, aware = router.run(
             stream, placement="speed-aware", speeds=speeds, verify=True
         )
@@ -420,9 +408,7 @@ class TestAutoscaler:
             reg, rate_qps=48000.0, requests=96, slo_ms=0.6,
             urgent_slo_ms=0.25, mix=(0.3, 0.6, 0.1),
         )
-        base = reg.estimator_state()
         _, fixed = router.run(stream, placement="least-loaded")
-        reg.restore_estimator_state(base)
         scaler = Autoscaler(
             min_servers=1, max_servers=4, interval_ms=0.1, window=8
         )
@@ -482,10 +468,8 @@ class TestRealDataPlaneFaults:
         reg = make_registry()
         router = Router(reg, n_servers=2, seed=0)
         stream = make_stream(reg, rate_qps=8000.0, requests=32)
-        base = reg.estimator_state()
         out0, _ = router.run(stream, placement="least-loaded")
         at, hi = crash_window(out0, 1)
-        reg.restore_estimator_state(base)
         plan = FaultPlan().crash(1, at=at).recover(1, at=hi + 5.0)
         with WorkerPool(reg, processes=2) as pool:
             out, rep = router.run(

@@ -48,11 +48,10 @@ def write_tree(root, files):
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_six_project_rules_registered(self):
+    def test_five_project_rules_registered(self):
         registered = rule_ids()
         for rid in (
             "hook-ordering",
-            "estimator-hygiene",
             "modeled-time-purity",
             "shared-state-determinism",
             "worker-queue-discipline",
@@ -312,75 +311,6 @@ class TestHookOrdering:
         }
         vs = lint_project_sources(srcs)
         assert "hook-ordering" not in ids(vs)
-
-
-# ----------------------------------------------------------------------
-# estimator-hygiene
-# ----------------------------------------------------------------------
-class TestEstimatorHygiene:
-    LOOP = (
-        "class EventLoop:\n"
-        "    def run(self, stream, controller):\n"
-        "        controller.dispatch(0.0)\n"
-    )
-
-    def test_compare_without_snapshot_flagged(self):
-        vs = lint_project_sources(
-            {
-                "src/repro/serving/loops.py": self.LOOP,
-                "src/repro/serving/surface.py": (
-                    "from repro.serving.loops import EventLoop\n"
-                    "def compare_policies(policies, stream):\n"
-                    "    for p in policies:\n"
-                    "        EventLoop().run(stream, p)\n"
-                ),
-            }
-        )
-        hits = [v for v in active(vs) if v.rule == "estimator-hygiene"]
-        assert len(hits) == 1
-        assert "estimator_state" in hits[0].message
-
-    def test_compare_with_snapshot_clean(self):
-        vs = lint_project_sources(
-            {
-                "src/repro/serving/loops.py": self.LOOP,
-                "src/repro/serving/surface.py": (
-                    "from repro.serving.loops import EventLoop\n"
-                    "def compare_policies(registry, policies, stream):\n"
-                    "    for p in policies:\n"
-                    "        snap = registry.estimator_state()\n"
-                    "        EventLoop().run(stream, p)\n"
-                    "        registry.restore_estimator_state(snap)\n"
-                ),
-            }
-        )
-        assert "estimator-hygiene" not in ids(vs)
-
-    def test_compare_without_runs_clean(self):
-        vs = lint_project_sources(
-            {
-                "src/repro/serving/surface.py": (
-                    "def compare_reports(a, b):\n"
-                    "    return a == b\n"
-                ),
-            }
-        )
-        assert "estimator-hygiene" not in ids(vs)
-
-    def test_suppressed(self):
-        vs = lint_project_sources(
-            {
-                "src/repro/serving/loops.py": self.LOOP,
-                "src/repro/serving/surface.py": (
-                    "from repro.serving.loops import EventLoop\n"
-                    "def compare_policies(policies, stream):"
-                    "  # repro-lint: ignore[estimator-hygiene] — fixture\n"
-                    "    for p in policies:\n"
-                    "        EventLoop().run(stream, p)\n"
-                ),
-            }
-        )
-        assert "estimator-hygiene" not in ids(vs)
 
 
 # ----------------------------------------------------------------------

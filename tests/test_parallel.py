@@ -138,9 +138,7 @@ class TestSerialFallback:
         store = make_store()
         router = Router(store, n_servers=2)
         stream = make_stream(requests=16)
-        base = store.estimator_state()
         out0, rep0 = router.run(stream, verify=True)
-        store.restore_estimator_state(base)
         out1, rep1 = router.run(
             stream, verify=True, data_plane=InProcessPlane(store)
         )

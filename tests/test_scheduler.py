@@ -31,14 +31,11 @@ def make_scheduler(
 
 
 def run_policies(router, stream, *, verify=False):
-    """Every admission policy on one stream, each starting from the
-    same learned service estimates."""
-    base = router.registry.estimator_state()
-    results = {}
-    for name in POLICIES:
-        router.registry.restore_estimator_state(base)
-        results[name] = router.run(stream, policy=name, verify=verify)
-    return results
+    """Every admission policy on one stream."""
+    return {
+        name: router.run(stream, policy=name, verify=verify)
+        for name in POLICIES
+    }
 
 
 class TestArrivals:
@@ -405,7 +402,6 @@ class TestIncrementalDeadlines:
         stream = poisson_stream(
             200, requests=48, rate_qps=20000, urgent_fraction=0.2, seed=5,
         )
-        base = registry.estimator_state()
         baseline, _ = router.run(
             stream, placement="least-loaded", verify=False
         )
@@ -416,7 +412,6 @@ class TestIncrementalDeadlines:
             ),
             key=lambda w: w[1] - w[0],
         )
-        registry.restore_estimator_state(base)
         seen["checked"] = 0
         plan = FaultPlan().crash(1, at=(lo + hi) / 2).recover(1, at=hi + 5.0)
         outcomes, rep = router.run(
