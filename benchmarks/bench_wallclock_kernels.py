@@ -23,7 +23,11 @@ from repro.bitops.packing import (
     pack_bitvector,
     unpack_bitmatrix,
 )
-from repro.datasets.generators import block_pattern, diagonal_pattern
+from repro.datasets.generators import (
+    block_pattern,
+    diagonal_pattern,
+    hybrid_pattern,
+)
 from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
 from repro.kernels.bmv import (
@@ -31,9 +35,10 @@ from repro.kernels.bmv import (
     bmv_bin_bin_bin_multi_masked,
     bmv_bin_bin_full,
     bmv_bin_full_full,
+    bmv_bin_full_full_multi,
 )
 from repro.kernels.csr_spmv import csr_spmv
-from repro.semiring import ARITHMETIC
+from repro.semiring import ARITHMETIC, MIN_PLUS
 
 BENCH = "wallclock_kernels"
 
@@ -128,6 +133,22 @@ def test_wallclock_bmv_bin_full_full(benchmark, banded, json_report):
     A.plan().warm()
     benchmark(bmv_bin_full_full, A, x, ARITHMETIC)
     emit_benchmark(json_report, benchmark, "bmv_bin_full_full_warm")
+
+
+def test_wallclock_bmv_bin_full_full_multi_min_plus(benchmark, json_report):
+    """The serving SSSP pull: batched min-plus over the transposed B2SR
+    of a 512-vertex hybrid graph on a warm plan, k = 32 distance columns
+    with about half their entries at +inf, skip mode on."""
+    At = hybrid_pattern(512, seed=4).b2sr_t(32)
+    At.plan().warm((32,))
+    rng = np.random.default_rng(4)
+    X = rng.random((At.ncols, 32)).astype(np.float32)
+    X[rng.random(X.shape) < 0.5] = np.inf
+    benchmark(bmv_bin_full_full_multi, At, X, MIN_PLUS, skip=True)
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_full_full_multi_min_plus",
+        n=512, k=32, skip=True,
+    )
 
 
 def test_wallclock_bmv_bin_full_full_planless(benchmark, banded, json_report):

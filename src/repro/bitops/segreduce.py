@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Maximum segment length the sequential fold rank-loops over; longer
-#: (skewed) segments fall back to one ``np.add.at`` scatter.  Shared by
-#: :func:`segment_sum_sequential` and :class:`SequentialFoldPlan` — the
-#: two must agree or plan-backed folds would pick a different
-#: accumulation order than the ad-hoc path.
+#: Maximum segment length :class:`SequentialFoldPlan` rank-loops over;
+#: longer (skewed) segments fall back to one ``np.add.at`` scatter, which
+#: accumulates in the same sequential element order.
 _SEQUENTIAL_MAX_LEN = 64
 
 
@@ -93,42 +91,27 @@ def segment_sum_sequential(
     low-order float bits relative to the unbuffered sequential scatter
     (``np.add.at``) it replaces.  Reductions that must stay bit-compatible
     with sequential accumulation (the arithmetic semiring's add monoid) use
-    this instead: a rank-parallel loop — iteration ``j`` adds the ``j``-th
-    element of every still-active segment, so each segment accumulates
-    left-to-right while the work per iteration stays vectorized.  Skewed
-    segment lengths fall back to one ``np.add.at`` scatter (the same
-    sequential order) rather than a long Python loop.
+    this instead: a one-shot :class:`SequentialFoldPlan`.
 
     ``starts`` must be sorted ascending and every segment non-empty; the
     last segment extends to ``len(values)``.
     """
-    v = np.asarray(values)
-    s = np.asarray(starts, dtype=np.int64)
-    if s.shape[0] == 0:
-        return np.empty((0,) + v.shape[1:], dtype=v.dtype)
-    lens = np.diff(np.r_[s, np.int64(v.shape[0])])
-    maxlen = int(lens.max())
-    if maxlen > _SEQUENTIAL_MAX_LEN:
-        out = np.zeros((s.shape[0],) + v.shape[1:], dtype=v.dtype)
-        np.add.at(out, np.repeat(np.arange(s.shape[0]), lens), v)
-        return out
-    out = v[s].astype(v.dtype, copy=True)
-    for j in range(1, maxlen):
-        active = np.nonzero(lens > j)[0]
-        out[active] += v[s[active] + j]
-    return out
+    return SequentialFoldPlan(starts, len(values))(values)
 
 
 class SequentialFoldPlan:
-    """Precompiled :func:`segment_sum_sequential` for fixed ``starts``.
+    """The sequential segment sum for fixed ``starts``, compiled once.
 
-    The sequential fold re-derives its control structure — run lengths,
-    the per-iteration active-segment masks, or the scatter's repeat
-    index — from ``starts`` on every call, which dominates small
-    launches.  This plan captures that structure once (``starts`` are
-    launch-invariant in the kernels' chunk tables) and replays *exactly
-    the same index arrays through the same operations in the same
-    order*, so results are bit-identical to the ad-hoc function.
+    A rank-parallel loop: iteration ``j`` adds the ``j``-th element of
+    every still-active segment, so each segment accumulates
+    left-to-right while the work per iteration stays vectorized.
+    Segments longer than :data:`_SEQUENTIAL_MAX_LEN` make the whole fold
+    one ``np.add.at`` scatter (the same sequential order) rather than a
+    long Python loop.  The control structure — the per-iteration
+    active segments and their source rows, or the scatter's repeat
+    index — is derived from ``starts`` here, so a caller whose
+    ``starts`` are launch-invariant (the kernels' chunk tables) pays for
+    it once.
     """
 
     def __init__(self, starts: np.ndarray, total: int) -> None:
@@ -139,8 +122,6 @@ class SequentialFoldPlan:
             return
         lens = np.diff(np.concatenate([s, [np.int64(total)]]))
         maxlen = int(lens.max())
-        # Same fallback rule as segment_sum_sequential: skewed segments
-        # scatter in one np.add.at (identical sequential element order).
         self._scatter = maxlen > _SEQUENTIAL_MAX_LEN
         if self._scatter:
             self._repeat = np.repeat(

@@ -47,11 +47,21 @@ from repro.formats.b2sr import TILE_DIMS
 from repro.formats.mmio import read_matrix_market
 from repro.formats.stats import stats_for_all_tile_dims
 from repro.graph import Graph
-from repro.gpusim.device import device_by_name
+from repro.gpusim.device import DeviceSpec, device_by_name
 from repro.profiling import recommend_format
 
 ALGORITHMS = ("bfs", "sssp", "pagerank", "cc", "tc", "mis", "coloring",
               "diameter")
+
+
+def _device_or_none(name: str) -> DeviceSpec | None:
+    """The ``--device`` named ``name``, or ``None`` after printing the
+    ``error:`` line (the caller exits 2)."""
+    try:
+        return device_by_name(name)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return None
 
 
 def load_matrix(spec: str) -> Graph:
@@ -150,10 +160,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     from repro.engines import BitEngine, GraphBLASTEngine
 
+    device = _device_or_none(args.device)
+    if device is None:
+        return 2
     g = load_matrix(args.matrix)
     if args.algorithm in ("cc", "tc", "mis", "coloring"):
         g = g.symmetrized()
-    device = device_by_name(args.device)
 
     def execute(engine):
         if args.algorithm == "bfs":
@@ -248,8 +260,10 @@ def cmd_multi(args: argparse.Namespace) -> int:
     if args.sources < 1:
         print("error: --sources must be >= 1", file=sys.stderr)
         return 2
+    device = _device_or_none(args.device)
+    if device is None:
+        return 2
     g = load_matrix(args.matrix)
-    device = device_by_name(args.device)
     rng = np.random.default_rng(args.seed)
     k = min(args.sources, g.n)
     sources = np.sort(rng.choice(g.n, size=k, replace=False))
@@ -380,6 +394,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if not args.slack_factor >= 1.0:
         print("error: --slack-factor must be >= 1.0", file=sys.stderr)
         return 2
+    if args.max_batch < 1:
+        print("error: --max-batch must be >= 1", file=sys.stderr)
+        return 2
     faults = None
     if args.fail or args.recover:
         try:
@@ -403,7 +420,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    device = device_by_name(args.device)
+    device = _device_or_none(args.device)
+    if device is None:
+        return 2
 
     registry = GraphRegistry(max_batch=args.max_batch)
     sizes: dict[str, int] = {}
@@ -575,7 +594,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("error: --insert-fraction must be in [0, 1]",
               file=sys.stderr)
         return 2
-    device = device_by_name(args.device)
+    if args.servers < 1:
+        print("error: --servers must be >= 1", file=sys.stderr)
+        return 2
+    if args.max_batch < 1:
+        print("error: --max-batch must be >= 1", file=sys.stderr)
+        return 2
+    if not args.slo > 0:
+        print("error: --slo must be > 0", file=sys.stderr)
+        return 2
+    device = _device_or_none(args.device)
+    if device is None:
+        return 2
 
     g = load_matrix(args.matrix)
     store = GraphRegistry(max_batch=args.max_batch)

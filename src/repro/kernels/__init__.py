@@ -11,10 +11,12 @@
   reproductions);
 * :mod:`repro.kernels.simt` — the paper's Listings 1–2 ported to the SIMT
   simulator for validation;
-* :mod:`repro.kernels.plan` — memoized sweep plans (launch-invariant
-  chunk tables, the set-bit index of the min/max/OR pulls, and the
-  masked-gather index of the one dense semiring sweep) every BMV/BMM
-  launch executes against, plus the exact active-tile skip helpers;
+* :mod:`repro.kernels.plan` — each matrix's memoized sweep plan
+  (``B2SRMatrix.plan()``), which every BMV launch reads: the
+  launch-invariant chunk tables, the set-bit index of the min/max/OR
+  pulls, and the masked-gather index of the one dense semiring sweep,
+  cached up to :data:`DEFAULT_BITS_BUDGET_BYTES` per matrix; plus the
+  exact active-tile skip helpers;
 * :mod:`repro.kernels.planless` — the seed per-launch kernels, kept as
   the bitwise reference and cold-path baseline.
 """

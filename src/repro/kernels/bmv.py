@@ -61,14 +61,13 @@ applied right before the output store — *not* via early exit, which the
 paper rejects because of warp divergence (§V BFS).
 
 **Sweep plans.**  Every scheme executes against the matrix's memoized
-:class:`repro.kernels.plan.SweepPlan`: the tile-row expansion, the
-row-aligned chunk tables (boundaries, run starts, output rows), the
-set-bit index, zero-padded operand scratch and — under a byte budget —
-the masked-gather index of the dense semiring sweep are computed once
-per matrix instead of once per launch.  Pass ``plan=`` to supply a
-custom plan (e.g. a different bits budget); every kernel rejects a plan
-built for another matrix, and results are bitwise independent of plan
-warmth.
+:class:`repro.kernels.plan.SweepPlan` (``A.plan()``): the tile-row
+expansion, the row-aligned chunk tables (boundaries, run starts, output
+rows), the set-bit index and — under a byte budget — the masked-gather
+index of the dense semiring sweep are computed once per matrix instead
+of once per launch.  Results are bitwise independent of plan warmth.
+Operand buffers (the zero-padded operand, the multiplied operand with
+its sentinel slot) are allocated per launch.
 
 **One packed sweep.**  The four unmasked packed kernels
 (``bin_bin_bin`` and ``bin_bin_full``, vector and batched) share one
@@ -126,7 +125,6 @@ from repro.bitops.packing import (
 from repro.bitops.segreduce import run_starts
 from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import (
-    SweepPlan,
     note_active,
     value_activity,
     word_activity,
@@ -209,15 +207,6 @@ def _resolve_mask_matrix(
     return ~valid if complement else valid
 
 
-def _resolve_plan(A: B2SRMatrix, plan: SweepPlan | None) -> SweepPlan:
-    """The matrix's memoized plan, or a caller-supplied one (validated)."""
-    if plan is None:
-        return A.plan()
-    if plan.matrix is not A:
-        raise ValueError("plan was built for a different matrix")
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Packed-operand schemes (1-bit input)
 # ---------------------------------------------------------------------------
@@ -225,7 +214,6 @@ def _packed_sweep(
     A: B2SRMatrix,
     xw: np.ndarray,
     count: bool,
-    plan: SweepPlan | None,
     skip: bool,
     counters: dict | None,
 ) -> np.ndarray:
@@ -254,7 +242,7 @@ def _packed_sweep(
         note_active(counters, 0, 0)
         return y
 
-    pl = _resolve_plan(A, plan)
+    pl = A.plan()
     planes = [()] if vec else [(sl,) for sl in plane_slices(k, d)]
     act_planes = None
     if skip:
@@ -302,7 +290,6 @@ def bmv_bin_bin_bin(
     A: B2SRMatrix,
     x_words: np.ndarray,
     *,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -315,17 +302,17 @@ def bmv_bin_bin_bin(
     x_words:
         Vector packed with :func:`repro.bitops.packing.pack_bitvector` at
         ``A.tile_dim`` (word ``k`` ↔ tile column ``k``).
-    plan, skip, counters:
-        Sweep plan override, active-tile skip mode and skip accounting
-        (module docstring).  With ``skip=True`` tiles whose vector word
-        is zero are dropped from the OR fold — bitwise exact.
+    skip, counters:
+        Active-tile skip mode and skip accounting (module docstring).
+        With ``skip=True`` tiles whose vector word is zero are dropped
+        from the OR fold — bitwise exact.
 
     Returns
     -------
     Packed output words (``n_tile_rows`` words of ``tile_dim`` bits).
     """
     xw = _check_vec_words(A, x_words)
-    return _packed_sweep(A, xw, False, plan, skip, counters)
+    return _packed_sweep(A, xw, False, skip, counters)
 
 
 def bmv_bin_bin_bin_masked(
@@ -334,7 +321,6 @@ def bmv_bin_bin_bin_masked(
     mask: np.ndarray,
     *,
     complement: bool = False,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -346,9 +332,7 @@ def bmv_bin_bin_bin_masked(
     of visited").
     """
     valid = _resolve_mask(mask, A.nrows, complement)
-    yw = bmv_bin_bin_bin(
-        A, x_words, plan=plan, skip=skip, counters=counters
-    )
+    yw = bmv_bin_bin_bin(A, x_words, skip=skip, counters=counters)
     # Mask applied right before the output store, in the packed domain.
     return yw & pack_bitvector(valid, A.tile_dim)
 
@@ -357,7 +341,6 @@ def bmv_bin_bin_bin_multi(
     A: B2SRMatrix,
     x_words: np.ndarray,
     *,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -373,7 +356,7 @@ def bmv_bin_bin_bin_multi(
     elided *per plane* when all its plane words are zero.
     """
     xw = _check_mat_words(A, x_words)
-    return _packed_sweep(A, xw, False, plan, skip, counters)
+    return _packed_sweep(A, xw, False, skip, counters)
 
 
 def bmv_bin_bin_bin_multi_masked(
@@ -382,7 +365,6 @@ def bmv_bin_bin_bin_multi_masked(
     masks: np.ndarray,
     *,
     complement: bool = False,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -393,7 +375,7 @@ def bmv_bin_bin_bin_multi_masked(
     """
     xw = _check_mat_words(A, x_words)
     valid = _resolve_mask_matrix(masks, A.nrows, xw.shape[1], complement)
-    yw = _packed_sweep(A, xw, False, plan, skip, counters)
+    yw = _packed_sweep(A, xw, False, skip, counters)
     return yw & pack_bitmatrix(valid, A.tile_dim)
 
 
@@ -404,7 +386,6 @@ def bmv_bin_bin_full(
     A: B2SRMatrix,
     x_words: np.ndarray,
     *,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -417,7 +398,7 @@ def bmv_bin_bin_full(
     (module docstring).
     """
     xw = _check_vec_words(A, x_words)
-    return _packed_sweep(A, xw, True, plan, skip, counters)
+    return _packed_sweep(A, xw, True, skip, counters)
 
 
 def bmv_bin_bin_full_masked(
@@ -426,15 +407,12 @@ def bmv_bin_bin_full_masked(
     mask: np.ndarray,
     *,
     complement: bool = False,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
     """Masked counting SpMV; masked-out rows read 0."""
     valid = _resolve_mask(mask, A.nrows, complement)
-    y = bmv_bin_bin_full(
-        A, x_words, plan=plan, skip=skip, counters=counters
-    )
+    y = bmv_bin_bin_full(A, x_words, skip=skip, counters=counters)
     y[~valid] = 0.0
     return y
 
@@ -443,7 +421,6 @@ def bmv_bin_bin_full_multi(
     A: B2SRMatrix,
     x_words: np.ndarray,
     *,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -452,7 +429,7 @@ def bmv_bin_bin_full_multi(
     the tile word width stripe across word planes over each resident tile
     chunk (module docstring)."""
     xw = _check_mat_words(A, x_words)
-    return _packed_sweep(A, xw, True, plan, skip, counters)
+    return _packed_sweep(A, xw, True, skip, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +444,6 @@ def _order_free(m: np.ndarray) -> bool:
 
 def _set_bit_pull(
     A: B2SRMatrix,
-    pl: SweepPlan,
     semiring: Semiring,
     m: np.ndarray,
     act_planes: list[np.ndarray] | None,
@@ -485,7 +461,7 @@ def _set_bit_pull(
     the identity.  Counters match the dense sweep's exactly: per plane,
     the plane's active stored tiles out of ``n_tiles`` visits.
     """
-    ix = pl.bit_index
+    ix = A.plan().bit_index
     icol, starts, rows = ix.icol, ix.starts, ix.rows
     if act_planes is None:
         visits = n_planes * A.n_tiles
@@ -507,7 +483,6 @@ def _semiring_pull(
     A: B2SRMatrix,
     xv: np.ndarray,
     semiring: Semiring,
-    plan: SweepPlan | None,
     skip: bool,
     counters: dict | None,
 ) -> np.ndarray:
@@ -529,10 +504,9 @@ def _semiring_pull(
         note_active(counters, 0, 0)
         return y[: A.nrows]
 
-    pl = _resolve_plan(A, plan)
     # Pad x to whole tiles; padded entries are never selected because the
     # corresponding matrix bits are structurally absent.
-    xpad = pl.value_scratch(dt, None if xv.ndim == 1 else k)
+    xpad = np.zeros((A.n_tile_cols * d,) + xv.shape[1:], dtype=dt)
     xpad[: A.ncols] = xv
     # Each value plane as an index into the trailing column axis: a
     # vector is one plane, a batch stripes across planes of at most d
@@ -546,12 +520,10 @@ def _semiring_pull(
         ]
     m = semiring.mult_matrix_one(xpad)
     if semiring.idempotent and _order_free(m):
-        _set_bit_pull(
-            A, pl, semiring, m, act_planes, len(planes), y, counters
-        )
+        _set_bit_pull(A, semiring, m, act_planes, len(planes), y, counters)
     else:
         _dense_sweep(
-            A, pl, semiring, m, planes, act_planes,
+            A, semiring, m, planes, act_planes,
             y.reshape((A.n_tile_rows, d) + xv.shape[1:]), counters,
         )
     return y[: A.nrows]
@@ -559,7 +531,6 @@ def _semiring_pull(
 
 def _dense_sweep(
     A: B2SRMatrix,
-    pl: SweepPlan,
     semiring: Semiring,
     m: np.ndarray,
     planes: list[tuple[slice, ...]],
@@ -577,9 +548,10 @@ def _dense_sweep(
     slots keep the identity.  Row-aligned chunks fold each output row
     exactly once.
     """
+    pl = A.plan()
     d = A.tile_dim
     zero = y.dtype.type(semiring.zero)
-    ext = pl.mult_scratch(y.dtype, None if m.ndim == 1 else m.shape[1])
+    ext = np.empty(m.shape[1:] + (m.shape[0] + 1,), dtype=y.dtype)
     ext[..., :-1] = m.T
     ext[..., -1] = zero
     width = 1 if m.ndim == 1 else min(m.shape[1], d)
@@ -640,7 +612,6 @@ def bmv_bin_full_full(
     x: np.ndarray,
     semiring: Semiring = ARITHMETIC,
     *,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -670,7 +641,7 @@ def bmv_bin_full_full(
         raise ValueError(
             f"vector must have shape ({A.ncols},), got {xv.shape}"
         )
-    return _semiring_pull(A, xv, semiring, plan, skip, counters)
+    return _semiring_pull(A, xv, semiring, skip, counters)
 
 
 def bmv_bin_full_full_masked(
@@ -680,14 +651,13 @@ def bmv_bin_full_full_masked(
     *,
     semiring: Semiring = ARITHMETIC,
     complement: bool = False,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
     """Masked semiring SpMV; masked-out rows read the semiring identity."""
     valid = _resolve_mask(mask, A.nrows, complement)
     y = bmv_bin_full_full(
-        A, x, semiring=semiring, plan=plan, skip=skip, counters=counters
+        A, x, semiring=semiring, skip=skip, counters=counters
     )
     y[~valid] = semiring.zero
     return y
@@ -698,7 +668,6 @@ def bmv_bin_full_full_multi(
     x: np.ndarray,
     semiring: Semiring = ARITHMETIC,
     *,
-    plan: SweepPlan | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -721,7 +690,7 @@ def bmv_bin_full_full_multi(
         raise ValueError(
             f"vectors must have shape ({A.ncols}, k), got {xv.shape}"
         )
-    return _semiring_pull(A, xv, semiring, plan, skip, counters)
+    return _semiring_pull(A, xv, semiring, skip, counters)
 
 
 # ---------------------------------------------------------------------------

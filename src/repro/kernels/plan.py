@@ -27,13 +27,15 @@ overhead dominates the host wall-clock.
   rebuild at every epoch swap stays cheap;
 * **masked gather** — the dense semiring sweep's one cache: per chunk,
   each tile cell's padded-operand position where its bit is set, else
-  an identity sentinel (:meth:`SweepPlan.masked_gather`), under a byte
-  budget (:data:`DEFAULT_BITS_BUDGET_BYTES`).  Only arithmetic launches
+  an identity sentinel (:meth:`SweepPlan.masked_gather`), under the byte
+  budget :data:`DEFAULT_BITS_BUDGET_BYTES`.  Only arithmetic launches
   (and idempotent launches whose operand carries NaN or ``-0.0``), vector
   and batched alike, read it; it builds lazily on first use;
-* **value scratch** — zero-padded operand buffers per ``(dtype, k)``
-  (the pad tail past ``ncols`` is written once and never dirtied), and
-  the multiplied operand with its sentinel slot, one row per column;
+* **sequential folds** — per chunk, the arithmetic add monoid's
+  compiled :class:`~repro.bitops.segreduce.SequentialFoldPlan`.
+
+Operand buffers are not plan state: each launch allocates its padded
+operand, so a plan holds only what the matrix determines.
 
 (The BMM contraction operand — the column-major tile repacking — is
 memoized on the matrix itself, :meth:`B2SRMatrix.colmajor_tiles`.)
@@ -102,11 +104,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.b2sr import B2SRMatrix
     from repro.semiring import Semiring
 
-#: Default byte budget for the cached masked-gather index per plan.  A
-#: chunk's index costs ``(hi - lo) · d² · 8`` bytes (``intp``); chunks past
-#: the budget are built on the fly instead of cached.  Serving deployments
-#: that pin many large graphs can lower this per plan via
-#: ``SweepPlan(bits_budget=…)``.
+#: Byte budget for the cached masked-gather index of each plan.  A chunk's
+#: index costs ``(hi - lo) · d² · 8`` bytes (``intp``); chunks past the
+#: budget are built on the fly instead of cached.
 DEFAULT_BITS_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -273,27 +273,16 @@ class SweepPlan:
     """Memoized launch-invariant state for one :class:`B2SRMatrix`.
 
     Everything is built lazily on first use and cached forever (the
-    matrix is immutable).  Not thread-safe: the scratch buffers are
-    per-plan singletons, matching the single-threaded launch model of
-    the host kernels.
+    matrix is immutable).
     """
 
-    def __init__(
-        self,
-        matrix: "B2SRMatrix",
-        *,
-        bits_budget: int = DEFAULT_BITS_BUDGET_BYTES,
-    ) -> None:
-        if bits_budget < 0:
-            raise ValueError(f"bits_budget must be >= 0, got {bits_budget}")
+    def __init__(self, matrix: "B2SRMatrix") -> None:
         self.matrix = matrix
-        self.bits_budget = int(bits_budget)
         self._chunk_tables: dict[int, tuple[SweepChunk, ...]] = {}
         self._bit_index: SetBitIndex | None = None
         self._gathers: dict[tuple[int, int], np.ndarray] = {}
         self._bits_bytes = 0
-        self._scratch: dict[tuple, np.ndarray] = {}
-        self._folds: dict[tuple, SequentialFoldPlan] = {}
+        self._folds: dict[tuple[int, int], SequentialFoldPlan] = {}
 
     # ------------------------------------------------------------------
     # Chunk tables
@@ -368,18 +357,18 @@ class SweepPlan:
 
         ``G[t, r, c]`` is the padded-operand position of tile ``t``'s
         column ``c`` where bit ``(r, c)`` is set, else the sentinel slot
-        ``n_tile_cols · d`` (which :meth:`mult_scratch` keeps loaded with
-        the semiring identity).  ``ext[G]`` therefore materialises *the
+        ``n_tile_cols · d`` (which the dense sweep loads with the
+        semiring identity).  ``ext[G]`` therefore materialises *the
         exact array* the seed kernels build with
         ``np.where(bits, broadcast(mult(seg)), zero)`` — same values,
         reduced along the same contiguous last axis — in one gather, so
         every float bit is unchanged while the per-launch unpack and
         broadcast/where work disappears.
 
-        Cached per chunk under :attr:`bits_budget` (``intp`` entries: 8
-        bytes per bit cell).  With ``subset`` (an index array into the
-        chunk) only those tiles are returned — and when the chunk is
-        over budget, only they are unpacked.
+        Cached per chunk under :data:`DEFAULT_BITS_BUDGET_BYTES` (``intp``
+        entries: 8 bytes per bit cell).  With ``subset`` (an index array
+        into the chunk) only those tiles are returned — and when the
+        chunk is over budget, only they are unpacked.
         """
         key = (chunk.lo, chunk.hi)
         G = self._gathers.get(key)
@@ -390,7 +379,7 @@ class SweepPlan:
             # cost but numpy re-casts non-intp fancy indices on *every*
             # launch, which costs more than the memory saves.
             cost = chunk.size * d * d * np.dtype(np.intp).itemsize
-            cache = self._bits_bytes + cost <= self.bits_budget
+            cache = self._bits_bytes + cost <= DEFAULT_BITS_BUDGET_BYTES
             tiles = A.tiles[chunk.lo:chunk.hi]
             cols = A.indices[chunk.lo:chunk.hi].astype(np.intp)
             if not cache and subset is not None:
@@ -410,7 +399,7 @@ class SweepPlan:
         (:class:`~repro.bitops.segreduce.SequentialFoldPlan`) — the
         arithmetic semiring's ``add_reduceat`` with its per-launch
         control-structure derivation hoisted into the plan."""
-        key = ("fold", chunk.lo, chunk.hi)
+        key = (chunk.lo, chunk.hi)
         prog = self._folds.get(key)
         if prog is None:
             prog = SequentialFoldPlan(chunk.starts, chunk.size)
@@ -431,47 +420,6 @@ class SweepPlan:
             return self.seq_fold(chunk)(values)
         return semiring.add_reduceat(values, chunk.starts)
 
-    def mult_scratch(
-        self, dtype: np.dtype, k: int | None = None
-    ) -> np.ndarray:
-        """Reusable buffer for the multiplied padded operand plus the
-        identity sentinel slot :meth:`masked_gather` points unset bits
-        at: shape ``(n_tile_cols · d + 1,)`` for a vector, or one row per
-        column, ``(k, n_tile_cols · d + 1)``, for a batch.  The caller
-        refills it every launch."""
-        key = ("mult", np.dtype(dtype).str, k)
-        buf = self._scratch.get(key)
-        if buf is None:
-            A = self.matrix
-            n = A.n_tile_cols * A.tile_dim + 1
-            buf = np.zeros(n if k is None else (k, n), dtype=dtype)
-            self._scratch[key] = buf
-        return buf
-
-    # ------------------------------------------------------------------
-    # Scratch buffers
-    # ------------------------------------------------------------------
-    def value_scratch(
-        self, dtype: np.dtype, k: int | None = None
-    ) -> np.ndarray:
-        """A reusable zero-padded value operand buffer.
-
-        Shape ``(n_tile_cols · d,)`` for single vectors or
-        ``(n_tile_cols · d, k)`` for batches.  The caller overwrites
-        ``[:ncols]`` every launch; the pad tail past ``ncols`` is zeroed
-        at allocation and never written, so reuse is safe.
-        """
-        dt = np.dtype(dtype)
-        key = (dt.str, None if k is None else int(k))
-        buf = self._scratch.get(key)
-        if buf is None:
-            A = self.matrix
-            n = A.n_tile_cols * A.tile_dim
-            shape = (n,) if k is None else (n, int(k))
-            buf = np.zeros(shape, dtype=dt)
-            self._scratch[key] = buf
-        return buf
-
     # ------------------------------------------------------------------
     # Warmup
     # ------------------------------------------------------------------
@@ -480,9 +428,9 @@ class SweepPlan:
         read — one chunk table per plane width and the set-bit index —
         so the first BFS/SSSP/CC launch runs at warm speed.  The dense
         sweep's masked-gather cache is left to build lazily (under
-        :attr:`bits_budget`) on the first launch that needs it:
-        arithmetic pulls, and min/max pulls whose operand carries NaN or
-        ``-0.0``."""
+        :data:`DEFAULT_BITS_BUDGET_BYTES`) on the first launch that needs
+        it: arithmetic pulls, and min/max pulls whose operand carries NaN
+        or ``-0.0``."""
         d = self.matrix.tile_dim
         _ = self.matrix.tile_row_of()
         for width in plane_widths:
@@ -499,7 +447,6 @@ class SweepPlan:
             "bit_index_bytes": float(0 if ix is None else ix.nbytes),
             "bits_cached_bytes": float(self._bits_bytes),
             "bits_cached_chunks": float(len(self._gathers)),
-            "scratch_buffers": float(len(self._scratch)),
         }
 
 

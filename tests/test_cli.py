@@ -68,15 +68,27 @@ class TestCommands:
         assert "Bit-GraphBLAS" in out
 
     def test_run_volta(self, capsys):
-        assert main(
-            ["run", "bfs", "gen:diagonal:128:2", "--device", "volta"]
-        ) == 0
-        assert "TitanV" in capsys.readouterr().out
+        # Case and "_"/space variants name the same device.
+        for name in ("volta", "Titan_V", "titan v"):
+            assert main(
+                ["run", "bfs", "gen:diagonal:128:2", "--device", name]
+            ) == 0
+            assert "TitanV" in capsys.readouterr().out
 
     def test_run_tile_dim(self, capsys):
         assert main(
             ["run", "bfs", "gen:diagonal:128:2", "--tile-dim", "8"]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        (["run", "bfs", "gen:diagonal:64:2"], ["multi", "gen:hybrid:64:1"]),
+        ids=("run", "multi"),
+    )
+    def test_rejects_unknown_device(self, capsys, argv):
+        assert main([*argv, "--device", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown device 'bogus'")
 
     def test_multi_sssp(self, capsys):
         assert main(
@@ -156,8 +168,16 @@ class TestCommands:
         assert main(
             ["cluster", "gen:hybrid:64:1", "--rate", "0"]
         ) == 2
-        for spec in (["--fail", "1@nan"], ["--speed", "1=inf"]):
+        for spec in (
+            ["--fail", "1@nan"],
+            ["--speed", "1=inf"],
+            ["--max-batch", "0"],
+            ["--device", "bogus"],
+        ):
             assert main(["cluster", "gen:hybrid:64:1", *spec]) == 2
+        err = capsys.readouterr().err
+        assert "error: --max-batch must be >= 1" in err
+        assert "error: unknown device 'bogus'" in err
 
     def test_ingest_live(self, capsys):
         assert main(
@@ -183,6 +203,21 @@ class TestCommands:
         assert main(
             ["ingest", "gen:hybrid:64:1", "--insert-fraction", "2"]
         ) == 2
+        for spec in (
+            ["--servers", "0"],
+            ["--max-batch", "0"],
+            ["--slo", "0"],
+            ["--device", "bogus"],
+        ):
+            assert main(["ingest", "gen:hybrid:64:1", *spec]) == 2
+        err = capsys.readouterr().err
+        for line in (
+            "error: --servers must be >= 1",
+            "error: --max-batch must be >= 1",
+            "error: --slo must be > 0",
+            "error: unknown device 'bogus'",
+        ):
+            assert line in err
 
     def test_matrices_listing(self, capsys):
         assert main(["matrices"]) == 0

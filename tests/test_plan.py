@@ -22,10 +22,6 @@ from repro.bitops.packing import (
     plane_count,
     plane_slices,
 )
-from repro.bitops.segreduce import (
-    SequentialFoldPlan,
-    segment_sum_sequential,
-)
 from repro.datasets.generators import (
     diagonal_pattern,
     hybrid_pattern,
@@ -39,7 +35,6 @@ from repro.kernels import bmv, planless
 from repro.kernels.costmodel import BMV_SCHEMES, bmv_stats
 from repro.kernels.plan import (
     SetBitIndex,
-    SweepPlan,
     value_activity,
     word_activity,
 )
@@ -144,7 +139,6 @@ PACKED_BATCHED = (
     "bmv_bin_bin_bin_multi_masked",
     "bmv_bin_bin_full_multi",
 )
-PACKED_KERNELS = PACKED_VECTOR + PACKED_BATCHED
 PACKED_CASES = [(name, "vector") for name in PACKED_VECTOR] + [
     (name, width) for name in PACKED_BATCHED for width in KERNEL_WIDTHS[1:]
 ]
@@ -333,15 +327,6 @@ class TestPlanReuse:
         B, _, _ = build(seed=1)
         assert A.plan() is not B.plan()
 
-    @pytest.mark.parametrize("name", PACKED_KERNELS)
-    def test_kernel_rejects_foreign_plan(self, name):
-        A, _, rng = build()
-        B, _, _ = build(seed=1)
-        width = "k=d" if name in PACKED_BATCHED else "vector"
-        launch, _, _ = packed_launch(A, name, width, rng)
-        with pytest.raises(ValueError, match="different matrix"):
-            launch(plan=B.plan())
-
     @pytest.mark.parametrize("family", DENSE_OPERANDS)
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     def test_warm_launch_does_not_reunpack(self, monkeypatch, width, family):
@@ -369,20 +354,24 @@ class TestPlanReuse:
 
     @pytest.mark.parametrize("family", DENSE_OPERANDS)
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
-    def test_zero_budget_plan_still_bitwise(self, width, family):
+    def test_zero_budget_plan_still_bitwise(
+        self, monkeypatch, width, family
+    ):
+        """With no masked-gather budget every chunk's index is built per
+        launch, and the dense sweep stays bitwise equal."""
+        monkeypatch.setattr(plan_mod, "DEFAULT_BITS_BUDGET_BYTES", 0)
         A, dense, rng = build(n=100, d=16, seed=4)
-        plan = SweepPlan(A, bits_budget=0)
         launch, want = dense_launch(A, width, family, rng)
         for skip in (False, True):
-            assert bitwise_equal(launch(plan=plan, skip=skip), want)
-        assert plan.bits_cached_bytes == 0
+            assert bitwise_equal(launch(skip=skip), want)
+        assert A.plan().bits_cached_bytes == 0
 
     def test_warm_builds_state(self):
         """warm() builds what serving launches read — the chunk tables
         and the set-bit index; the dense sweep's masked-gather cache
         stays empty until the first arithmetic launch fills it."""
         A, _, rng = build(n=100, d=8, seed=6)
-        plan = SweepPlan(A)
+        plan = A.plan()
         st = plan.stats()
         assert st["chunk_tables"] == 0 and st["bit_index_cached"] == 0
         plan.warm((1, 8))
@@ -393,10 +382,10 @@ class TestPlanReuse:
         assert plan.bits_cached_bytes == 0
         x = rng.random(100).astype(np.float32)
         X = rng.random((100, 3)).astype(np.float32)
-        bmv.bmv_bin_full_full(A, x, MIN_PLUS, plan=plan)
-        bmv.bmv_bin_full_full_multi(A, X, MIN_PLUS, plan=plan)
+        bmv.bmv_bin_full_full(A, x, MIN_PLUS)
+        bmv.bmv_bin_full_full_multi(A, X, MIN_PLUS)
         assert plan.bits_cached_bytes == 0
-        got = bmv.bmv_bin_full_full(A, x, ARITHMETIC, plan=plan)
+        got = bmv.bmv_bin_full_full(A, x, ARITHMETIC)
         assert plan.bits_cached_bytes > 0
         assert bitwise_equal(got, planless.bmv_bin_full_full(A, x))
 
@@ -474,22 +463,6 @@ class TestPlanReuse:
         entry = reg.add("g", g, tile_dim=8)
         plan = entry.engine._At.plan()
         assert plan.stats()["chunk_tables"] >= 2
-
-    def test_sequential_fold_plan_matches_adhoc(self):
-        rng = np.random.default_rng(0)
-        for total, n_seg in ((0, 0), (7, 3), (300, 4), (50, 50)):
-            if n_seg:
-                starts = np.unique(
-                    rng.integers(0, total, size=n_seg)
-                )
-                starts[0] = 0
-            else:
-                starts = np.zeros(0, dtype=np.int64)
-            v = rng.standard_normal((total, 3)).astype(np.float32)
-            prog = SequentialFoldPlan(starts, total)
-            got = prog(v)
-            want = segment_sum_sequential(v, starts)
-            assert bitwise_equal(got, want)
 
 
 # ----------------------------------------------------------------------
