@@ -23,11 +23,13 @@ from repro.bitops.packing import (
     pack_bitvector,
     unpack_bitmatrix,
 )
+from repro.algorithms import multi_source_sssp
 from repro.datasets.generators import (
     block_pattern,
     diagonal_pattern,
     hybrid_pattern,
 )
+from repro.engines import BitEngine
 from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
 from repro.kernels.bmv import (
@@ -148,6 +150,21 @@ def test_wallclock_bmv_bin_full_full_multi_min_plus(benchmark, json_report):
     emit_benchmark(
         json_report, benchmark, "bmv_bin_full_full_multi_min_plus",
         n=512, k=32, skip=True,
+    )
+
+
+def test_wallclock_multi_source_sssp(benchmark, json_report):
+    """One serving SSSP launch: 32 sources in lockstep over a 512-vertex
+    hybrid graph (226 min-plus rounds) on a warm plan, skip mode on.
+    Each round gathers only the stored bits of the columns the previous
+    round lowered (change-driven relaxation)."""
+    engine = BitEngine(hybrid_pattern(512, seed=4), tile_dim=32)
+    engine.warm_plans((32,))
+    sources = np.arange(32) * 16
+    benchmark(multi_source_sssp, engine, sources)
+    emit_benchmark(
+        json_report, benchmark, "multi_source_sssp",
+        n=512, k=32, tile_dim=32,
     )
 
 

@@ -8,6 +8,16 @@ in-neighbours — Bellman-Ford iterations expressed as
 (eccentricity) rounds, mirroring the iteration structure of GraphBLAST's
 delta-stepping configuration on unit weights.
 
+Each round relaxes only from what the last round lowered: the pull gets
+``changed`` (the sources' entries in round one, then the ``new < dist``
+the convergence check computes anyway), and the bit backend gathers only
+the stored bits of those columns (frontier-based Bellman-Ford;
+:func:`repro.kernels.bmv.bmv_bin_full_full`).  An unchanged entry's
+``dist + 1`` is already folded into its out-neighbours, and min is
+idempotent, so every round's ``dist`` is bit for bit what a full pull
+gives — the same rounds and the same modeled cost, which is charged for
+the full pull.
+
 :func:`multi_source_sssp` relaxes ``k`` sources in lockstep through the
 batched numeric pull (:meth:`repro.engines.base.Engine.pull_multi`): one
 min-plus kernel sweep per round serves every column — striped across
@@ -50,14 +60,18 @@ def sssp(
 
     dist = np.full(n, np.inf, dtype=np.float32)  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances), matches the paper's GPU value arithmetic; ids stay float64
     dist[source] = 0.0
+    changed = np.zeros(n, dtype=bool)
+    changed[source] = True
 
     for _ in range(max_iterations):
         engine.note_iteration()
-        relaxed = engine.pull(dist, MIN_PLUS)
+        relaxed = engine.pull(dist, MIN_PLUS, changed=changed)
         new = np.minimum(dist, relaxed.astype(np.float32))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
         # ``new <= dist`` always holds (elementwise min), so "no entry
-        # improved" is exactly "new == dist" — one check suffices.
-        if not (new < dist).any():
+        # improved" is exactly "new == dist" — one check suffices, and
+        # the entries that improved are the next round's ``changed``.
+        changed = new < dist
+        if not changed.any():
             break
         dist = new
 
@@ -103,12 +117,15 @@ def multi_source_sssp(
 
     dist = np.full((n, k), np.inf, dtype=np.float32)  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances), matches the paper's GPU value arithmetic; ids stay float64
     dist[src, np.arange(k)] = 0.0
+    changed = np.zeros((n, k), dtype=bool)
+    changed[src, np.arange(k)] = True
 
     for _ in range(max_iterations):
         engine.note_iteration()
-        relaxed = engine.pull_multi(dist, MIN_PLUS)
+        relaxed = engine.pull_multi(dist, MIN_PLUS, changed=changed)
         new = np.minimum(dist, relaxed.astype(np.float32))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
-        if not (new < dist).any():
+        changed = new < dist
+        if not changed.any():
             break
         dist = new
 

@@ -166,6 +166,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     g = load_matrix(args.matrix)
     if args.algorithm in ("cc", "tc", "mis", "coloring"):
         g = g.symmetrized()
+    if args.algorithm in ("bfs", "sssp", "diameter") and not (
+        0 <= args.source < g.n
+    ):
+        print(f"error: --source must be in [0, {g.n})", file=sys.stderr)
+        return 2
 
     def execute(engine):
         if args.algorithm == "bfs":
@@ -602,6 +607,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return 2
     if not args.slo > 0:
         print("error: --slo must be > 0", file=sys.stderr)
+        return 2
+    if args.max_retries < 0:
+        print("error: --max-retries must be >= 0", file=sys.stderr)
         return 2
     device = _device_or_none(args.device)
     if device is None:

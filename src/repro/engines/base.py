@@ -123,8 +123,24 @@ class Engine:
         vxm with complemented mask)."""
         raise NotImplementedError
 
-    def pull(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
-        """``y_i = ⊕_{j → i} mult(1, x_j)`` — semiring mxv over Aᵀ."""
+    def pull(
+        self,
+        x: np.ndarray,
+        semiring: Semiring,
+        *,
+        changed: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``y_i = ⊕_{j → i} mult(1, x_j)`` — semiring mxv over Aᵀ.
+
+        ``changed`` (a bool array of ``x``'s shape, min/max/OR semirings
+        only) marks at least the entries where ``x`` differs from the
+        last operand whose pull the caller already folded into ``x``.
+        A backend may then gather only the in-neighbours ``j`` with
+        ``changed[j]`` (:func:`repro.kernels.bmv.bmv_bin_full_full`), so
+        ``y`` may be partial, but ``x ⊕ y`` is the same bits as with the
+        full pull.  A backend may also ignore it: a full pull is always
+        valid.  The modeled cost is that of the full pull either way.
+        """
         raise NotImplementedError
 
     def tc_count(self) -> float:
@@ -151,10 +167,17 @@ class Engine:
             out[:, j] = self.frontier_expand(F[:, j], V[:, j])
         return out
 
-    def pull_multi(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
+    def pull_multi(
+        self,
+        x: np.ndarray,
+        semiring: Semiring,
+        *,
+        changed: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Batched :meth:`pull` over the columns of the ``(n, k)`` operand.
 
-        Default: ``k`` single pulls; batched backends override.  Like
+        Default: ``k`` single pulls, each with its column of the
+        ``(n, k)`` ``changed`` mask; batched backends override.  Like
         :meth:`pull`, a ``float64`` operand is pulled in ``float64``
         (exact numeric labels past 2²⁴); anything else uses float32.
         """
@@ -165,7 +188,10 @@ class Engine:
             )
         out = np.zeros(X.shape, dtype=value_dtype(X))
         for j in range(X.shape[1]):
-            out[:, j] = self.pull(X[:, j], semiring)
+            out[:, j] = self.pull(
+                X[:, j], semiring,
+                changed=None if changed is None else changed[:, j],
+            )
         return out
 
     def _check_multi(

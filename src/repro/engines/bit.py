@@ -160,14 +160,20 @@ class BitEngine(Engine):
         self.algorithm_stats.host_us += 0.5
         return unpack_bitvector(yw, d, self.n).astype(bool)
 
-    def pull(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
+    def pull(
+        self,
+        x: np.ndarray,
+        semiring: Semiring,
+        *,
+        changed: np.ndarray | None = None,
+    ) -> np.ndarray:
         # float64 payloads (numeric labels) keep their precision; anything
         # else runs in the kernels' native float32.
         dt = value_dtype(x)
         X = np.asarray(x).astype(dt, copy=False)
         counters: dict = {}
         y = bmv_bin_full_full(
-            self._At, X, semiring,
+            self._At, X, semiring, changed=changed,
             skip=self.skip_inactive, counters=counters,
         )
         stats = bmv_stats(
@@ -211,11 +217,18 @@ class BitEngine(Engine):
         self.algorithm_stats.host_us += 0.5
         return unpack_bitmatrix(yw, d, self.n).astype(bool)
 
-    def pull_multi(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
+    def pull_multi(
+        self,
+        x: np.ndarray,
+        semiring: Semiring,
+        *,
+        changed: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Batched semiring pull: one ``bmv_bin_full_full_multi`` sweep
         serves all ``k`` columns (striped across ``⌈k/d⌉`` value planes
         when the batch exceeds the tile word width) — batched PageRank's,
-        multi-source SSSP's and batched FastSV's kernel."""
+        multi-source SSSP's and batched FastSV's kernel.  ``changed``
+        passes through to the kernel (:meth:`Engine.pull`)."""
         dt = value_dtype(x)
         X = np.asarray(x).astype(dt, copy=False)
         if X.ndim != 2 or X.shape[0] != self.n:
@@ -225,7 +238,7 @@ class BitEngine(Engine):
         k = X.shape[1]
         counters: dict = {}
         Y = bmv_bin_full_full_multi(
-            self._At, X, semiring,
+            self._At, X, semiring, changed=changed,
             skip=self.skip_inactive, counters=counters,
         )
         self.add_kernel(

@@ -104,9 +104,16 @@ class GraphBLASTEngine(Engine):
         self.note_ewise(vectors=2)
         return nxt
 
-    def pull(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
-        # float64 payloads (numeric labels) keep their precision, matching
-        # the bit backend's dtype discipline.
+    def pull(
+        self,
+        x: np.ndarray,
+        semiring: Semiring,
+        *,
+        changed: np.ndarray | None = None,
+    ) -> np.ndarray:
+        # ``changed`` is ignored: a full pull is always valid.  float64
+        # payloads (numeric labels) keep their precision, matching the
+        # bit backend's dtype discipline.
         dt = value_dtype(x)
         y = csr_spmv_semiring(
             self.graph.csr_t, np.asarray(x).astype(dt, copy=False), semiring

@@ -88,6 +88,23 @@ operand holds no NaN and no ``-0.0``; launches that fail that check, and
 every arithmetic launch (whose float sums are order-dependent), keep the
 dense sweep that replays the seed's fold order.
 
+**Change-driven relaxation (``changed=``).**  An iteration
+``x ← x ⊕ (A ⊗ x)`` over an idempotent ⊕ (min, max, OR) needs only the
+columns its last round changed: for an unchanged column ``j``, the term
+``mult(1, x_j)`` was already folded into every out-neighbour ``x_i`` by
+the round that produced ``x``, and ``x_i ⊕ t = x_i`` for any ``t``
+already folded in.  So a caller that passes ``changed`` (True at least
+where ``x`` differs from the last operand whose pull is folded into it)
+gets a partial pull ``p`` that gathers only the set-bit entries whose
+column changed in some batch column, and ``x ⊕ p`` equals ``x ⊕ (A ⊗ x)``
+bit for bit.  Rows with no changed in-neighbour read the identity.  This
+is frontier-based Bellman-Ford (Gunrock's advance over the updated
+vertices); SSSP's rounds pass the ``new < dist`` they compute for
+convergence.  ``counters`` still count the full operand's activity, so
+the cost model charges what the paper's kernel does.  The dense fallback
+(NaN or ``-0.0`` in the product) ignores ``changed`` and pulls in full,
+which is always valid.
+
 The vector and batched semiring kernels share one body and one dense
 sweep (:func:`_dense_sweep`), which folds every value plane through the
 plan's cached masked-gather index.
@@ -442,12 +459,33 @@ def _order_free(m: np.ndarray) -> bool:
     return not (np.isnan(m).any() or (np.signbit(m) & (m == 0)).any())
 
 
+def _check_changed(
+    changed: np.ndarray | None, shape: tuple[int, ...], semiring: Semiring
+) -> np.ndarray | None:
+    """Validate a change mask: a bool array of the operand's shape, for
+    an idempotent semiring only (a partial sum is not the full sum)."""
+    if changed is None:
+        return None
+    if not semiring.idempotent:
+        raise ValueError(
+            f"changed= needs an idempotent semiring, got {semiring.name}"
+        )
+    c = np.asarray(changed)
+    if c.dtype != np.bool_ or c.shape != shape:
+        raise ValueError(
+            f"changed must be a bool array of shape {shape}, got "
+            f"{c.dtype} {c.shape}"
+        )
+    return c
+
+
 def _set_bit_pull(
     A: B2SRMatrix,
     semiring: Semiring,
     m: np.ndarray,
     act_planes: list[np.ndarray] | None,
     n_planes: int,
+    changed: np.ndarray | None,
     out: np.ndarray,
     counters: dict | None,
 ) -> None:
@@ -455,14 +493,18 @@ def _set_bit_pull(
 
     ``m`` is the multiplied padded operand (``(n_tile_cols·d,)`` or
     ``(n_tile_cols·d, k)``) and ``out`` the identity-filled output
-    flattened to ``(n_tile_rows·d[, k])``.  With ``act_planes`` (the
-    per-plane column activity of skip mode) only the entries of tiles
-    active in some plane are gathered — an inactive tile contributes
-    the identity.  Counters match the dense sweep's exactly: per plane,
-    the plane's active stored tiles out of ``n_tiles`` visits.
+    flattened to ``(n_tile_rows·d[, k])``.  With ``changed`` only the
+    entries whose column changed in some batch column are gathered
+    (change-driven relaxation, module docstring); otherwise, with
+    ``act_planes`` (the per-plane column activity of skip mode), only
+    the entries of tiles active in some plane — an inactive tile
+    contributes the identity.  Counters match the dense sweep's exactly
+    whichever entries are gathered: per plane, the plane's active stored
+    tiles out of ``n_tiles`` visits.
     """
     ix = A.plan().bit_index
     icol, starts, rows = ix.icol, ix.starts, ix.rows
+    keep = None
     if act_planes is None:
         visits = n_planes * A.n_tiles
         note_active(counters, visits, visits)
@@ -473,8 +515,16 @@ def _set_bit_pull(
             plane_act = act[A.indices]
             note_active(counters, np.count_nonzero(plane_act), A.n_tiles)
             tile_act |= plane_act
-        if not tile_act.all():
-            icol, starts, rows = ix.select(tile_act)
+        if changed is None and not tile_act.all():
+            keep = tile_act[ix.tile]
+    if changed is not None:
+        col_changed = np.zeros(m.shape[0], dtype=bool)
+        col_changed[: A.ncols] = (
+            changed if changed.ndim == 1 else changed.any(axis=1)
+        )
+        keep = col_changed[icol]
+    if keep is not None:
+        icol, starts, rows = ix.select(keep)
     if icol.size:
         out[rows] = semiring.add_reduceat(m[icol], starts)
 
@@ -483,6 +533,7 @@ def _semiring_pull(
     A: B2SRMatrix,
     xv: np.ndarray,
     semiring: Semiring,
+    changed: np.ndarray | None,
     skip: bool,
     counters: dict | None,
 ) -> np.ndarray:
@@ -491,9 +542,10 @@ def _semiring_pull(
     ``xv`` is the validated operand in its value dtype, ``(ncols,)`` or
     ``(ncols, k)``; the result has shape ``(nrows,)`` or ``(nrows, k)``.
     The padded operand is multiplied once; an idempotent semiring over
-    an order-free product takes the set-bit gather, everything else the
-    dense sweep.
+    an order-free product takes the set-bit gather (restricted to the
+    ``changed`` columns when given), everything else the dense sweep.
     """
+    changed = _check_changed(changed, xv.shape, semiring)
     dt = xv.dtype
     d = A.tile_dim
     k = 1 if xv.ndim == 1 else xv.shape[1]
@@ -520,7 +572,9 @@ def _semiring_pull(
         ]
     m = semiring.mult_matrix_one(xpad)
     if semiring.idempotent and _order_free(m):
-        _set_bit_pull(A, semiring, m, act_planes, len(planes), y, counters)
+        _set_bit_pull(
+            A, semiring, m, act_planes, len(planes), changed, y, counters
+        )
     else:
         _dense_sweep(
             A, semiring, m, planes, act_planes,
@@ -612,6 +666,7 @@ def bmv_bin_full_full(
     x: np.ndarray,
     semiring: Semiring = ARITHMETIC,
     *,
+    changed: np.ndarray | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -635,13 +690,22 @@ def bmv_bin_full_full(
     compute-elided in the dense sweep (their slots pre-filled with the
     identity it would produce) — so the result is bit-for-bit unchanged
     (SSSP's +∞-heavy early rounds included).
+
+    ``changed`` (a bool vector of ``x``'s shape, min/max/OR semirings
+    only) asks for a change-driven partial pull: only the stored bits
+    whose column is True are gathered, so ``x ⊕ y`` equals ``x ⊕ A ⊗ x``
+    bit for bit when ``changed`` is True at least where ``x`` differs
+    from the last operand whose pull is already folded into ``x``
+    (module docstring).  ``counters`` are those of the full pull.  A
+    non-idempotent semiring, or a mask of another shape or dtype,
+    raises ``ValueError``.
     """
     xv = np.asarray(x).astype(value_dtype(x), copy=False)
     if xv.shape != (A.ncols,):
         raise ValueError(
             f"vector must have shape ({A.ncols},), got {xv.shape}"
         )
-    return _semiring_pull(A, xv, semiring, skip, counters)
+    return _semiring_pull(A, xv, semiring, changed, skip, counters)
 
 
 def bmv_bin_full_full_masked(
@@ -668,6 +732,7 @@ def bmv_bin_full_full_multi(
     x: np.ndarray,
     semiring: Semiring = ARITHMETIC,
     *,
+    changed: np.ndarray | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -684,13 +749,17 @@ def bmv_bin_full_full_multi(
     plane when every value of its segment across the plane's columns is
     bit-identical to the semiring identity; the gather keeps the
     entries of tiles active in any plane.
+
+    ``changed`` is a bool ``(ncols, k)`` mask as in
+    :func:`bmv_bin_full_full`: a stored bit is gathered, for every
+    column of the batch, when its column changed in any of them.
     """
     xv = np.asarray(x).astype(value_dtype(x), copy=False)
     if xv.ndim != 2 or xv.shape[0] != A.ncols:
         raise ValueError(
             f"vectors must have shape ({A.ncols}, k), got {xv.shape}"
         )
-    return _semiring_pull(A, xv, semiring, skip, counters)
+    return _semiring_pull(A, xv, semiring, changed, skip, counters)
 
 
 # ---------------------------------------------------------------------------

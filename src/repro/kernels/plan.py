@@ -258,12 +258,14 @@ class SetBitIndex:
         return sum(getattr(self, name).nbytes for name in self.FIELDS)
 
     def select(
-        self, tile_active: np.ndarray
+        self, keep: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(icol, starts, rows)`` restricted to the entries of active
-        tiles (a bool per stored tile).  Only runs that keep an entry
-        remain, so every segment is non-empty as ``reduceat`` requires."""
-        sel = np.flatnonzero(tile_active[self.tile])
+        """``(icol, starts, rows)`` restricted to the kept entries (a
+        bool per entry: ``tile_active[tile]`` for skip mode's active
+        tiles, ``col_changed[icol]`` for a change-driven pull).  Only
+        runs that keep an entry remain, so every segment is non-empty as
+        ``reduceat`` requires."""
+        sel = np.flatnonzero(keep)
         irow = self.irow[sel]
         starts = run_starts(irow)
         return self.icol[sel], starts, irow[starts]

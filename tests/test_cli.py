@@ -90,6 +90,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown device 'bogus'")
 
+    @pytest.mark.parametrize(
+        "alg, source",
+        (("bfs", "1000"), ("sssp", "-1"), ("diameter", "64")),
+    )
+    def test_run_rejects_source_out_of_range(self, capsys, alg, source):
+        assert main(
+            ["run", alg, "gen:hybrid:64:1", "--source", source]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --source must be in [0, 64)")
+
     def test_multi_sssp(self, capsys):
         assert main(
             ["multi", "gen:hybrid:200:1", "--algorithm", "sssp",
@@ -208,6 +219,7 @@ class TestCommands:
             ["--max-batch", "0"],
             ["--slo", "0"],
             ["--device", "bogus"],
+            ["--offline", "--max-retries", "-1"],
         ):
             assert main(["ingest", "gen:hybrid:64:1", *spec]) == 2
         err = capsys.readouterr().err
@@ -216,6 +228,7 @@ class TestCommands:
             "error: --max-batch must be >= 1",
             "error: --slo must be > 0",
             "error: unknown device 'bogus'",
+            "error: --max-retries must be >= 0",
         ):
             assert line in err
 
