@@ -23,7 +23,7 @@ from repro.bitops.packing import (
     pack_bitvector,
     unpack_bitmatrix,
 )
-from repro.algorithms import multi_source_sssp
+from repro.algorithms import multi_source_sssp, sssp
 from repro.datasets.generators import (
     block_pattern,
     diagonal_pattern,
@@ -165,6 +165,21 @@ def test_wallclock_multi_source_sssp(benchmark, json_report):
     emit_benchmark(
         json_report, benchmark, "multi_source_sssp",
         n=512, k=32, tile_dim=32,
+    )
+
+
+def test_wallclock_sssp_calibration(benchmark, json_report):
+    """One calibration solo run, as a serving estimator makes it:
+    single-source SSSP from vertex 0 over a 512-vertex hybrid graph (226
+    min-plus rounds) on a warm plan, skip mode on.  Each round is one
+    narrow pull, so the per-round bookkeeping around the kernel (the
+    cost model, the stats accumulation, the entry selection and the
+    operand's order check) is a large share of it."""
+    engine = BitEngine(hybrid_pattern(512, seed=4), tile_dim=32)
+    engine.warm_plans()
+    benchmark(sssp, engine, 0)
+    emit_benchmark(
+        json_report, benchmark, "sssp_calibration", n=512, tile_dim=32,
     )
 
 

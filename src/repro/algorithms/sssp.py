@@ -66,7 +66,7 @@ def sssp(
     for _ in range(max_iterations):
         engine.note_iteration()
         relaxed = engine.pull(dist, MIN_PLUS, changed=changed)
-        new = np.minimum(dist, relaxed.astype(np.float32))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
+        new = np.minimum(dist, relaxed.astype(np.float32, copy=False))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
         # ``new <= dist`` always holds (elementwise min), so "no entry
         # improved" is exactly "new == dist" — one check suffices, and
         # the entries that improved are the next round's ``changed``.
@@ -123,7 +123,7 @@ def multi_source_sssp(
     for _ in range(max_iterations):
         engine.note_iteration()
         relaxed = engine.pull_multi(dist, MIN_PLUS, changed=changed)
-        new = np.minimum(dist, relaxed.astype(np.float32))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
+        new = np.minimum(dist, relaxed.astype(np.float32, copy=False))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
         changed = new < dist
         if not changed.any():
             break

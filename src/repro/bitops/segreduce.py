@@ -36,15 +36,23 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
 
     ``keys[run_starts(keys)]`` are the unique values in order; consecutive
     starts delimit the runs, the last run extending to ``len(keys)``.
+    Every NaN opens a run of its own (``NaN != NaN``).
+
+    One pass: the run heads are written into one preallocated bool
+    array (``heads[0]`` plus ``keys[1:] != keys[:-1]``) and the result
+    is its ``flatnonzero`` — no concatenation of the offset pieces.
+    Change-driven SSSP rounds call this once each, through
+    :meth:`repro.kernels.plan.SetBitIndex.select`.
     """
     k = np.asarray(keys)
     if k.ndim != 1:
         raise ValueError(f"expected 1-D keys, got shape {k.shape}")
     if k.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.r_[
-        np.int64(0), np.nonzero(k[1:] != k[:-1])[0].astype(np.int64) + 1
-    ]
+    heads = np.empty(k.shape[0], dtype=bool)
+    heads[0] = True
+    np.not_equal(k[1:], k[:-1], out=heads[1:])
+    return np.flatnonzero(heads)
 
 
 def segment_reduce(

@@ -207,6 +207,9 @@ class BitEngine(Engine):
             self._At, fw, V, complement=True,
             skip=self.skip_inactive, counters=counters,
         )
+        if F.shape[1] == 0:
+            # A zero-column batch records no launch, as the base loop.
+            return unpack_bitmatrix(yw, d, self.n).astype(bool)
         self.add_kernel(
             bmv_stats(
                 self._At, "bin_bin_bin_masked", self.device,
@@ -241,6 +244,9 @@ class BitEngine(Engine):
             self._At, X, semiring, changed=changed,
             skip=self.skip_inactive, counters=counters,
         )
+        if k == 0:
+            # A zero-column batch records no launch, as the base loop.
+            return Y
         self.add_kernel(
             bmv_stats(
                 self._At, "bin_full_full", self.device,

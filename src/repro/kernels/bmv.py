@@ -455,8 +455,24 @@ def bmv_bin_bin_full_multi(
 def _order_free(m: np.ndarray) -> bool:
     """No NaN and no ``-0.0`` in the multiplied operand: the condition
     under which a min/max/OR fold over any subset of ``m`` has one
-    answer, bit for bit, whatever its order."""
-    return not (np.isnan(m).any() or (np.signbit(m) & (m == 0)).any())
+    answer, bit for bit, whatever its order.
+
+    Decided from one ``m.min()`` when it can be: the minimum is NaN
+    exactly when ``m`` holds a NaN, and a minimum above 0 rules out
+    both NaN and ``-0.0`` — always the case for SSSP's ``x + 1``.  Only
+    a minimum ≤ 0 (CC's labels start at 0) scans for ``-0.0``; with no
+    NaN and no negative entry, any set sign bit is a ``-0.0``.  ``m`` is
+    never empty: the pull returns before this for an empty matrix or
+    batch.
+    """
+    lo = m.min()
+    if lo != lo:  # NaN (np.isnan costs more on a scalar)
+        return False
+    if lo > 0:
+        return True
+    if lo == 0:
+        return not np.signbit(m).any()
+    return not (np.signbit(m) & (m == 0)).any()
 
 
 def _check_changed(
