@@ -23,11 +23,13 @@ from repro.bitops.packing import (
     pack_bitvector,
     unpack_bitmatrix,
 )
-from repro.algorithms import multi_source_sssp, sssp
+from repro.algorithms import multi_source_bfs, multi_source_sssp, sssp
 from repro.datasets.generators import (
     block_pattern,
     diagonal_pattern,
     hybrid_pattern,
+    rmat_graph,
+    road_pattern,
 )
 from repro.engines import BitEngine
 from repro.kernels import planless
@@ -93,8 +95,9 @@ def test_wallclock_bmv_bin_bin_bin_multi_masked(
     benchmark, banded, json_report, k, skip
 ):
     """Multi-source BFS's batched kernel on a warm plan: a 0.2% frontier
-    (about 8 vertices) per source, masked by a half-visited complement,
-    so skip mode drops part of every word plane's tiles."""
+    (about 8 vertices) per source as batch words, masked by a
+    half-visited complement.  The OR-fold gathers every stored bit
+    either way; skip mode only counts the active tiles."""
     g, _ = banded
     A = g.b2sr(32)
     A.plan().warm((k,))
@@ -114,7 +117,7 @@ def test_wallclock_bmv_bin_bin_bin_multi_masked(
 @pytest.mark.parametrize("k", [8, 32])
 def test_wallclock_pack_bitmatrix(benchmark, json_report, k):
     """The engine's batched frontier packing: k BFS frontiers over 4096
-    vertices into d=32 words."""
+    vertices into d=32 batch words, one word row per vertex."""
     X = np.random.default_rng(k).random((4096, k)) < 0.05
     benchmark(pack_bitmatrix, X, 32)
     emit_benchmark(json_report, benchmark, "pack_bitmatrix", n=4096, k=k)
@@ -122,11 +125,37 @@ def test_wallclock_pack_bitmatrix(benchmark, json_report, k):
 
 @pytest.mark.parametrize("k", [8, 32])
 def test_wallclock_unpack_bitmatrix(benchmark, json_report, k):
-    """The inverse: a packed batched BFS result back to (n, k) bits."""
+    """The inverse: a batched BFS result's batch words back to (n, k)
+    bits."""
     X = np.random.default_rng(k).random((4096, k)) < 0.05
     words = pack_bitmatrix(X, 32)
-    benchmark(unpack_bitmatrix, words, 32, 4096)
+    benchmark(unpack_bitmatrix, words, 32, k)
     emit_benchmark(json_report, benchmark, "unpack_bitmatrix", n=4096, k=k)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+@pytest.mark.parametrize(
+    "family, build",
+    [
+        ("rmat9", lambda: rmat_graph(9, seed=1)),
+        ("road256", lambda: road_pattern(256, seed=1)),
+    ],
+    ids=["rmat9", "road256"],
+)
+def test_wallclock_multi_source_bfs(benchmark, json_report, family, build, k):
+    """One serving BFS launch on the graph families of the BFS serving
+    workload: k sources in lockstep at d = 32 on a warm plan, skip mode
+    on.  Each level packs the frontiers as batch words, OR-folds them
+    over the set-bit index and unpacks the next frontiers."""
+    g = build()
+    engine = BitEngine(g, tile_dim=32)
+    engine.warm_plans((k,))
+    sources = np.random.default_rng(k).choice(g.n, size=k, replace=False)
+    benchmark(multi_source_bfs, engine, sources)
+    emit_benchmark(
+        json_report, benchmark, "multi_source_bfs",
+        graph=family, n=g.n, k=k, tile_dim=32,
+    )
 
 
 def test_wallclock_bmv_bin_full_full(benchmark, banded, json_report):

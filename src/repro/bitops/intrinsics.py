@@ -51,43 +51,43 @@ def _pack_lanes(bits: np.ndarray, width: int) -> np.ndarray:
 
     Lane ``N`` lands in bit ``N`` (nonzero counts as set): the body of
     :func:`ballot_sync` and of every packing codec in
-    :mod:`repro.bitops.packing`.  ``np.packbits`` packs the lanes into
-    little-endian bytes, zero bytes pad them to the word's itemsize, and
-    the bytes are read as little-endian words of
-    :func:`dtype_for_width` — so a narrow width such as B2SR-4's nibble
-    keeps zeros in its unused high bits.
+    :mod:`repro.bitops.packing`.  Zero lanes pad the last axis to the
+    word's bit count, so a narrow width such as B2SR-4's nibble keeps
+    zeros in its unused high bits; one ``np.packbits`` over the
+    flattened C-contiguous lanes then yields little-endian bytes, which
+    are read as little-endian words of :func:`dtype_for_width`.  The
+    bytes equal ``np.packbits(..., axis=-1)``'s without its per-row
+    strided pass.
     """
     dt = dtype_for_width(width)
+    nbits = 8 * dt.itemsize
     if bits.dtype != np.bool_:
         bits = bits != 0
-    # A strided input (a swapped-axes view) packs to a strided result.
-    packed = np.ascontiguousarray(
-        np.packbits(bits, axis=-1, bitorder="little")
+    lanes = bits.shape[-1]
+    if lanes < nbits:
+        padded = np.zeros(bits.shape[:-1] + (nbits,), dtype=bool)
+        padded[..., :lanes] = bits
+        bits = padded
+    packed = np.packbits(
+        np.ascontiguousarray(bits).reshape(-1), bitorder="little"
     )
-    nbytes = packed.shape[-1]
-    if nbytes < dt.itemsize:
-        padded = np.zeros(packed.shape[:-1] + (dt.itemsize,), np.uint8)
-        padded[..., :nbytes] = packed
-        packed = padded
-    return packed.view(dt.newbyteorder("<"))[..., 0].astype(dt, copy=False)
+    words = packed.view(dt.newbyteorder("<")).reshape(bits.shape[:-1])
+    return words.astype(dt, copy=False)
 
 
 def _unpack_lanes(words: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_lanes` for a packed operand: ``(nwords,)``
-    or ``(nwords, k)`` words become uint8 0/1 lanes of shape
-    ``(nwords, width[, k])``, so lane ``N`` of word row ``w`` is entry
-    ``w·width + N``.  Bits at or above ``width`` are ignored.
+    """Inverse of :func:`_pack_lanes`: words of any shape become uint8
+    0/1 lanes of shape ``words.shape + (width,)``, lane ``N`` holding
+    bit ``N``.  Bits at or above ``width`` are ignored.
 
-    The lanes go on axis 1 rather than last: ``np.unpackbits`` along the
-    byte axis of the transposed ``(nwords, itemsize, k)`` view is faster
-    than unpacking lanes last and transposing the bits.
+    One ``np.unpackbits`` over the words' flattened little-endian bytes
+    unpacks every bit; the lanes past ``width`` are sliced off the
+    result (a view).
     """
     dt = dtype_for_width(width).newbyteorder("<")
     w = np.ascontiguousarray(words, dtype=dt)
-    octets = w.view(np.uint8).reshape(w.shape + (dt.itemsize,))
-    return np.unpackbits(
-        np.swapaxes(octets, 1, -1), axis=1, count=width, bitorder="little"
-    )
+    bits = np.unpackbits(w.view(np.uint8).reshape(-1), bitorder="little")
+    return bits.reshape(w.shape + (8 * dt.itemsize,))[..., :width]
 
 
 def popc(x: np.ndarray | int) -> np.ndarray | int:

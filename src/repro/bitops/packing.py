@@ -14,17 +14,22 @@ A *binarized vector* packs ``d`` consecutive vector entries into one word per
 tile-column block, so a tile row and the matching vector word can be combined
 with ``popc(row & word)`` (Listing 1).
 
-**Multi-word plane layout (batched operands).**  A batch of ``k`` vectors
-packs into a ``(n_words, k)`` array — column ``j`` is vector ``j`` packed as
-above.  The batched kernels view the ``k`` columns as ``⌈k/d⌉`` *word
-planes* of at most ``d`` columns each: plane ``p`` holds batch columns
-``p·d … min((p+1)·d, k)−1``.  A plane is the register budget one tile sweep
-lane-group carries (``d`` words of ``d`` bits); batches wider than the tile
-word width stripe across planes while the tile index and payloads — the
-dominant traffic — still stream **once** per sweep, with each loaded tile
-chunk reused by every plane (:mod:`repro.kernels.bmv`).
-:func:`plane_count` / :func:`plane_slices` define the striping; they are the
-single source of truth shared by the kernels and the cost model.
+**Batch words (batched operands).**  A batch of ``k`` binarized vectors
+over ``n`` entries packs one word row per entry: :func:`pack_bitmatrix`
+returns ``(n, P)`` words of ``d`` bits, ``P = plane_count(k, d) =
+⌈k/d⌉``, and bit ``j`` of word ``[v, p]`` is entry ``v`` of batch column
+``p·d + j``.  Vertex ``v``'s membership in up to ``d`` concurrent
+frontiers is thus one word — the multi-source BFS layout of Then et al.
+(*The More the Merrier*, PVLDB 2014).  Lanes at or past ``k`` are 0.
+Word column ``p`` is *plane* ``p``: batch columns
+``p·d … min((p+1)·d, k)−1``.  With this layout a batched boolean
+product needs no tile expansion: each stored bit ``(i, c)`` of a matrix
+ORs word row ``c`` into word row ``i``, so one gather and one
+``bitwise_or.reduceat`` over the matrix's set-bit index serve the whole
+batch (:mod:`repro.kernels.bmv`).  :func:`plane_count` /
+:func:`plane_slices` define the striping; they are the single source of
+truth shared by the kernels and the cost model, and the semiring
+kernels stripe their value operands across the same planes.
 
 Nibble packing (§III.B) stores two 4-bit rows per byte, halving B2SR-4's
 storage from Table I's 16× saving to the full 32×.
@@ -178,54 +183,49 @@ def plane_slices(k: int, tile_dim: int) -> list[slice]:
 
 
 def pack_bitmatrix(x: np.ndarray, tile_dim: int) -> np.ndarray:
-    """Binarize and bit-pack ``k`` vectors side-by-side (columns of ``x``).
+    """Binarize and bit-pack ``k`` vectors side by side as batch words.
 
     ``x`` has shape ``(n, k)`` — one vector per column, e.g. ``k`` BFS
-    frontiers or ``k`` PageRank restart vectors.  The result has shape
-    ``(ceil(n / tile_dim), k)``: column ``j`` is exactly
-    ``pack_bitvector(x[:, j], tile_dim)``, so word row ``w`` aligns with
-    tile column ``w`` of a B2SR matrix and one gather of row ``w`` serves
-    all ``k`` vectors at once (the batched-BMV layout).
-
-    ``k`` may exceed ``tile_dim``: the batched kernels then stripe the
-    columns across ``plane_count(k, tile_dim)`` word planes (plane ``p`` =
-    columns ``p·d … min((p+1)·d, k)−1``) inside one tile sweep.
+    frontiers.  The result has shape ``(n, plane_count(k, tile_dim))``
+    and dtype :func:`dtype_for_width` ``(tile_dim)``: bit ``j`` of word
+    ``[v, p]`` is ``x[v, p·tile_dim + j] != 0``, and lanes at or past
+    ``k`` are 0 (see the module docstring).
     """
     _check_dim(tile_dim)
     v = np.asarray(x)
     if v.ndim != 2:
         raise ValueError(f"expected an (n, k) matrix, got shape {v.shape}")
     n, k = v.shape
-    nwords = (n + tile_dim - 1) // tile_dim
-    bits = np.zeros((nwords * tile_dim, k), dtype=bool)
-    bits[:n] = v != 0
-    # Lanes last and contiguous: packing over the strided (nwords, d, k)
-    # view is slower than this copy plus a contiguous pack.
-    lanes = np.ascontiguousarray(
-        bits.reshape(nwords, tile_dim, k).transpose(0, 2, 1)
-    )
-    return _pack_lanes(lanes, tile_dim)
+    planes = plane_count(k, tile_dim)
+    bits = v if v.dtype == np.bool_ else v != 0
+    if k < planes * tile_dim:
+        lanes = np.zeros((n, planes * tile_dim), dtype=bool)
+        lanes[:, :k] = bits
+        bits = lanes
+    return _pack_lanes(bits.reshape(n, planes, tile_dim), tile_dim)
 
 
-def unpack_bitmatrix(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_bitmatrix`; returns a 0/1 uint8 array of
-    shape ``(n, k)``.
+def unpack_bitmatrix(words: np.ndarray, tile_dim: int, k: int) -> np.ndarray:
+    """Inverse of :func:`pack_bitmatrix`; returns a C-contiguous 0/1
+    uint8 array of shape ``(n, k)``.
 
-    Like :func:`unpack_bitvector`, the word-row count must be exactly
-    ``ceil(n / tile_dim)``.
+    ``words`` must have exactly ``plane_count(k, tile_dim)`` columns —
+    the count :func:`pack_bitmatrix` produces.  Bits at or past lane
+    ``k`` are ignored.
     """
     _check_dim(tile_dim)
     arr = np.asarray(words)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D packed words, got shape {arr.shape}")
-    nwords = (n + tile_dim - 1) // tile_dim
-    if arr.shape[0] != nwords:
+    planes = plane_count(k, tile_dim)
+    if arr.shape[1] != planes:
         raise ValueError(
-            f"packed matrix must hold exactly {nwords} word rows of "
-            f"{tile_dim} bits for {n} entries, got {arr.shape[0]}"
+            f"packed matrix must hold exactly {planes} word planes of "
+            f"{tile_dim} bits for {k} batch columns, got {arr.shape[1]}"
         )
-    bits = _unpack_lanes(arr, tile_dim)  # (nwords, d, k)
-    return bits.reshape(nwords * tile_dim, arr.shape[1])[:n]
+    n = arr.shape[0]
+    lanes = _unpack_lanes(arr, tile_dim).reshape(n, planes * tile_dim)
+    return np.ascontiguousarray(lanes[:, :k])
 
 
 def nibble_pack(rows: np.ndarray) -> np.ndarray:

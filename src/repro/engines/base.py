@@ -159,7 +159,7 @@ class Engine:
         visiteds[:, j])``.
 
         The default runs ``k`` single expansions; backends with a batched
-        kernel (one tile sweep serving every column) override this.
+        kernel (one launch serving every column) override this.
         """
         F, V = self._check_multi(frontiers, visiteds)
         out = np.zeros(F.shape, dtype=bool)

@@ -193,32 +193,33 @@ class BitEngine(Engine):
     def frontier_expand_multi(
         self, frontiers: np.ndarray, visiteds: np.ndarray
     ) -> np.ndarray:
-        """Batched masked BMV: one tile sweep expands all ``k`` frontiers.
+        """Batched masked BMV: one launch expands all ``k`` frontiers.
 
         A single ``bmv_bin_bin_bin_multi_masked`` launch per level is the
-        multi-source analogue of the paper's fused BFS iteration — the tile
-        index and payloads stream once regardless of ``k``.
+        multi-source analogue of the paper's fused BFS iteration.  The
+        frontiers travel as batch words (vertex ``v``'s membership in
+        ``d`` frontiers is one word), so the launch is one OR-fold over
+        the matrix's set bits however many sources are in flight.
         """
         F, V = self._check_multi(frontiers, visiteds)
         d = self.tile_dim
-        fw = pack_bitmatrix(F, d)
+        k = F.shape[1]
         counters: dict = {}
         yw = bmv_bin_bin_bin_multi_masked(
-            self._At, fw, V, complement=True,
+            self._At, pack_bitmatrix(F, d), V, complement=True,
             skip=self.skip_inactive, counters=counters,
         )
-        if F.shape[1] == 0:
-            # A zero-column batch records no launch, as the base loop.
-            return unpack_bitmatrix(yw, d, self.n).astype(bool)
-        self.add_kernel(
-            bmv_stats(
-                self._At, "bin_bin_bin_masked", self.device,
-                locality=self._locality, k=F.shape[1],
-                active_tiles=self._bmv_active(counters),
+        # A zero-column batch records no launch, as the base loop.
+        if k:
+            self.add_kernel(
+                bmv_stats(
+                    self._At, "bin_bin_bin_masked", self.device,
+                    locality=self._locality, k=k,
+                    active_tiles=self._bmv_active(counters),
+                )
             )
-        )
-        self.algorithm_stats.host_us += 0.5
-        return unpack_bitmatrix(yw, d, self.n).astype(bool)
+            self.algorithm_stats.host_us += 0.5
+        return unpack_bitmatrix(yw, d, k).view(bool)
 
     def pull_multi(
         self,

@@ -13,34 +13,40 @@ scheme                         A       x        y
 =============================  ======  =======  =======
 
 Batched multi-vector schemes (the ``_multi`` suffix) serve ``k`` vectors
-with **one sweep over the stored tiles** — the tile index and payloads are
-read once and every tile is combined with all ``k`` packed words / value
-segments of its column block (multi-source BFS, batched landmark BFS,
-batched PageRank):
+with **one launch** — the matrix is read once for all ``k`` columns
+(multi-source BFS, batched landmark BFS, batched PageRank):
 
-===================================  ======  ==========  ==========
-scheme                               A       X (n × k)   Y (n × k)
-===================================  ======  ==========  ==========
-``bmv_bin_bin_bin_multi``            1-bit   1-bit       1-bit
-``bmv_bin_bin_full_multi``           1-bit   1-bit       32-bit
-``bmv_bin_full_full_multi``          1-bit   32-bit      32-bit
+===================================  ======  ============  ==============
+scheme                               A       X             Y
+===================================  ======  ============  ==============
+``bmv_bin_bin_bin_multi``            1-bit   batch words   batch words
+``bmv_bin_bin_full_multi``           1-bit   batch words   32-bit (n×P·d)
+``bmv_bin_full_full_multi``          1-bit   32-bit (n×k)  32-bit (n×k)
 (+ ``_masked`` for the 1-bit out)
-===================================  ======  ==========  ==========
+===================================  ======  ============  ==============
 
-Packed multi operands come from :func:`repro.bitops.packing.pack_bitmatrix`
-(word row ``w``, column ``j`` holds bits ``w*d … w*d+d-1`` of vector ``j``).
+**Batch words (binary batches).**  The binary multi operands come from
+:func:`repro.bitops.packing.pack_bitmatrix`: ``(ncols, P)`` words with
+``P = ⌈k/d⌉`` *word planes*, one word row per vertex, lane ``j`` of
+plane ``p`` holding batch column ``p·d + j`` — vertex ``v``'s membership
+in ``d`` concurrent frontiers is one word (the multi-source BFS layout of
+Then et al., *The More the Merrier*, PVLDB 2014).  Stored bit ``(i, c)``
+then ORs word row ``c`` into output row ``i``, so a batched OR product is
+one gather and one ``bitwise_or.reduceat`` over the plan's set-bit index
+— O(nnz·P) word ORs with no tile expansion — and the counting product
+unpacks the gathered words and sums each lane.  The vector kernels keep
+the paper's Listing 1 layout.
 
-**Multi-word planes (k > tile word width).**  A batch of ``k`` vectors is
-viewed as ``⌈k/d⌉`` *word planes*: plane ``p`` spans batch columns
-``p·d … min((p+1)·d, k)−1`` (:func:`repro.bitops.packing.plane_slices`).
-One plane is what a lane group carries in registers per stored tile —
-``d`` words of ``d`` bits (binary operands) or ``d`` value rows (numeric
-operands).  Batches wider than ``d`` therefore stripe across planes
-*inside* the tile sweep: each tile chunk is loaded once and every plane
-combines against the same resident chunk, so the tile index and payload
-traffic stays independent of ``k`` while per-plane combine work scales
-with the batch.  Striping is per-column-independent, so results are
-bitwise identical whether a column lands in plane 0 or plane 7.
+**Value planes (k > tile word width).**  The semiring kernels view a
+batch of ``k`` value vectors as ``⌈k/d⌉`` planes: plane ``p`` spans
+batch columns ``p·d … min((p+1)·d, k)−1``
+(:func:`repro.bitops.packing.plane_slices`) — the ``d`` value rows a lane
+group carries in registers per stored tile.  The dense sweep stripes the
+planes *inside* the tile sweep: each tile chunk is loaded once and every
+plane combines against the same resident chunk, so the tile index and
+payload traffic stays independent of ``k`` while per-plane combine work
+scales with the batch.  Striping is per-column-independent, so results
+are bitwise identical whether a column lands in plane 0 or plane 7.
 
 **Value dtypes.**  The semiring schemes compute in ``float32`` (the
 paper's precision) unless the vector operand arrives as ``float64``, which
@@ -50,7 +56,7 @@ vertex ids that overflow ``float32``'s exact-integer range at 2²⁴, while
 
 **Segment-reduce layout.**  B2SR's upper level is CSR over tile rows, so
 the stored tiles are already sorted by output tile row and ``indptr``
-delimits each row's run.  Every scheme therefore computes a per-tile
+delimits each row's run.  Every tile sweep therefore computes a per-tile
 contribution array (a packed word, a popcount row, or a semiring-reduced
 value row) and folds each output row's run with one ``ufunc.reduceat``
 over the run starts of a row-aligned chunk — a buffered, contiguous,
@@ -69,12 +75,13 @@ of once per launch.  Results are bitwise independent of plan warmth.
 Operand buffers (the zero-padded operand, the multiplied operand with
 its sentinel slot) are allocated per launch.
 
-**One packed sweep.**  The four unmasked packed kernels
-(``bin_bin_bin`` and ``bin_bin_full``, vector and batched) share one
-body (:func:`_packed_sweep`): each tile row ANDs against its column's
-word per batch column, and the hits are either OR-balloted into one
-output word or popcount-summed.  A vector is the one word plane ``()``;
-a batch stripes across planes of at most ``d`` columns.
+**Packed bodies.**  The two unmasked packed vector kernels
+(``bin_bin_bin`` and ``bin_bin_full``) share one tile sweep
+(:func:`_packed_sweep`): each tile row ANDs against its column's word,
+and the hits are either OR-balloted into one output word or
+popcount-summed.  The three batched packed kernels share one fold over
+the set-bit index (:func:`_batch_fold`), one gather and one
+``reduceat`` for every plane of the batch.
 
 **Set-bit gather (min/max/OR semirings).**  For the idempotent
 semirings (min-plus, min-second, max-times, boolean — SSSP's, CC's,
@@ -112,19 +119,24 @@ plan's cached masked-gather index.
 **Active-tile skip (``skip=True``).**  The sweep consults the input
 operand and elides stored tiles whose input word / value segment is the
 add identity — the frontier-sparsity the serving BFS/SSSP rounds have in
-abundance.  Exactness is structural, not approximate: the OR and
+abundance.  Exactness is structural, not approximate: the vector OR and
 popcount folds drop inactive tiles outright (bitwise OR is exact in any
 order, and a popcount sum is an integer no larger than its row's
 degree, which ``float32`` adds exactly in any order below 2²⁴), the
-set-bit gather drops the entries of tiles inactive in every plane, and
-the dense semiring sweep keeps its fold shape and pre-fills the elided
-slots with the identity it would have computed (compute elision) — see
-:mod:`repro.kernels.plan` for the argument.  Every kernel returns
+semiring set-bit gather drops the entries of tiles inactive in every
+plane, and the dense semiring sweep keeps its fold shape and pre-fills
+the elided slots with the identity it would have computed (compute
+elision) — see :mod:`repro.kernels.plan` for the argument.  The batched
+packed folds gather every stored bit in both modes: an inactive
+column's words are 0, which both folds absorb, and selecting the live
+entries costs more than folding them.  Every kernel returns
 bitwise-identical results with skip on or off; ``counters=`` receives
-``active_tiles`` / ``tile_visits`` — the same counts on every host path
-— so the cost model can charge only the work actually done.
+``active_tiles`` / ``tile_visits`` — per plane, the stored tiles whose
+column block holds a nonzero input, out of ``n_tiles`` — the same counts
+on every host path, so the cost model can charge only the work the
+paper's tile sweep does.
 
-The only Python-level loops are the chunk and word-plane loops, which
+The only Python-level loops are the chunk and value-plane loops, which
 bound scratch at about :data:`repro.kernels.plan._CHUNK_TILES` tile
 rows per plane.
 """
@@ -137,11 +149,14 @@ from repro.bitops.intrinsics import ballot_sync, mask_for_width
 from repro.bitops.packing import (
     pack_bitmatrix,
     pack_bitvector,
+    plane_count,
     plane_slices,
+    unpack_bitmatrix,
 )
 from repro.bitops.segreduce import run_starts
 from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import (
+    batch_word_activity,
     note_active,
     value_activity,
     word_activity,
@@ -169,13 +184,16 @@ def _check_vec_words(A: B2SRMatrix, x_words: np.ndarray) -> np.ndarray:
 
 
 def _check_mat_words(A: B2SRMatrix, x_words: np.ndarray) -> np.ndarray:
-    """Validate a packed multi-vector operand of shape
-    ``(n_tile_cols, k)`` (see :func:`_check_vec_words`)."""
+    """Validate a batch-word operand of shape ``(ncols, P)`` — one word
+    row per matrix column, as
+    :func:`repro.bitops.packing.pack_bitmatrix` produces at
+    ``A.tile_dim`` (packing-width discipline as in
+    :func:`_check_vec_words`)."""
     xw = np.asarray(x_words)
-    if xw.ndim != 2 or xw.shape[0] != A.n_tile_cols:
+    if xw.ndim != 2 or xw.shape[0] != A.ncols:
         raise ValueError(
-            f"packed multi-vector must hold exactly {A.n_tile_cols} word "
-            f"rows of {A.tile_dim} bits, got shape {xw.shape}"
+            f"batch words must hold exactly {A.ncols} word rows of "
+            f"{A.tile_dim} bits, got shape {xw.shape}"
         )
     return _narrow_words(A, xw)
 
@@ -213,15 +231,35 @@ def _resolve_mask(
 
 
 def _resolve_mask_matrix(
-    masks: np.ndarray, n: int, k: int, complement: bool
+    A: B2SRMatrix, masks: np.ndarray, xw: np.ndarray, complement: bool
 ) -> np.ndarray:
+    """The ``(nrows, k)`` bool mask of the positions a batched kernel may
+    write over the validated batch words ``xw`` ``(ncols, P)``.
+
+    ``plane_count(k, d)`` must equal ``P``, and the operand may set no
+    lane at or past ``k``: the mask does not cover such a lane, so its
+    output would be dropped silently.  Every accepted mask therefore
+    returns what a mask over all ``P·d`` lanes would.
+    """
     m = np.asarray(masks)
-    if m.shape != (n, k):
+    d, planes = A.tile_dim, xw.shape[1]
+    if (
+        m.ndim != 2
+        or m.shape[0] != A.nrows
+        or plane_count(m.shape[1], d) != planes
+    ):
         raise ValueError(
-            f"masks must have shape ({n}, {k}), got {m.shape}"
+            f"masks must have shape ({A.nrows}, k) with {planes} word "
+            f"planes of {d} bits, got {m.shape}"
         )
-    valid = m != 0
-    return ~valid if complement else valid
+    k = m.shape[1]
+    uncovered = k - (planes - 1) * d  # lane k, counted in the last plane
+    if uncovered < d and xw.size and int(xw[:, -1].max()) >> uncovered:
+        raise ValueError(
+            f"masks cover {k} batch columns, but the batch words set "
+            f"lanes at or past {k}"
+        )
+    return m == 0 if complement else m != 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,72 +272,104 @@ def _packed_sweep(
     skip: bool,
     counters: dict | None,
 ) -> np.ndarray:
-    """The body of the four unmasked packed kernels.
+    """The body of the two unmasked packed vector kernels.
 
-    ``xw`` is the validated packed operand, ``(n_tile_cols,)`` or
-    ``(n_tile_cols, k)``.  Each tile row ANDs against its column's
-    word(s); ``count=False`` ORs the hits into one packed output word per
-    tile row (``bin_bin_bin``, ``(n_tile_rows[, k])``), ``count=True``
-    sums their popcounts (``bin_bin_full``, float32 ``(nrows[, k])``).
-    Word planes are index tuples into the trailing column axis, as in
-    :func:`_semiring_pull`.  Row-aligned chunks fold every output row
-    exactly once, so each fold is assigned, never merged; in skip mode a
-    plane's inactive tiles drop out of the fold, which is exact for both
-    folds (module docstring).
+    ``xw`` is the validated packed vector ``(n_tile_cols,)``.  Each tile
+    row ANDs against its column's word; ``count=False`` ORs the hits
+    into one packed output word per tile row (``bin_bin_bin``,
+    ``(n_tile_rows,)``), ``count=True`` sums their popcounts
+    (``bin_bin_full``, float32 ``(nrows,)``).  Row-aligned chunks fold
+    every output row exactly once, so each fold is assigned, never
+    merged; in skip mode inactive tiles drop out of the fold, which is
+    exact for both folds (module docstring).
     """
     d = A.tile_dim
-    vec = xw.ndim == 1
-    k = 1 if vec else xw.shape[1]
     if count:
-        out = np.zeros((A.n_tile_rows, d) + xw.shape[1:], dtype=np.float32)
-        y = out.reshape((A.n_tile_rows * d,) + xw.shape[1:])[: A.nrows]
+        out = np.zeros((A.n_tile_rows, d), dtype=np.float32)
+        y = out.reshape(-1)[: A.nrows]
     else:
-        out = y = np.zeros((A.n_tile_rows,) + xw.shape[1:], A.tiles.dtype)
-    if A.n_tiles == 0 or k == 0:
+        out = y = np.zeros(A.n_tile_rows, A.tiles.dtype)
+    if A.n_tiles == 0:
         note_active(counters, 0, 0)
         return y
 
-    pl = A.plan()
-    planes = [()] if vec else [(sl,) for sl in plane_slices(k, d)]
-    act_planes = None
-    if skip:
-        act_planes = [word_activity(xw[(slice(None),) + p]) for p in planes]
-    for ch in pl.chunks(min(k, d)):
-        tiles = A.tiles[ch.lo:ch.hi]
-        cols = A.indices[ch.lo:ch.hi]
-        # The chunk's tiles stay resident while every word plane combines
-        # against them — one tile sweep however wide the batch.
-        for p, plane in enumerate(planes):
-            t, c, starts, rows = tiles, cols, ch.starts, ch.rows
-            if act_planes is None:
-                note_active(counters, ch.size, ch.size)
-            else:
-                sub = act_planes[p][cols].nonzero()[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    continue  # the chunk's rows keep the fold identity
-                if sub.size < ch.size:
-                    t, c, trows = tiles[sub], cols[sub], ch.trows[sub]
-                    starts = run_starts(trows)
-                    rows = trows[starts]
-            w = xw[(c,) + plane]  # (m[, kp])
-            if count:
-                # (m, d[, kp]): tile row r's overlap with each word.
-                pc = np.bitwise_count(
-                    t & w[:, None] if vec else t[:, :, None] & w[:, None]
-                ).astype(np.float32)
-                out[(rows, slice(None)) + plane] = np.add.reduceat(
-                    pc, starts, axis=0
-                )
-            else:
-                # (m[, kp], d): lanes last, so the ballot packs a
-                # contiguous axis.
-                hits = (
-                    t & w[:, None] if vec else t[:, None] & w[..., None]
-                ) != 0
-                out[(rows,) + plane] = np.bitwise_or.reduceat(
-                    ballot_sync(hits, width=d), starts, axis=0
-                )
+    act = word_activity(xw) if skip else None
+    for ch in A.plan().chunks(1):
+        t, c = A.tiles[ch.lo:ch.hi], A.indices[ch.lo:ch.hi]
+        starts, rows = ch.starts, ch.rows
+        if act is None:
+            note_active(counters, ch.size, ch.size)
+        else:
+            sub = act[c].nonzero()[0]
+            note_active(counters, sub.size, ch.size)
+            if sub.size == 0:
+                continue  # the chunk's rows keep the fold identity
+            if sub.size < ch.size:
+                t, c, trows = t[sub], c[sub], ch.trows[sub]
+                starts = run_starts(trows)
+                rows = trows[starts]
+        hits = t & xw[c][:, None]  # (m, d): tile row r & its column word
+        if count:
+            out[rows] = np.add.reduceat(
+                np.bitwise_count(hits).astype(np.float32), starts, axis=0
+            )
+        else:
+            out[rows] = np.bitwise_or.reduceat(
+                ballot_sync(hits != 0, width=d), starts, axis=0
+            )
+    return y
+
+
+def _batch_fold(
+    A: B2SRMatrix,
+    xw: np.ndarray,
+    count: bool,
+    skip: bool,
+    counters: dict | None,
+) -> np.ndarray:
+    """The body of the three batched packed kernels.
+
+    ``xw`` is the validated batch-word operand ``(ncols, P)``.  Stored
+    bit ``(i, c)`` of ``A`` combines word row ``c`` into output row
+    ``i``, so one gather over the plan's set-bit index and one
+    ``reduceat`` over its row runs serve every plane: ``count=False``
+    ORs the words (``bin_bin_bin``, ``(nrows, P)`` batch words),
+    ``count=True`` unpacks them and sums each lane (``bin_bin_full``,
+    float32 ``(nrows, P·d)``, one column per lane).  Both folds are
+    exact in any order, and every stored bit is gathered in both skip
+    modes: dropping the entries of inactive columns costs more than the
+    fold it saves.  Counters count what the tile sweep visits — per
+    plane, the stored tiles whose column block holds a set word, out of
+    ``n_tiles`` (module docstring).
+    """
+    d = A.tile_dim
+    planes = xw.shape[1]
+    if count:
+        y = np.zeros((A.nrows, planes * d), dtype=np.float32)
+    else:
+        y = np.zeros((A.nrows, planes), dtype=A.tiles.dtype)
+    if A.n_tiles == 0 or planes == 0:
+        note_active(counters, 0, 0)
+        return y
+    visits = planes * A.n_tiles
+    if skip and counters is not None:
+        act = batch_word_activity(xw, d)[A.indices]
+        note_active(counters, np.count_nonzero(act), visits)
+    else:
+        note_active(counters, visits, visits)
+
+    ix = A.plan().bit_index
+    if ix.icol.size == 0:
+        return y
+    if count:
+        lanes = unpack_bitmatrix(xw[ix.icol], d, planes * d)
+        y[ix.rows] = np.add.reduceat(
+            lanes, ix.starts, axis=0, dtype=np.float32
+        )
+    elif planes == 1:
+        y[ix.rows, 0] = np.bitwise_or.reduceat(xw[:, 0][ix.icol], ix.starts)
+    else:
+        y[ix.rows] = np.bitwise_or.reduceat(xw[ix.icol], ix.starts, axis=0)
     return y
 
 
@@ -361,19 +431,20 @@ def bmv_bin_bin_bin_multi(
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Batched boolean SpMV: ``Y[:, j] = A ∨.∧ X[:, j]`` for ``k`` packed
-    vectors in one tile sweep.
+    """Batched boolean SpMV: ``Y[:, j] = A ∨.∧ X[:, j]`` for a batch of
+    binary vectors packed as batch words.
 
-    ``x_words`` has shape ``(n_tile_cols, k)`` from
-    :func:`repro.bitops.packing.pack_bitmatrix`; the result has shape
-    ``(n_tile_rows, k)`` — column ``j`` equals
-    ``bmv_bin_bin_bin(A, x_words[:, j])``.  ``k`` may exceed the tile word
-    width: the batch stripes across ``⌈k/d⌉`` word planes inside the one
-    tile sweep (see the module docstring).  With ``skip=True`` a tile is
-    elided *per plane* when all its plane words are zero.
+    ``x_words`` has shape ``(ncols, P)`` from
+    :func:`repro.bitops.packing.pack_bitmatrix` (``P = ⌈k/d⌉`` word
+    planes, lane ``j`` of plane ``p`` is batch column ``p·d + j``); the
+    result is ``(nrows, P)`` batch words, and
+    ``unpack_bitmatrix(Y, d, k)[:, j]`` equals the vector kernel on
+    column ``j``.  One gather and one OR-fold over the set-bit index
+    serve every plane (module docstring).  ``skip`` changes only the
+    counters: the fold already touches only stored bits.
     """
     xw = _check_mat_words(A, x_words)
-    return _packed_sweep(A, xw, False, skip, counters)
+    return _batch_fold(A, xw, False, skip, counters)
 
 
 def bmv_bin_bin_bin_multi_masked(
@@ -387,13 +458,18 @@ def bmv_bin_bin_bin_multi_masked(
 ) -> np.ndarray:
     """Batched masked boolean SpMV — multi-source BFS's kernel.
 
-    ``masks`` has shape ``(nrows, k)``: one independent mask per vector
-    (each BFS source carries its own visited vector).
+    ``masks`` has shape ``(nrows, k)`` with ``⌈k/d⌉`` equal to the
+    operand's plane count: one independent mask per batch column (each
+    BFS source carries its own visited vector).  The resolved mask is
+    packed as batch words and ANDed into the output words, so lanes at
+    or past ``k`` read 0; an operand that sets such a lane is rejected,
+    since no mask column covers it.
     """
     xw = _check_mat_words(A, x_words)
-    valid = _resolve_mask_matrix(masks, A.nrows, xw.shape[1], complement)
-    yw = _packed_sweep(A, xw, False, skip, counters)
-    return yw & pack_bitmatrix(valid, A.tile_dim)
+    valid = _resolve_mask_matrix(A, masks, xw, complement)
+    yw = _batch_fold(A, xw, False, skip, counters)
+    yw &= pack_bitmatrix(valid, A.tile_dim)
+    return yw
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +517,13 @@ def bmv_bin_bin_full_multi(
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Batched counting SpMV: ``Y[i, j] = popc(A_i & X_j)`` in one tile
-    sweep; returns float32 of shape ``(nrows, k)``.  Batches wider than
-    the tile word width stripe across word planes over each resident tile
-    chunk (module docstring)."""
+    """Batched counting SpMV: ``Y[i, j] = popc(A_i & X_j)`` over batch
+    words ``(ncols, P)``; returns float32 of shape ``(nrows, P·d)``, one
+    column per lane, so columns at or past ``k`` read 0.  The gathered
+    words are unpacked and summed per lane over each row's run of the
+    set-bit index (module docstring)."""
     xw = _check_mat_words(A, x_words)
-    return _packed_sweep(A, xw, True, skip, counters)
+    return _batch_fold(A, xw, True, skip, counters)
 
 
 # ---------------------------------------------------------------------------

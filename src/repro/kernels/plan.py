@@ -61,15 +61,18 @@ kernels' frontier-sparsity-aware sweeps: a stored tile whose input word
 identity contributes nothing, so its work can be elided.  Three elision
 regimes keep results bitwise identical to the dense sweep:
 
-* **fold elision** (the packed folds — ``bmv_bin_bin_bin*`` and
-  ``bmv_bin_bin_full*``): bitwise OR is associative, commutative and
-  exact, and a popcount sum is an integer no larger than its row's
-  degree, which ``float32`` adds exactly in any order below 2²⁴; so
-  inactive tiles are dropped from the fold entirely and only the
-  surviving run structure is reduced;
-* **entry elision** (the set-bit gather): the entries of tiles inactive
-  in every word plane are dropped (:meth:`SetBitIndex.select`) — they
-  would contribute only the identity to an order-free fold;
+* **fold elision** (the packed vector folds — ``bmv_bin_bin_bin``,
+  ``bmv_bin_bin_full`` and their masked forms): bitwise OR is
+  associative, commutative and exact, and a popcount sum is an integer
+  no larger than its row's degree, which ``float32`` adds exactly in any
+  order below 2²⁴; so inactive tiles are dropped from the fold entirely
+  and only the surviving run structure is reduced.  The batched packed
+  folds run over the set-bit index instead and elide nothing (an
+  inactive column's batch words are 0, which the folds absorb); their
+  counters report the same per-plane counts (:func:`batch_word_activity`);
+* **entry elision** (the semiring set-bit gather): the entries of tiles
+  inactive in every value plane are dropped (:meth:`SetBitIndex.select`)
+  — they would contribute only the identity to an order-free fold;
 * **compute elision** (the dense semiring sweep): the fold *shape* is
   preserved — inactive tiles' contribution slots are pre-filled with the
   add identity, which is exactly the value the dense sweep would compute
@@ -456,16 +459,30 @@ class SweepPlan:
 # Active-tile skip helpers
 # ----------------------------------------------------------------------
 def word_activity(xw: np.ndarray) -> np.ndarray:
-    """Per-tile-column activity of a packed operand: ``True`` where the
-    word (or any word of the batch row) carries a set bit.
-
-    ``xw`` is ``(n_tile_cols,)`` or ``(n_tile_cols, kp)`` — one word
-    plane.  A stored tile in an inactive column ANDs against all-zero
-    words, so its contribution is the OR/add identity.
+    """Per-tile-column activity of a packed vector ``(n_tile_cols,)``:
+    ``True`` where the word carries a set bit.  A stored tile in an
+    inactive column ANDs against an all-zero word, so its contribution
+    is the OR/add identity.
     """
-    if xw.ndim == 1:
-        return xw != 0
-    return (xw != 0).any(axis=1)
+    return xw != 0
+
+
+def batch_word_activity(xw: np.ndarray, tile_dim: int) -> np.ndarray:
+    """Per-(tile column, plane) activity of a batch-word operand.
+
+    ``xw`` is ``(ncols, P)`` batch words
+    (:func:`repro.bitops.packing.pack_bitmatrix`); entry ``[c, p]`` is
+    ``True`` where a word of column block ``c`` (rows ``c·d … c·d+d−1``)
+    carries a set bit in plane ``p`` — the tiles of that block a tile
+    sweep of plane ``p`` would find active.
+    """
+    n, planes = xw.shape
+    blocks = -(-n // tile_dim)
+    if n < blocks * tile_dim:
+        padded = np.zeros((blocks * tile_dim, planes), dtype=xw.dtype)
+        padded[:n] = xw
+        xw = padded
+    return xw.reshape(blocks, tile_dim, planes).any(axis=1)
 
 
 def value_activity(
@@ -515,6 +532,7 @@ __all__ = [
     "SetBitIndex",
     "SweepChunk",
     "SweepPlan",
+    "batch_word_activity",
     "note_active",
     "value_activity",
     "word_activity",

@@ -16,6 +16,13 @@ They exist for two reasons:
   here against warm-plan launches to measure what the plan subsystem
   actually saves.
 
+The three batched packed seeds keep their tile sweeps over the seed's
+tile-lane columns (column ``j`` of a ``(⌈n/d⌉, k)`` array is vector
+``j`` packed as :func:`repro.bitops.packing.pack_bitvector` does).  They
+take and return the kernels' batch words
+(:func:`repro.bitops.packing.pack_bitmatrix`) and convert at their
+boundary, through private copies of the seed packer and unpacker.
+
 Do not add features here; new work goes in :mod:`repro.kernels.bmv`.
 """
 
@@ -23,11 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitops.intrinsics import ballot_sync
+from repro.bitops.intrinsics import _pack_lanes, ballot_sync, dtype_for_width
 from repro.bitops.packing import (
     pack_bitmatrix,
     pack_bitvector,
     plane_slices,
+    unpack_bitmatrix,
     unpack_bits_rowmajor,
 )
 from repro.bitops.segreduce import run_starts, segment_reduce
@@ -48,6 +56,47 @@ def _tile_row_of(A: B2SRMatrix) -> np.ndarray:
     return np.repeat(
         np.arange(A.n_tile_rows, dtype=np.int64), np.diff(A.indptr)
     )
+
+
+def _seed_pack_bitmatrix(x: np.ndarray, tile_dim: int) -> np.ndarray:
+    """The seed batch packer: ``(n, k)`` → ``(⌈n/d⌉, k)`` tile-lane
+    columns, column ``j`` packed as ``pack_bitvector(x[:, j])``."""
+    v = np.asarray(x)
+    n, k = v.shape
+    nwords = (n + tile_dim - 1) // tile_dim
+    bits = np.zeros((nwords * tile_dim, k), dtype=bool)
+    bits[:n] = v != 0
+    lanes = np.ascontiguousarray(
+        bits.reshape(nwords, tile_dim, k).transpose(0, 2, 1)
+    )
+    return _pack_lanes(lanes, tile_dim)
+
+
+def _seed_unpack_bitmatrix(
+    words: np.ndarray, tile_dim: int, n: int
+) -> np.ndarray:
+    """Inverse of :func:`_seed_pack_bitmatrix`: 0/1 uint8 ``(n, k)``."""
+    dt = dtype_for_width(tile_dim).newbyteorder("<")
+    w = np.ascontiguousarray(words, dtype=dt)
+    octets = w.view(np.uint8).reshape(w.shape + (dt.itemsize,))
+    bits = np.unpackbits(
+        np.swapaxes(octets, 1, -1), axis=1, count=tile_dim, bitorder="little"
+    )  # (nwords, d, k)
+    return bits.reshape(w.shape[0] * tile_dim, w.shape[1])[:n]
+
+
+def _to_tile_lanes(A: B2SRMatrix, xw: np.ndarray) -> np.ndarray:
+    """Batch words ``(ncols, P)`` as the seed's ``(n_tile_cols, P·d)``
+    tile-lane columns (one column per lane)."""
+    d = A.tile_dim
+    return _seed_pack_bitmatrix(unpack_bitmatrix(xw, d, xw.shape[1] * d), d)
+
+
+def _from_tile_lanes(A: B2SRMatrix, yw: np.ndarray) -> np.ndarray:
+    """The seed's ``(n_tile_rows, P·d)`` tile-lane output as batch words
+    ``(nrows, P)``."""
+    d = A.tile_dim
+    return pack_bitmatrix(_seed_unpack_bitmatrix(yw, d, A.nrows), d)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +131,9 @@ def bmv_bin_bin_bin_multi(
     A: B2SRMatrix, x_words: np.ndarray
 ) -> np.ndarray:
     xw = _check_mat_words(A, x_words)
-    return _bmv_bin_bin_bin_multi_core(A, xw)
+    return _from_tile_lanes(
+        A, _bmv_bin_bin_bin_multi_core(A, _to_tile_lanes(A, xw))
+    )
 
 
 def _bmv_bin_bin_bin_multi_core(
@@ -117,9 +168,11 @@ def bmv_bin_bin_bin_multi_masked(
     complement: bool = False,
 ) -> np.ndarray:
     xw = _check_mat_words(A, x_words)
-    valid = _resolve_mask_matrix(masks, A.nrows, xw.shape[1], complement)
-    yw = _bmv_bin_bin_bin_multi_core(A, xw)
-    return yw & pack_bitmatrix(valid, A.tile_dim)
+    valid = _resolve_mask_matrix(A, masks, xw, complement)
+    yw = _bmv_bin_bin_bin_multi_core(A, _to_tile_lanes(A, xw))
+    lanes = np.zeros((A.nrows, yw.shape[1]), dtype=bool)
+    lanes[:, : valid.shape[1]] = valid
+    return _from_tile_lanes(A, yw & _seed_pack_bitmatrix(lanes, A.tile_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +207,7 @@ def bmv_bin_bin_full_masked(
 def bmv_bin_bin_full_multi(
     A: B2SRMatrix, x_words: np.ndarray
 ) -> np.ndarray:
-    xw = _check_mat_words(A, x_words)
+    xw = _to_tile_lanes(A, _check_mat_words(A, x_words))
     k = xw.shape[1]
     d = A.tile_dim
     y = np.zeros((A.n_tile_rows, d, k), dtype=np.float32)

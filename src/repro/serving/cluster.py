@@ -572,6 +572,27 @@ class ClusterReport:
 # ----------------------------------------------------------------------
 # Router
 # ----------------------------------------------------------------------
+def _p95(values: list[float]) -> float:
+    """``np.percentile(values, 95)`` bit for bit, for a non-empty list
+    of finite values.
+
+    NumPy's linear method takes the sorted values at the floor and the
+    ceiling of index ``(n−1)·0.95`` and interpolates with its ``_lerp``,
+    which subtracts from the upper value when the weight is at least
+    one half.  This replays it without NumPy's quantile machinery, whose
+    ``np.unique`` imports ``numpy.ma`` on the first call — about 14 ms
+    inside a measured ``Router.run``.
+    """
+    s = sorted(values)
+    at = (len(s) - 1) * 0.95
+    i = math.floor(at)
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    t = at - i
+    if t >= 0.5:
+        return float(b - (b - a) * (1 - t))
+    return float(a + (b - a) * t)
+
+
 def _spec_row(spec: LaunchSpec, **fields: Any) -> dict[str, Any]:
     """One ``extra["data_plane"]`` row: the launch plus ``fields``."""
     return {
@@ -1476,9 +1497,7 @@ class Router:
             lane_attainment=lane_attainment,
             graph_attainment=graph_attainment,
             mean_queue_ms=mean(queue),
-            p95_queue_ms=(
-                float(np.percentile(queue, 95)) if queue else 0.0
-            ),
+            p95_queue_ms=_p95(queue) if queue else 0.0,
             mean_service_ms=mean([o.service_ms for o in outcomes]),
             mean_latency_ms=mean([o.latency_ms for o in outcomes]),
             makespan_ms=float(max((o.finish_ms for o in outcomes), default=0.0)),

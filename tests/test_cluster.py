@@ -3,9 +3,17 @@ extracted discrete-event core (repro.serving.events), the admission
 policies (repro.serving.admission), and the multi-graph
 arrival streams (repro.serving.arrivals)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.algorithms import bfs, connected_components, sssp
 from repro.datasets.generators import hybrid_pattern, road_pattern
 from repro.engines import BitEngine
@@ -21,7 +29,7 @@ from repro.serving import (
     trace_stream,
 )
 from repro.serving.admission import AdmissionPolicy, resolve_policy
-from repro.serving.cluster import resolve_placement
+from repro.serving.cluster import _p95, resolve_placement
 from repro.serving.events import EventLoop
 
 
@@ -446,3 +454,61 @@ class TestClusterScaling:
         assert rep.makespan_ms == pytest.approx(
             max(o.finish_ms for o in outcomes)
         )
+
+
+# ----------------------------------------------------------------------
+# Queue p95
+# ----------------------------------------------------------------------
+RUN_ONCE = """
+import sys
+from repro.datasets.generators import hybrid_pattern, road_pattern
+from repro.serving import GraphRegistry, Router, multi_graph_poisson_stream
+reg = GraphRegistry()
+reg.add("g0", hybrid_pattern(128, seed=3), tile_dim=16)
+reg.add("g1", road_pattern(96, seed=4), tile_dim=16)
+stream = multi_graph_poisson_stream(
+    {n: reg[n].engine.n for n in reg.names}, requests=24,
+    rate_qps=2000.0, seed=1,
+)
+print("numpy.ma" in sys.modules)
+outcomes, rep = Router(reg, n_servers=2).run(stream)
+print(rep.p95_queue_ms > 0, "numpy.ma" in sys.modules)
+"""
+
+
+class TestQueueP95:
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                st.floats(min_value=0.0, max_value=1e6),
+                st.floats(min_value=0.0, max_value=1e-3),
+            ),
+            min_size=1, max_size=399,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_percentile(self, values):
+        """Ties, zeros and wide magnitudes: bit for bit."""
+        want = float(np.percentile(values, 95))
+        assert _p95(values) == want
+        assert np.float64(_p95(values)).tobytes() == np.float64(want).tobytes()
+
+    def test_matches_numpy_on_exponential_values(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 400):
+            values = [float(v) for v in rng.exponential(2.0, n)]
+            assert _p95(values) == float(np.percentile(values, 95))
+
+    def test_router_run_does_not_import_numpy_ma(self):
+        """The report's queue p95 runs inside a measured ``Router.run``;
+        ``np.percentile`` would import ``numpy.ma`` there (through
+        ``np.unique``) on first use."""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ONCE],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "False"], proc.stdout

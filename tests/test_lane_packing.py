@@ -4,6 +4,8 @@ against the weight-multiply-sum bodies it replaced.
 Each ``_oracle_*`` function below is the previous implementation of the
 helper of the same name, kept verbatim: widen every bit to ``uint64``,
 multiply by ``1 << lane`` and sum (or shift and mask to unpack).  The
+batch-word oracles apply the same weight-multiply-sum along the batch
+axis (lane ``j`` of plane ``p`` is batch column ``p·d + j``).  The
 properties require the ``np.packbits`` bodies to match them in value,
 dtype and shape over every tile dim, ragged lengths, batch widths past
 two word planes, all-zero/all-one inputs and non-bool inputs.
@@ -74,22 +76,20 @@ def _oracle_unpack_bitvector(words, tile_dim, n):
 def _oracle_pack_bitmatrix(x, tile_dim):
     v = np.asarray(x)
     n, k = v.shape
-    nwords = (n + tile_dim - 1) // tile_dim
-    bits = np.zeros((nwords * tile_dim, k), dtype=np.uint64)
-    bits[:n] = v != 0
-    bits = bits.reshape(nwords, tile_dim, k)
+    planes = (k + tile_dim - 1) // tile_dim
+    bits = np.zeros((n, planes * tile_dim), dtype=np.uint64)
+    bits[:, :k] = v != 0
+    bits = bits.reshape(n, planes, tile_dim)
     weights = np.uint64(1) << np.arange(tile_dim, dtype=np.uint64)
-    words = (bits * weights[None, :, None]).sum(axis=1, dtype=np.uint64)
+    words = (bits * weights).sum(axis=2, dtype=np.uint64)
     return words.astype(dtype_for_width(tile_dim))
 
 
-def _oracle_unpack_bitmatrix(words, tile_dim, n):
+def _oracle_unpack_bitmatrix(words, tile_dim, k):
     arr = np.asarray(words, dtype=np.uint64)
     shifts = np.arange(tile_dim, dtype=np.uint64)
-    bits = ((arr[:, None, :] >> shifts[None, :, None]) & np.uint64(1)).astype(
-        np.uint8
-    )
-    return bits.reshape(-1, arr.shape[1])[:n]
+    bits = ((arr[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return bits.reshape(arr.shape[0], arr.shape[1] * tile_dim)[:, :k]
 
 
 def assert_same(got, want):
@@ -210,29 +210,32 @@ def test_bitvector_codecs_match_oracle(data, d, fill, seed):
 def test_bitmatrix_codecs_match_oracle(data, d, fill, seed):
     rng = np.random.default_rng(seed)
     n = data.draw(lengths(d))
-    k = data.draw(st.integers(min_value=0, max_value=2 * d + 3))
+    # Batch widths at the plane boundaries, or anywhere up to 2d + 3.
+    k = data.draw(
+        st.sampled_from((0, 1, d - 1, d, d + 1, 2 * d + 3))
+        | st.integers(min_value=0, max_value=2 * d + 3)
+    )
     x = make_input(rng, (n, k), fill)
     words = pack_bitmatrix(x, d)
     assert_same(words, _oracle_pack_bitmatrix(x, d))
+    # Noisy words set lanes at or past k and B2SR-4's high nibble too.
     noisy = random_words(rng, words.shape, d)
     for w in (words, noisy):
-        got = unpack_bitmatrix(w, d, n)
-        if k == 0:
-            # The oracle's ``reshape(-1, 0)`` cannot infer a row count.
-            assert_same(got, np.zeros((n, 0), dtype=np.uint8))
-        else:
-            assert_same(got, _oracle_unpack_bitmatrix(w, d, n))
+        got = unpack_bitmatrix(w, d, k)
+        assert got.flags.c_contiguous
+        assert_same(got, _oracle_unpack_bitmatrix(w, d, k))
 
 
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("n", [0, 1, 31, 64, 100])
 def test_zero_width_bitmatrix_round_trip(d, n):
-    """A batch of no vectors packs to ``(nwords, 0)`` and unpacks back to
-    ``(n, 0)`` — the shape ``bmv_bin_bin_full_multi`` returns at k = 0."""
+    """A batch of no vectors packs to ``(n, 0)`` batch words and unpacks
+    back to ``(n, 0)`` — the shape ``bmv_bin_bin_full_multi`` returns at
+    k = 0."""
     words = pack_bitmatrix(np.zeros((n, 0), dtype=bool), d)
-    assert words.shape == ((n + d - 1) // d, 0)
+    assert words.shape == (n, 0)
     assert words.dtype == dtype_for_width(d)
-    back = unpack_bitmatrix(words, d, n)
+    back = unpack_bitmatrix(words, d, 0)
     assert back.shape == (n, 0) and back.dtype == np.uint8
 
 

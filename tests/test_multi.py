@@ -1,6 +1,11 @@
-"""Tests for the batched multi-vector layer: packed-matrix codecs, the
+"""Tests for the batched multi-vector layer: the batch-word codecs, the
 ``bmv_*_multi`` kernels (including ragged shapes and the strict
-packed-operand validation), engine batching, and the batched algorithms."""
+packed-operand validation), engine batching, and the batched algorithms.
+
+Binary batches travel as batch words (``pack_bitmatrix``: one word row
+per vertex, lane ``j`` of plane ``p`` is batch column ``p·d + j``), so
+each column is compared through ``unpack_bitmatrix`` with the vector
+codecs and kernels."""
 
 import numpy as np
 import pytest
@@ -13,10 +18,16 @@ from repro.bitops.packing import (
     unpack_bitmatrix,
     unpack_bitvector,
 )
-from repro.datasets.generators import dot_pattern, hybrid_pattern
+from repro.datasets.generators import (
+    dot_pattern,
+    hybrid_pattern,
+    rmat_graph,
+    road_pattern,
+)
 from repro.engines import BitEngine, GraphBLASTEngine
 from repro.formats.b2sr import TILE_DIMS
 from repro.formats.convert import b2sr_from_dense
+from repro.kernels import planless
 from repro.kernels.bmv import (
     bmv_bin_bin_bin,
     bmv_bin_bin_bin_masked,
@@ -28,6 +39,11 @@ from repro.kernels.bmv import (
     bmv_bin_full_full_multi,
 )
 from repro.semiring import ARITHMETIC, MIN_PLUS, SEMIRINGS
+
+
+def lane(words, d, j):
+    """Batch column ``j`` of batch words, as 0/1 uint8."""
+    return ((words[:, j // d] >> (j % d)) & 1).astype(np.uint8)
 
 
 def setup(nrows=77, ncols=53, k=5, seed=0, density=0.15):
@@ -47,10 +63,15 @@ def setup(nrows=77, ncols=53, k=5, seed=0, density=0.15):
 class TestBitmatrixPacking:
     @pytest.mark.parametrize("d", TILE_DIMS)
     def test_columns_equal_bitvector_packing(self, d):
+        """Lane ``j`` of the batch words carries the same binarized
+        vector as the vector codec packs from column ``j``."""
         _, Xb, _, _ = setup(seed=d)
+        n = Xb.shape[0]
         words = pack_bitmatrix(Xb, d)
+        assert words.shape == (n, plane_count(Xb.shape[1], d))
         for j in range(Xb.shape[1]):
-            assert np.array_equal(words[:, j], pack_bitvector(Xb[:, j], d))
+            vec = unpack_bitvector(pack_bitvector(Xb[:, j], d), d, n)
+            assert np.array_equal(lane(words, d, j), vec)
 
     @pytest.mark.parametrize("d", TILE_DIMS)
     def test_roundtrip_ragged(self, d):
@@ -58,7 +79,7 @@ class TestBitmatrixPacking:
         n = 3 * d + d // 2
         X = (rng.random((n, 4)) < 0.4).astype(np.uint8)
         assert np.array_equal(
-            unpack_bitmatrix(pack_bitmatrix(X, d), d, n), X
+            unpack_bitmatrix(pack_bitmatrix(X, d), d, 4), X
         )
 
     def test_1d_rejected(self):
@@ -66,11 +87,14 @@ class TestBitmatrixPacking:
             pack_bitmatrix(np.zeros(8), 8)
 
     def test_unpack_wrong_word_rows(self):
+        """The plane count must be exactly ``⌈k/d⌉``: too few or surplus
+        word planes for ``k`` are rejected."""
         words = pack_bitmatrix(np.ones((16, 2)), 8)
+        assert words.shape == (16, 1)
         with pytest.raises(ValueError):
-            unpack_bitmatrix(words, 8, 24)
+            unpack_bitmatrix(words, 8, 9)  # two planes needed
         with pytest.raises(ValueError):
-            unpack_bitmatrix(words, 8, 8)
+            unpack_bitmatrix(words, 8, 0)  # surplus plane
 
     def test_unpack_bitvector_exact_length(self):
         words = pack_bitvector(np.ones(16), 8)
@@ -118,17 +142,24 @@ class TestWordPlanes:
         n, k = 2 * d + 5, 2 * d + 3
         X = (rng.random((n, k)) < 0.4).astype(np.uint8)
         words = pack_bitmatrix(X, d)
-        assert words.shape == ((n + d - 1) // d, k)
-        assert np.array_equal(unpack_bitmatrix(words, d, n), X)
+        assert words.shape == (n, plane_count(k, d))
+        assert np.array_equal(unpack_bitmatrix(words, d, k), X)
         for j in range(k):
-            assert np.array_equal(words[:, j], pack_bitvector(X[:, j], d))
+            vec = unpack_bitvector(pack_bitvector(X[:, j], d), d, n)
+            assert np.array_equal(lane(words, d, j), vec)
+        # Lanes past k in the last plane stay 0.
+        assert not (words[:, -1] >> (k - (plane_count(k, d) - 1) * d)).any()
 
     @pytest.mark.parametrize("d", TILE_DIMS)
-    @pytest.mark.parametrize("k_kind", ("d", "d+1", "2d+3"))
+    @pytest.mark.parametrize("k_kind", ("d", "d+1", "2d+3", "1", "d-1"))
     def test_kernels_stripe_across_planes(self, d, k_kind):
         """Every multi kernel must be bitwise identical to per-column
-        singles when the batch straddles the word-width boundary."""
-        k = {"d": d, "d+1": d + 1, "2d+3": 2 * d + 3}[k_kind]
+        singles when the batch straddles the word-width boundary or
+        leaves lanes of its last plane unused, with either mask sense
+        and in both skip modes."""
+        k = {
+            "d": d, "d+1": d + 1, "2d+3": 2 * d + 3, "1": 1, "d-1": d - 1,
+        }[k_kind]
         dense, _, _, _ = setup(seed=d)
         rng = np.random.default_rng(100 + d + k)
         ncols = dense.shape[1]
@@ -138,23 +169,41 @@ class TestWordPlanes:
         A = b2sr_from_dense(dense, d)
         Xw = pack_bitmatrix(Xb, d)
 
-        Yb = bmv_bin_bin_bin_multi(A, Xw)
-        Ym = bmv_bin_bin_bin_multi_masked(A, Xw, masks, complement=True)
-        Yc = bmv_bin_bin_full_multi(A, Xw)
+        nrows, lanes = dense.shape[0], plane_count(k, d) * d
         Yf = bmv_bin_full_full_multi(A, Xf, MIN_PLUS)
         for j in range(k):
-            xw = pack_bitvector(Xb[:, j], d)
-            assert np.array_equal(Yb[:, j], bmv_bin_bin_bin(A, xw))
-            assert np.array_equal(
-                Ym[:, j],
-                bmv_bin_bin_bin_masked(
-                    A, xw, masks[:, j], complement=True
-                ),
-            )
-            assert np.array_equal(Yc[:, j], bmv_bin_bin_full(A, xw))
             assert np.array_equal(
                 Yf[:, j], bmv_bin_full_full(A, Xf[:, j], MIN_PLUS)
             )
+        for skip in (False, True):
+            Yw = bmv_bin_bin_bin_multi(A, Xw, skip=skip)
+            Yb = unpack_bitmatrix(Yw, d, k)
+            Yc = bmv_bin_bin_full_multi(A, Xw, skip=skip)
+            assert Yc.shape == (nrows, lanes)
+            assert not Yc[:, k:].any()  # lanes past k read 0
+            Ym = {
+                c: unpack_bitmatrix(
+                    bmv_bin_bin_bin_multi_masked(
+                        A, Xw, masks, complement=c, skip=skip
+                    ),
+                    d, lanes,
+                )
+                for c in (False, True)
+            }
+            # Lanes past k read 0 even where the complemented mask is 1.
+            assert not Ym[True][:, k:].any()
+            for j in range(k):
+                xw = pack_bitvector(Xb[:, j], d)
+                ref = unpack_bitvector(bmv_bin_bin_bin(A, xw), d, nrows)
+                assert np.array_equal(Yb[:, j], ref)
+                assert np.array_equal(Yc[:, j], bmv_bin_bin_full(A, xw))
+                for c, Y in Ym.items():
+                    ref = bmv_bin_bin_bin_masked(
+                        A, xw, masks[:, j], complement=c
+                    )
+                    assert np.array_equal(
+                        Y[:, j], unpack_bitvector(ref, d, nrows)
+                    )
 
     def test_plane_boundary_independent_of_chunking(self):
         """Plane striping composes with tile chunking: shrinking the
@@ -170,14 +219,17 @@ class TestWordPlanes:
             Xb = (rng.random((dense.shape[1], k)) < 0.4).astype(np.float32)
             Xf = (rng.random((dense.shape[1], k)) * 5).astype(np.float32)
             A = b2sr_from_dense(dense, 8)
-            Yw = bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8))
+            Yw = unpack_bitmatrix(
+                bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8)), 8, k
+            )
             Yf = bmv_bin_full_full_multi(A, Xf, ARITHMETIC)
             assert len(A.plan().chunks(8)) > 1  # one plane is 8 wide
         finally:
             plan_mod._CHUNK_TILES = old
         for j in range(k):
+            yw = bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], 8))
             assert np.array_equal(
-                Yw[:, j], bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], 8))
+                Yw[:, j], unpack_bitvector(yw, 8, A.nrows)
             )
             assert np.array_equal(
                 Yf[:, j], bmv_bin_full_full(A, Xf[:, j], ARITHMETIC)
@@ -278,11 +330,55 @@ class TestPackedOperandValidation:
             bmv_bin_bin_bin_multi(A, words[:, 0])  # 1-D
 
     def test_multi_mask_shape_rejected(self):
+        """A mask must have one row per output row, a batch width whose
+        plane count matches the operand's words, and a column for every
+        lane the operand sets: a narrower mask would drop that lane's
+        output silently.  The planless seed validates alike."""
         dense, Xb, _, masks = setup()
+        Xb[0, -1] = 1.0  # the last batch column is live
         A = b2sr_from_dense(dense, 8)
-        words = pack_bitmatrix(Xb, 8)
-        with pytest.raises(ValueError):
-            bmv_bin_bin_bin_multi_masked(A, words, masks[:, :-1])
+        words = pack_bitmatrix(Xb, 8)  # k = 5: one plane
+        wide = np.ones((A.nrows, 9), dtype=bool)  # two planes
+        for kernel in (
+            bmv_bin_bin_bin_multi_masked,
+            planless.bmv_bin_bin_bin_multi_masked,
+        ):
+            for bad in (masks[:-1], wide, masks[:, 0], masks[:, :-1]):
+                with pytest.raises(ValueError, match="masks"):
+                    kernel(A, words, bad, complement=True)
+
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_multi_narrow_mask_over_clear_lanes_accepted(self, d):
+        """A mask narrower than the operand's batch is accepted when the
+        uncovered lanes are clear, and returns what the full mask does."""
+        dense, _, _, _ = setup(seed=d)
+        A = b2sr_from_dense(dense, d)
+        rng = np.random.default_rng(d)
+        k = d + 3
+        Xb = rng.random((A.ncols, k)) < 0.35
+        Xb[:, k - 2:] = False
+        masks = rng.random((A.nrows, k)) < 0.5
+        words = pack_bitmatrix(Xb, d)
+        for complement in (False, True):
+            full = bmv_bin_bin_bin_multi_masked(
+                A, words, masks, complement=complement
+            )
+            for kernel in (
+                bmv_bin_bin_bin_multi_masked,
+                planless.bmv_bin_bin_bin_multi_masked,
+            ):
+                got = kernel(A, words, masks[:, :-2], complement=complement)
+                assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_multi_words_with_high_bits_rejected(self, d):
+        """A batch word with bits beyond tile_dim was packed at a wider
+        width, as for the vector kernels."""
+        dense, _, _, _ = setup(seed=d)
+        A = b2sr_from_dense(dense, d)
+        wide = np.full((A.ncols, 1), 1 << d, dtype=np.uint64)
+        with pytest.raises(ValueError, match="different tile_dim"):
+            bmv_bin_bin_bin_multi(A, wide)
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +389,41 @@ class TestMultiKernels:
     def test_bin_bin_bin_multi(self, d):
         dense, Xb, _, _ = setup(seed=d)
         A = b2sr_from_dense(dense, d)
+        k = Xb.shape[1]
         Yw = bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, d))
-        for j in range(Xb.shape[1]):
+        assert Yw.shape == (A.nrows, plane_count(k, d))
+        Y = unpack_bitmatrix(Yw, d, k)
+        for j in range(k):
             ref = bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], d))
-            assert np.array_equal(Yw[:, j], ref)
+            assert np.array_equal(Y[:, j], unpack_bitvector(ref, d, A.nrows))
 
     @pytest.mark.parametrize("d", TILE_DIMS)
     def test_bin_bin_bin_multi_masked(self, d):
         dense, Xb, _, masks = setup(seed=d + 10)
         A = b2sr_from_dense(dense, d)
-        Yw = bmv_bin_bin_bin_multi_masked(
-            A, pack_bitmatrix(Xb, d), masks, complement=True
+        k = Xb.shape[1]
+        Y = unpack_bitmatrix(
+            bmv_bin_bin_bin_multi_masked(
+                A, pack_bitmatrix(Xb, d), masks, complement=True
+            ),
+            d, k,
         )
-        for j in range(Xb.shape[1]):
+        for j in range(k):
             ref = bmv_bin_bin_bin_masked(
                 A, pack_bitvector(Xb[:, j], d), masks[:, j],
                 complement=True,
             )
-            assert np.array_equal(Yw[:, j], ref)
+            assert np.array_equal(Y[:, j], unpack_bitvector(ref, d, A.nrows))
 
     @pytest.mark.parametrize("d", TILE_DIMS)
     def test_bin_bin_full_multi(self, d):
         dense, Xb, _, _ = setup(seed=d + 20, density=0.25)
         A = b2sr_from_dense(dense, d)
+        k = Xb.shape[1]
         Y = bmv_bin_bin_full_multi(A, pack_bitmatrix(Xb, d))
-        assert Y.shape == (dense.shape[0], Xb.shape[1])
-        for j in range(Xb.shape[1]):
+        assert Y.shape == (dense.shape[0], plane_count(k, d) * d)
+        assert not Y[:, k:].any()  # one column per lane; lanes past k
+        for j in range(k):
             ref = bmv_bin_bin_full(A, pack_bitvector(Xb[:, j], d))
             assert np.array_equal(Y[:, j], ref)
 
@@ -346,14 +451,18 @@ class TestMultiKernels:
             dense, Xb, Xf, _ = setup(seed=40, density=0.3)
             A = b2sr_from_dense(dense, 8)
             assert A.n_tiles > 14
-            Yw = bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8))
+            k = Xb.shape[1]
+            Yw = unpack_bitmatrix(
+                bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8)), 8, k
+            )
             Yf = bmv_bin_full_full_multi(A, Xf, MIN_PLUS)
-            assert len(A.plan().chunks(min(Xb.shape[1], 8))) > 1
+            assert len(A.plan().chunks(min(k, 8))) > 1
         finally:
             plan_mod._CHUNK_TILES = old
-        for j in range(Xb.shape[1]):
+        for j in range(k):
+            yw = bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], 8))
             assert np.array_equal(
-                Yw[:, j], bmv_bin_bin_bin(A, pack_bitvector(Xb[:, j], 8))
+                Yw[:, j], unpack_bitvector(yw, 8, A.nrows)
             )
             assert np.array_equal(
                 Yf[:, j], bmv_bin_full_full(A, Xf[:, j], MIN_PLUS)
@@ -363,9 +472,9 @@ class TestMultiKernels:
         A = b2sr_from_dense(np.zeros((20, 12), dtype=np.float32), 8)
         Xb = np.ones((12, 3), dtype=np.float32)
         Yw = bmv_bin_bin_bin_multi(A, pack_bitmatrix(Xb, 8))
-        assert Yw.shape == (A.n_tile_rows, 3) and not Yw.any()
+        assert Yw.shape == (20, 1) and not Yw.any()  # one word plane
         Y = bmv_bin_bin_full_multi(A, pack_bitmatrix(Xb, 8))
-        assert Y.shape == (20, 3) and not Y.any()
+        assert Y.shape == (20, 8) and not Y.any()  # one column per lane
         Yf = bmv_bin_full_full_multi(A, np.ones((12, 3)), ARITHMETIC)
         assert Yf.shape == (20, 3) and not Yf.any()
 
@@ -382,29 +491,35 @@ class TestMultiKernels:
         dense, _, _, _ = setup()
         A = b2sr_from_dense(dense, 8)
         Yw = bmv_bin_bin_bin_multi(
-            A, np.zeros((A.n_tile_cols, 0), dtype=np.uint8)
+            A, np.zeros((A.ncols, 0), dtype=np.uint8)
         )
-        assert Yw.shape == (A.n_tile_rows, 0)
+        assert Yw.shape == (A.nrows, 0)
 
 
 # ---------------------------------------------------------------------------
 # Engines and algorithms
 # ---------------------------------------------------------------------------
 class TestBatchedAlgorithms:
-    @pytest.mark.parametrize("tile_dim", (8, 32))
+    @pytest.mark.parametrize("tile_dim", TILE_DIMS)
     def test_multi_source_bfs_equals_singles(self, tile_dim):
+        """On the serving workloads' graph families, with a batch that
+        leaves lanes of its last word plane unused."""
         from repro.algorithms import bfs, multi_source_bfs
 
-        g = hybrid_pattern(300, seed=5)
         rng = np.random.default_rng(1)
-        sources = rng.choice(g.n, size=16, replace=False)
-        engine = BitEngine(g, tile_dim=tile_dim)
-        depth, rep = multi_source_bfs(engine, sources)
-        # One kernel sweep (= one launch) per level, whatever k is.
-        assert rep.kernel_stats.launches == rep.iterations
-        for j, s in enumerate(sources):
-            ref, _ = bfs(engine, int(s))
-            assert np.array_equal(depth[:, j], ref)
+        for g in (
+            hybrid_pattern(300, seed=5),
+            rmat_graph(7, seed=1),
+            road_pattern(64, seed=1),
+        ):
+            sources = rng.choice(g.n, size=tile_dim + 3, replace=False)
+            engine = BitEngine(g, tile_dim=tile_dim)
+            depth, rep = multi_source_bfs(engine, sources)
+            # One launch per level, whatever k is.
+            assert rep.kernel_stats.launches == rep.iterations
+            for j, s in enumerate(sources):
+                ref, _ = bfs(engine, int(s))
+                assert np.array_equal(depth[:, j], ref)
 
     def test_multi_source_bfs_backends_agree(self):
         from repro.algorithms import multi_source_bfs

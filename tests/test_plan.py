@@ -35,6 +35,7 @@ from repro.kernels import bmv, planless
 from repro.kernels.costmodel import BMV_SCHEMES, bmv_stats
 from repro.kernels.plan import (
     SetBitIndex,
+    batch_word_activity,
     value_activity,
     word_activity,
 )
@@ -145,10 +146,11 @@ PACKED_CASES = [(name, "vector") for name in PACKED_VECTOR] + [
 
 
 def packed_launch(A, name, width, rng):
-    """``(launch, want, xw)``: a closure running packed entry point
-    ``name`` on a random packed operand ``xw`` (keywords pass through),
-    and its planless result.  Tile columns 1–4 carry no set bit, so
-    skip mode drops some of every chunk's tiles."""
+    """``(launch, want, X)``: a closure running packed entry point
+    ``name`` on the random binary operand ``X`` — packed as a vector or
+    as batch words (keywords pass through) — and its planless result.
+    Tile columns 1–4 carry no set bit, so skip mode counts some of every
+    chunk's tiles inactive."""
     n, d = A.nrows, A.tile_dim
     k = {"vector": (), "k=d": (d,), "k=2d+3": (2 * d + 3,)}[width]
     X = rng.random((n,) + k) < 0.2
@@ -158,7 +160,7 @@ def packed_launch(A, name, width, rng):
     if name.endswith("_masked"):
         args += (rng.random((n,) + k) < 0.5,)
     kernel, ref = getattr(bmv, name), getattr(planless, name)
-    return (lambda **kw: kernel(*args, **kw)), ref(*args), xw
+    return (lambda **kw: kernel(*args, **kw)), ref(*args), X
 
 
 # ----------------------------------------------------------------------
@@ -274,19 +276,23 @@ class TestBitwiseEquality:
     def test_packed_sweeps_hit_multiple_chunks(
         self, monkeypatch, name, width, skip
     ):
-        """A packed sweep over many row-aligned chunks is bitwise equal
-        to planless and counts, per word plane, the tiles whose column
-        words are non-zero out of ``n_tiles`` visits."""
+        """A packed launch on a matrix of many row-aligned chunks is
+        bitwise equal to planless and counts, per word plane, the tiles
+        whose column block holds a set bit of the plane's batch columns
+        out of ``n_tiles`` visits (recounted from the bool operand)."""
         monkeypatch.setattr(plan_mod, "_CHUNK_TILES", 3)
         A, dense, rng = build(n=130, d=8, density=0.15, seed=9)
         assert len(A.plan().chunks(1)) > 3
-        launch, want, xw = packed_launch(A, name, width, rng)
+        launch, want, X = packed_launch(A, name, width, rng)
         counters = {}
         assert bitwise_equal(launch(skip=skip, counters=counters), want)
-        words = xw.reshape(A.n_tile_cols, -1)
+        d = A.tile_dim
+        cols = np.zeros((A.n_tile_cols * d,) + X.shape[1:], dtype=bool)
+        cols[: A.ncols] = X
+        blocks = cols.reshape(A.n_tile_cols, d, -1)
         live = visits = 0
-        for sl in plane_slices(words.shape[1], A.tile_dim):
-            live += int((words[:, sl] != 0).any(axis=1)[A.indices].sum())
+        for sl in plane_slices(blocks.shape[2], d):
+            live += int(blocks[:, :, sl].any(axis=(1, 2))[A.indices].sum())
             visits += A.n_tiles
         assert 0 < live < visits  # skip mode elides some tiles, not all
         active = live if skip else visits
@@ -295,13 +301,12 @@ class TestBitwiseEquality:
     @pytest.mark.parametrize("name", PACKED_BATCHED)
     def test_packed_zero_width_batch(self, name):
         A, _, _ = build()
-        args = (A, np.zeros((A.n_tile_cols, 0), dtype=np.uint8))
+        args = (A, np.zeros((A.ncols, 0), dtype=np.uint8))
         if name.endswith("_masked"):
             args += (np.zeros((A.nrows, 0), dtype=bool),)
         counters = {}
         got = getattr(bmv, name)(*args, counters=counters)
-        rows = A.nrows if "_full" in name else A.n_tile_rows
-        assert got.shape == (rows, 0)
+        assert got.shape == (A.nrows, 0)
         assert counters == {"active_tiles": 0.0, "tile_visits": 0.0}
 
     def test_chunked_matrices_hit_multiple_chunks(self, monkeypatch):
@@ -527,10 +532,15 @@ class TestSkipMode:
         assert np.isinf(got).all()
 
     def test_word_activity_shapes(self):
+        """A packed vector is active per word; batch words per column
+        block and plane."""
         assert word_activity(np.array([0, 3, 0], dtype=np.uint8)).tolist() \
             == [False, True, False]
-        two = np.array([[0, 1], [0, 0]], dtype=np.uint8)
-        assert word_activity(two).tolist() == [True, False]
+        # Five vertices at d = 4 (two column blocks), two planes.
+        words = np.array([[0, 0], [0, 1], [0, 0], [0, 0], [2, 0]], np.uint8)
+        assert batch_word_activity(words, 4).tolist() == [
+            [False, True], [True, False]
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ detection, idempotent close/unlink, and leak-free teardown."""
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import multi_source_bfs
+from repro.datasets.generators import rmat_graph
 from repro.engines import BitEngine
 from repro.formats.b2sr import TILE_DIMS, B2SRMatrix
 from repro.formats.shm import (
@@ -88,6 +90,42 @@ class TestRoundTrip:
             del shadow  # release the attached matrix before unmapping
             att.close()
         assert_no_segments()
+
+    def test_batched_bfs_identical_through_attach(self, monkeypatch):
+        """A worker's engine over an attached operand runs batched BFS to
+        the same depths, makes the same launches with the same counters
+        and models the same costs as the graph-built engine."""
+        import repro.engines.bit as bit_mod
+
+        g = rmat_graph(8, seed=3)
+        sources = np.arange(0, g.n, 7)[:40]  # two word planes at d = 32
+        seen: list[dict] = []
+        kernel = bit_mod.bmv_bin_bin_bin_multi_masked
+
+        def recording(*args, counters=None, **kw):
+            out = kernel(*args, counters=counters, **kw)
+            seen.append(dict(counters))
+            return out
+
+        monkeypatch.setattr(bit_mod, "bmv_bin_bin_bin_multi_masked", recording)
+        engine = BitEngine(g, tile_dim=32)
+        want, want_rep = multi_source_bfs(engine, sources)
+        want_counters, seen[:] = list(seen), []
+        with ShmGraphExport(engine._At) as exp:
+            att = attach(exp.manifest)
+            shadow = BitEngine.from_operand(
+                att.matrix, n=g.n, device=engine.device,
+                locality=engine._locality,
+            )
+            got, got_rep = multi_source_bfs(shadow, sources)
+            del shadow  # release the attached matrix before unmapping
+            att.close()
+        assert_no_segments()
+        assert np.array_equal(got, want)
+        assert seen == want_counters and len(seen) > 1
+        assert got_rep.kernel_stats == want_rep.kernel_stats
+        assert got_rep.algorithm_stats == want_rep.algorithm_stats
+        assert got_rep.extra == want_rep.extra
 
 
 class TestLifecycle:
